@@ -57,11 +57,17 @@
 #           ci/compare_bench.py --service (zero failed queries, every
 #           response tagged with a published version, bounded p99
 #           during the swap window).
+#   servebench — the serving benchmark's own build and correctness
+#           checks (servebench/README.md): its driver self-test, then a
+#           20 s run of each gated workload. Each run replays responses
+#           against a direct engine and exits non-zero on a mismatch, so
+#           a library change that breaks the benchmark's build or its
+#           answers fails here rather than in the benchmark run.
 #
 # Usage: ci/check.sh
 #   [--tier1-only|--asan-only|--tsan-only|--bench-smoke|--metrics-smoke|
 #    --coldstart|--walkbuild|--service-smoke|--verify-smoke|
-#    --verify-extended|--stress-smoke|--reload-smoke]
+#    --verify-extended|--stress-smoke|--reload-smoke|--servebench-smoke]
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -242,6 +248,13 @@ reload_smoke() {
   python3 ci/compare_bench.py --service build/BENCH_service.json
 }
 
+servebench_smoke() {
+  echo "=== servebench smoke: benchmark build, self-test, both workloads ==="
+  python3 servebench/run.py --self-test
+  python3 servebench/run.py --workload pairs-aminer --seconds 20
+  python3 servebench/run.py --workload topk-amazon --seconds 20
+}
+
 case "${MODE}" in
   --tier1-only) tier1 ;;
   --asan-only) asan ;;
@@ -255,7 +268,8 @@ case "${MODE}" in
   --verify-extended) verify_extended ;;
   --stress-smoke) stress_smoke ;;
   --reload-smoke) reload_smoke ;;
-  all|*) tier1; asan; tsan; bench_smoke; metrics_smoke; coldstart; walkbuild; service_smoke; verify_smoke; stress_smoke; reload_smoke ;;
+  --servebench-smoke) servebench_smoke ;;
+  all|*) tier1; asan; tsan; bench_smoke; metrics_smoke; coldstart; walkbuild; service_smoke; verify_smoke; stress_smoke; reload_smoke; servebench_smoke ;;
 esac
 
 echo "=== all checks passed ==="

@@ -187,6 +187,11 @@ class ThreadPool {
                    [this, seen_epoch] { return stop_ || epoch_ != seen_epoch; });
       if (stop_) return;
       seen_epoch = epoch_;
+      // A worker that wakes only after the submitter saw every chunk done
+      // (and cleared job_fn_) must not join that job: the submitter no
+      // longer waits for it and may already be writing the next job's
+      // fields.
+      if (job_fn_ == nullptr) continue;
       ++active_workers_;
       lock.unlock();
       RunChunks();

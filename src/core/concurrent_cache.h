@@ -1,6 +1,7 @@
 #ifndef SEMSIM_CORE_CONCURRENT_CACHE_H_
 #define SEMSIM_CORE_CONCURRENT_CACHE_H_
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <mutex>
@@ -25,10 +26,15 @@ namespace semsim {
 /// uint64; shards are selected by key hash, each shard an
 /// open-addressing table (linear probing, bounded probe window) under
 /// its own mutex, so contention is striped and no rehash ever happens.
-/// Capacity is fixed at construction: when every slot of a probe
-/// window is taken, the insert displaces the window's first entry
-/// (cheap clock-less eviction). Values must be deterministic functions
-/// of the key — a displaced entry is recomputed bit-identically later,
+/// Capacity is fixed at construction. Every entry carries a one-byte
+/// cost class (what recomputing it would cost, on a log scale) in an
+/// array beside the slots. When every slot of a probe window is taken,
+/// the insert displaces the cheapest entry of the window (the first of
+/// them on ties), and an insert cheaper than every entry there is
+/// dropped — so a stream of cheap pairs cannot flush the expensive
+/// ones. With the default cost 0 this is plain "displace the window's
+/// first entry". Values must be deterministic functions of the key — a
+/// displaced or dropped entry is recomputed bit-identically later,
 /// which is what keeps batch results independent of thread count and
 /// cache history.
 class ConcurrentPairCache {
@@ -50,6 +56,7 @@ class ConcurrentPairCache {
     shards_ = std::vector<Shard>(num_shards);
     for (Shard& s : shards_) {
       s.slots.assign(per_shard, Slot{kEmptyKey, 0.0});
+      s.costs.assign(per_shard, 0);
     }
     shard_mask_ = num_shards - 1;
     slot_mask_ = per_shard - 1;
@@ -77,9 +84,11 @@ class ConcurrentPairCache {
     return false;
   }
 
-  /// Inserts (or refreshes) the pair. When the probe window is full the
-  /// first probed slot is displaced, keeping the table bounded.
-  void Insert(NodeId u, NodeId v, double value) {
+  /// Inserts (or refreshes) the pair with cost class `cost`. When the
+  /// probe window is full the cheapest entry no costlier than `cost` is
+  /// displaced (the first such slot on ties); when every entry there is
+  /// costlier, the insert is dropped and counted as rejected.
+  void Insert(NodeId u, NodeId v, double value, uint8_t cost = 0) {
     uint64_t key = PackKey(u, v);
     uint64_t h = Mix(key);
     Shard& shard = shards_[h & shard_mask_];
@@ -88,34 +97,42 @@ class ConcurrentPairCache {
     size_t victim = base & slot_mask_;
     bool displaced = true;
     for (size_t i = 0; i < kProbeWindow; ++i) {
-      Slot& slot = shard.slots[(base + i) & slot_mask_];
+      size_t at = (base + i) & slot_mask_;
+      Slot& slot = shard.slots[at];
       if (slot.key == key) {
         slot.value = value;
+        shard.costs[at] = cost;
         return;
       }
       if (slot.key == kEmptyKey) {
-        victim = (base + i) & slot_mask_;
+        victim = at;
         ++shard.used;
         displaced = false;
         break;
       }
+      if (shard.costs[at] < shard.costs[victim]) victim = at;
     }
     if (displaced) {
+      if (cost < shard.costs[victim]) {
+        rejected_.fetch_add(1, std::memory_order_relaxed);
+        if (metric_rejected_ != nullptr) metric_rejected_->Add(1);
+        return;
+      }
       evictions_.fetch_add(1, std::memory_order_relaxed);
       if (metric_evictions_ != nullptr) metric_evictions_->Add(1);
     }
     shard.slots[victim] = Slot{key, value};
+    shard.costs[victim] = cost;
   }
 
   void Clear() {
     for (Shard& s : shards_) {
       std::lock_guard<std::mutex> lock(s.mu);
       for (Slot& slot : s.slots) slot = Slot{kEmptyKey, 0.0};
+      std::fill(s.costs.begin(), s.costs.end(), uint8_t{0});
       s.used = 0;
     }
-    hits_.store(0, std::memory_order_relaxed);
-    misses_.store(0, std::memory_order_relaxed);
-    evictions_.store(0, std::memory_order_relaxed);
+    ResetCounters();
   }
 
   /// Occupied slots (exact; takes every shard lock).
@@ -139,6 +156,12 @@ class ConcurrentPairCache {
   uint64_t evictions() const {
     return evictions_.load(std::memory_order_relaxed);
   }
+  /// Dropped inserts: the probe window was full of costlier entries, so
+  /// the pair was not cached. Counts the cheap traffic that cost-aware
+  /// replacement kept from flushing expensive entries.
+  uint64_t rejected() const {
+    return rejected_.load(std::memory_order_relaxed);
+  }
   double hit_rate() const {
     uint64_t h = hits(), m = misses();
     return h + m == 0 ? 0.0 : static_cast<double>(h) / (h + m);
@@ -147,10 +170,12 @@ class ConcurrentPairCache {
     hits_.store(0, std::memory_order_relaxed);
     misses_.store(0, std::memory_order_relaxed);
     evictions_.store(0, std::memory_order_relaxed);
+    rejected_.store(0, std::memory_order_relaxed);
   }
 
   /// Additionally routes this cache's traffic into the global
-  /// MetricsRegistry as `semsim_cache_<name>_{hits,misses,evictions}_total`
+  /// MetricsRegistry as
+  /// `semsim_cache_<name>_{hits,misses,evictions,rejected}_total`
   /// (shared with any other cache bound to the same name). Unbound caches
   /// pay only the local atomics.
   void BindMetrics(std::string_view name) {
@@ -159,9 +184,12 @@ class ConcurrentPairCache {
     metric_hits_ = registry.GetCounter(base + "hits_total");
     metric_misses_ = registry.GetCounter(base + "misses_total");
     metric_evictions_ = registry.GetCounter(base + "evictions_total");
+    metric_rejected_ = registry.GetCounter(base + "rejected_total");
   }
 
-  size_t MemoryBytes() const { return capacity() * sizeof(Slot); }
+  size_t MemoryBytes() const {
+    return capacity() * (sizeof(Slot) + sizeof(uint8_t));
+  }
 
  private:
   struct Slot {
@@ -171,11 +199,12 @@ class ConcurrentPairCache {
   struct Shard {
     mutable std::mutex mu;
     std::vector<Slot> slots;
+    std::vector<uint8_t> costs;  // cost class of slots[i]
     size_t used = 0;
 
     Shard() = default;
     // vector<Shard> construction only; never copied while live.
-    Shard(const Shard& o) : slots(o.slots), used(o.used) {}
+    Shard(const Shard& o) : slots(o.slots), costs(o.costs), used(o.used) {}
   };
 
   // (kInvalidNode, kInvalidNode) cannot name a real pair.
@@ -208,9 +237,11 @@ class ConcurrentPairCache {
   mutable std::atomic<uint64_t> hits_{0};
   mutable std::atomic<uint64_t> misses_{0};
   std::atomic<uint64_t> evictions_{0};
+  std::atomic<uint64_t> rejected_{0};
   Counter* metric_hits_ = nullptr;
   Counter* metric_misses_ = nullptr;
   Counter* metric_evictions_ = nullptr;
+  Counter* metric_rejected_ = nullptr;
 };
 
 /// Memoizing decorator over any SemanticMeasure: serves sem(u,v) from a

@@ -1,5 +1,6 @@
 #include "core/mc_semsim.h"
 
+#include <bit>
 #include <cmath>
 #include <mutex>
 #include <vector>
@@ -38,6 +39,7 @@ void PublishQueryStats(const McQueryStats& stats) {
     Counter* normalizers_computed;
     Counter* normalizer_cache_hits;
     Counter* shared_cache_hits;
+    Counter* normalizer_work;
   };
   static const Sites sites = [] {
     MetricsRegistry& reg = MetricsRegistry::Global();
@@ -49,6 +51,7 @@ void PublishQueryStats(const McQueryStats& stats) {
         reg.GetCounter("semsim_query_normalizers_computed_total"),
         reg.GetCounter("semsim_query_normalizer_cache_hits_total"),
         reg.GetCounter("semsim_query_shared_cache_hits_total"),
+        reg.GetCounter("semsim_query_normalizer_work_total"),
     };
   }();
   sites.queries->Add(1);
@@ -72,6 +75,9 @@ void PublishQueryStats(const McQueryStats& stats) {
   if (stats.shared_cache_hits > 0) {
     sites.shared_cache_hits->Add(
         static_cast<uint64_t>(stats.shared_cache_hits));
+  }
+  if (stats.normalizer_work > 0) {
+    sites.normalizer_work->Add(static_cast<uint64_t>(stats.normalizer_work));
   }
 }
 
@@ -178,8 +184,7 @@ double SemSimMcEstimator::NormalizerT(const Sem& sem, NodeId u, NodeId v,
       return cached;
     }
   }
-  auto it = context->normalizers.find(NodePair{u, v});
-  if (it != context->normalizers.end()) return it->second;
+  if (const double* memo = context->Find(u, v)) return *memo;
   if (shared_cache_ != nullptr) {
     // Cross-query state: another query (possibly on another thread) may
     // already have paid the d² loop for this pair. A hit is copied into
@@ -187,11 +192,10 @@ double SemSimMcEstimator::NormalizerT(const Sem& sem, NodeId u, NodeId v,
     double cached;
     if (shared_cache_->Lookup(u, v, &cached)) {
       if (stats) ++stats->shared_cache_hits;
-      context->normalizers.emplace(NodePair{u, v}, cached);
+      context->Insert(u, v, cached);
       return cached;
     }
   }
-  if (stats) ++stats->normalizers_computed;
   // SO is symmetric; summing in canonical (lo, hi) orientation makes the
   // value a bit-exact function of the unordered pair, so the shared
   // cache may canonicalize its key without results depending on which
@@ -200,14 +204,25 @@ double SemSimMcEstimator::NormalizerT(const Sem& sem, NodeId u, NodeId v,
   NodeId hi = u <= v ? v : u;
   auto in_lo = graph_->InNeighbors(lo);
   auto in_hi = graph_->InNeighbors(hi);
+  const uint64_t work = static_cast<uint64_t>(in_lo.size()) * in_hi.size();
+  if (stats) {
+    ++stats->normalizers_computed;
+    stats->normalizer_work += static_cast<int64_t>(work);
+  }
   double norm = 0;
   for (const Neighbor& a : in_lo) {
     for (const Neighbor& b : in_hi) {
       norm += a.weight * b.weight * sem.Sim(a.node, b.node);
     }
   }
-  context->normalizers.emplace(NodePair{u, v}, norm);
-  if (shared_cache_ != nullptr) shared_cache_->Insert(u, v, norm);
+  context->Insert(u, v, norm);
+  if (shared_cache_ != nullptr) {
+    // Cost class ⌊log2(d_lo·d_hi)⌋: a hub pair's d² loop outranks the
+    // cheap pairs that would otherwise displace it from the shared cache.
+    const uint8_t cost =
+        work == 0 ? 0 : static_cast<uint8_t>(std::bit_width(work) - 1);
+    shared_cache_->Insert(u, v, norm, cost);
+  }
   return norm;
 }
 
@@ -272,6 +287,7 @@ double SemSimMcEstimator::CoupledWalkScore(NodeId u, NodeId v, int walk,
 template <typename Sem, typename Edges>
 double SemSimMcEstimator::QueryT(const Sem& sem, const Edges& edges, NodeId u,
                                  NodeId v, const SemSimMcOptions& options,
+                                 QueryContext* context,
                                  McQueryStats* stats) const {
   SEMSIM_DCHECK(options.decay > 0 && options.decay < 1);
   if (u == v) return 1.0;
@@ -286,7 +302,9 @@ double SemSimMcEstimator::QueryT(const Sem& sem, const Edges& edges, NodeId u,
     return 0.0;
   }
 
-  QueryContext context;
+  // The memo is per query: repeats within one pair's walks hit it, and
+  // clearing it per pair keeps the stage counts history-independent.
+  context->Clear();
   double total = 0;
   // Graceful degradation (serving layer): estimate only the first n_b
   // walks and average over n_b. Identical loop and divisor when the
@@ -302,7 +320,7 @@ double SemSimMcEstimator::QueryT(const Sem& sem, const Edges& edges, NodeId u,
     int meet = FirstMeetingStep(*index_, u, v, w);
     if (meet < 0) continue;
     if (stats) ++stats->met_walks;
-    total += CoupledWalkScoreT(sem, edges, u, v, w, meet, options, &context,
+    total += CoupledWalkScoreT(sem, edges, u, v, w, meet, options, context,
                                stats);
   }
   return sem_uv * total / static_cast<double>(budget);
@@ -315,8 +333,9 @@ double SemSimMcEstimator::Query(NodeId u, NodeId v,
   // nullptr `stats` no longer drops them; the out-param is merely an
   // additional per-call view.
   McQueryStats local;
+  QueryContext context;
   double result = Dispatch([&](const auto& sem, const auto& edges) {
-    return QueryT(sem, edges, u, v, options, &local);
+    return QueryT(sem, edges, u, v, options, &context, &local);
   });
   PublishQueryStats(local);
   if (stats != nullptr) stats->Merge(local);
@@ -335,6 +354,9 @@ std::vector<double> SemSimMcEstimator::QueryBatch(
         0, pairs.size(),
         [&](size_t begin, size_t end) {
           McQueryStats local;
+          // One memo per chunk, cleared by QueryT per pair: it keeps its
+          // capacity across the chunk's pairs instead of reallocating.
+          QueryContext context;
           for (size_t i = begin; i < end; ++i) {
             // Per-item poll inside a chunk; whole chunks are skipped by
             // the pool's own stop hook below.
@@ -342,7 +364,7 @@ std::vector<double> SemSimMcEstimator::QueryBatch(
               break;
             }
             results[i] = QueryT(sem, edges, pairs[i].first, pairs[i].second,
-                                options, &local);
+                                options, &context, &local);
           }
           // Registry totals accumulate per chunk regardless of `stats`.
           PublishQueryStats(local);

@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "common/cancel.h"
@@ -96,6 +95,10 @@ struct McQueryStats {
   int64_t normalizer_cache_hits = 0;
   /// Normalizer lookups answered by the cross-query concurrent cache.
   int64_t shared_cache_hits = 0;
+  /// Σ |In(lo)|·|In(hi)| over the normalizers computed: the d² work
+  /// behind `normalizers_computed`, which counts a hub pair and a leaf
+  /// pair alike.
+  int64_t normalizer_work = 0;
 
   /// Accumulates `other` into this record (counter sums; sem_pruned
   /// becomes a count-like OR). Sums commute, so merging per-thread
@@ -108,6 +111,7 @@ struct McQueryStats {
     normalizers_computed += other.normalizers_computed;
     normalizer_cache_hits += other.normalizer_cache_hits;
     shared_cache_hits += other.shared_cache_hits;
+    normalizer_work += other.normalizer_work;
   }
 };
 
@@ -204,12 +208,99 @@ class SemSimMcEstimator {
                                  const ThreadPool& pool,
                                  McQueryStats* stats = nullptr) const;
 
-  /// Reusable per-source scratch state: SO normalizers computed along
-  /// coupled-walk prefixes. Sharing one context across many queries with
-  /// the same source node (single-source / top-k workloads) removes most
-  /// of the d²-cost recomputation.
-  struct QueryContext {
-    std::unordered_map<NodePair, double, NodePairHash> normalizers;
+  /// Per-query memo of SO normalizers computed along coupled-walk
+  /// prefixes, keyed by the ordered pair (u, v). Sharing one context
+  /// across many queries with the same source node (single-source /
+  /// top-k workloads) removes most of the d²-cost recomputation.
+  ///
+  /// A flat open-addressed table (linear probing) whose slots carry a
+  /// uint32 epoch stamp: a slot is live iff its stamp equals the current
+  /// epoch, so Clear() is an epoch bump instead of a reset, and the
+  /// table keeps its capacity across queries. It doubles when half full
+  /// and allocates nothing until the first insert. Single-threaded.
+  class QueryContext {
+   public:
+    /// Slots allocated by the first insert.
+    static constexpr size_t kInitialCapacity = 64;
+
+    /// The memoized value of (u, v), or nullptr.
+    const double* Find(NodeId u, NodeId v) const {
+      if (slots_.empty()) return nullptr;
+      const uint64_t key = PackKey(u, v);
+      for (size_t i = Mix(key) & mask_;; i = (i + 1) & mask_) {
+        const Slot& slot = slots_[i];
+        if (slot.stamp != epoch_) return nullptr;
+        if (slot.key == key) return &slot.value;
+      }
+    }
+
+    /// Records (u, v) → value; (u, v) must not be present.
+    void Insert(NodeId u, NodeId v, double value) {
+      if (2 * (size_ + 1) > slots_.size()) Grow();
+      Place(PackKey(u, v), value);
+      ++size_;
+    }
+
+    /// Forgets every entry in O(1). A wrapped epoch re-zeroes the stamps
+    /// once every 2^32 - 1 clears, so a stale stamp can never match.
+    void Clear() {
+      size_ = 0;
+      if (++epoch_ == 0) {
+        for (Slot& slot : slots_) slot.stamp = 0;
+        epoch_ = 1;
+      }
+    }
+
+    size_t size() const { return size_; }
+    size_t capacity() const { return slots_.size(); }
+    uint32_t epoch() const { return epoch_; }
+    size_t MemoryBytes() const { return slots_.capacity() * sizeof(Slot); }
+
+    /// Test hook: the same as Clear()ing until the epoch reaches
+    /// `epoch` (≥ the current one), so a test can force the wrap-around
+    /// without 2^32 clears.
+    void SetEpochForTesting(uint32_t epoch) {
+      size_ = 0;
+      epoch_ = epoch;
+    }
+
+   private:
+    struct Slot {
+      uint64_t key;
+      double value;
+      uint32_t stamp;  // live iff == epoch_; 0 = never written
+    };
+
+    static uint64_t PackKey(NodeId u, NodeId v) {
+      return (static_cast<uint64_t>(u) << 32) | v;
+    }
+    // SplitMix64 finalizer (same mix as NodePairHash).
+    static uint64_t Mix(uint64_t k) {
+      k = (k ^ (k >> 30)) * 0xBF58476D1CE4E5B9ULL;
+      k = (k ^ (k >> 27)) * 0x94D049BB133111EBULL;
+      return k ^ (k >> 31);
+    }
+
+    void Place(uint64_t key, double value) {
+      size_t i = Mix(key) & mask_;
+      while (slots_[i].stamp == epoch_) i = (i + 1) & mask_;
+      slots_[i] = Slot{key, value, epoch_};
+    }
+
+    void Grow() {
+      std::vector<Slot> old = std::move(slots_);
+      slots_.assign(old.empty() ? kInitialCapacity : 2 * old.size(),
+                    Slot{0, 0.0, 0});
+      mask_ = slots_.size() - 1;
+      for (const Slot& slot : old) {
+        if (slot.stamp == epoch_) Place(slot.key, slot.value);
+      }
+    }
+
+    std::vector<Slot> slots_;
+    size_t mask_ = 0;
+    size_t size_ = 0;
+    uint32_t epoch_ = 1;
   };
 
   /// IS score of the `walk`-th coupled walk from (u,v), given its first
@@ -241,7 +332,8 @@ class SemSimMcEstimator {
   auto Dispatch(F&& f) const;
   template <typename Sem, typename Edges>
   double QueryT(const Sem& sem, const Edges& edges, NodeId u, NodeId v,
-                const SemSimMcOptions& options, McQueryStats* stats) const;
+                const SemSimMcOptions& options, QueryContext* context,
+                McQueryStats* stats) const;
   template <typename Sem, typename Edges>
   double CoupledWalkScoreT(const Sem& sem, const Edges& edges, NodeId u,
                            NodeId v, int walk, int meeting_step,

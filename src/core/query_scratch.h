@@ -59,15 +59,15 @@ class QueryScratch {
   }
 
   /// Starts a query: advances the epoch (invalidating met_stamp /
-  /// sem_epoch content in O(1)) and clears the per-query buffers that
-  /// cannot be epoch-stamped. The normalizer memo is cleared — not
-  /// carried across queries — so stats and results match the historical
-  /// fresh-context-per-query behavior exactly; unordered_map::clear
-  /// keeps its bucket array, which is the allocation that mattered.
+  /// sem_epoch content in O(1)) and clears the meeting buffer. The
+  /// normalizer memo is cleared — not carried across queries — so stats
+  /// and results match the historical fresh-context-per-query behavior
+  /// exactly; its Clear() is an epoch bump of its own that keeps the
+  /// table's capacity.
   void BeginQuery() {
     ++epoch_;
     meetings.clear();
-    context.normalizers.clear();
+    context.Clear();
   }
 
   uint64_t epoch() const { return epoch_; }
@@ -81,7 +81,7 @@ class QueryScratch {
            sem_val.capacity() * sizeof(double) +
            scores.capacity() * sizeof(double) +
            meetings.capacity() * sizeof(WalkMeeting) +
-           result.capacity() * sizeof(double);
+           result.capacity() * sizeof(double) + context.MemoryBytes();
   }
 
   // Buffers, maintained by SingleSourceIndex's *Into sweeps under the

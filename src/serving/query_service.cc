@@ -40,6 +40,33 @@ size_t ItemCount(const QueryRequest& request) {
                                                   : request.sources.size();
 }
 
+/// InvalidArgument unless every node id of `request` is below
+/// `num_nodes`, the request names at least one item, and a top-k
+/// request asks for k ≥ 1.
+Status ValidateRequest(const QueryRequest& request, size_t num_nodes) {
+  if (ItemCount(request) == 0) {
+    return Status::InvalidArgument("request names no pairs or sources");
+  }
+  if (request.kind == QueryRequestKind::kTopK && request.k == 0) {
+    return Status::InvalidArgument("top-k request needs k >= 1");
+  }
+  auto in_range = [num_nodes](NodeId id) { return id < num_nodes; };
+  if (request.kind == QueryRequestKind::kPairs) {
+    for (const NodePair& p : request.pairs) {
+      if (!in_range(p.first) || !in_range(p.second)) {
+        return Status::InvalidArgument("pair names a node id >= num_nodes");
+      }
+    }
+  } else {
+    for (NodeId s : request.sources) {
+      if (!in_range(s)) {
+        return Status::InvalidArgument("source is a node id >= num_nodes");
+      }
+    }
+  }
+  return Status::OK();
+}
+
 }  // namespace
 
 struct QueryService::Impl {
@@ -63,6 +90,7 @@ struct QueryService::Impl {
     Counter* degraded;
     Counter* cancelled;
     Counter* deadline_exceeded;
+    Counter* invalid;
     Gauge* queue_depth;
     Histogram* queue_seconds;
     Histogram* run_seconds;
@@ -82,6 +110,7 @@ struct QueryService::Impl {
         reg.GetCounter("semsim_service_degraded_total"),
         reg.GetCounter("semsim_service_cancelled_total"),
         reg.GetCounter("semsim_service_deadline_exceeded_total"),
+        reg.GetCounter("semsim_service_invalid_total"),
         reg.GetGauge("semsim_service_queue_depth"),
         reg.GetHistogram("semsim_service_queue_seconds"),
         reg.GetHistogram("semsim_service_run_seconds"),
@@ -129,6 +158,16 @@ QueryResponse QueryService::Impl::Execute(PendingRequest& item) {
   EngineSnapshotPtr snap =
       snapshots != nullptr ? snapshots->Acquire() : engine->snapshot();
   resp.snapshot_version = snap->version();
+
+  // Validated against the snapshot that will serve the request: the
+  // node count can change across publishes, and an out-of-range id would
+  // index past the walk index and the flat tables.
+  Status valid = ValidateRequest(request, snap->graph().num_nodes());
+  if (!valid.ok()) {
+    resp.status = std::move(valid);
+    metrics.invalid->Add(1);
+    return resp;
+  }
 
   const int full = EffectiveWalkBudget(snap->options().query.mc,
                                        snap->walk_index().num_walks());

@@ -137,7 +137,9 @@ class QueryService {
   /// Submits a request; never blocks. The future resolves when the
   /// request completes, degrades, misses its deadline, or is rejected
   /// (a full admission queue resolves it immediately with
-  /// kResourceExhausted). `token` lets the caller cancel the request
+  /// kResourceExhausted). A request naming a node id outside the
+  /// snapshot that would serve it, no pairs/sources, or k == 0 resolves
+  /// with kInvalidArgument and never reaches the engine. `token` lets the caller cancel the request
   /// (and observe that the cancellation was seen); when the request has
   /// a timeout and no token is given, the service arms an internal one.
   Future<QueryResponse> Submit(QueryRequest request,

@@ -104,6 +104,34 @@ TEST(BatchQuery, EstimatorQueryBatchMatchesSerialWithoutEngine) {
   EXPECT_GT(stats.met_walks, 0);
 }
 
+TEST(BatchQuery, ReusedChunkContextMatchesPerPairQueries) {
+  // QueryBatch clears one memo per pool chunk between pairs; values and
+  // every stage count must equal per-pair Query calls, which each start
+  // from a fresh memo. No shared cache, so the counts are history-free.
+  Fixture f = AminerFixture();
+  SemSimMcOptions mc{0.6, 0.05};
+  SemSimMcEstimator estimator(&f.dataset.graph, &f.lin, &f.index);
+  std::vector<NodePair> pairs = MakePairs(f.dataset.graph.num_nodes(), 300);
+  std::vector<double> expected;
+  McQueryStats want;
+  for (const NodePair& p : pairs) {
+    expected.push_back(estimator.Query(p.first, p.second, mc, &want));
+  }
+  ASSERT_GT(want.normalizers_computed, 0);
+  for (int threads : {1, 4}) {
+    ThreadPool pool(threads);
+    McQueryStats got;
+    std::vector<double> values = estimator.QueryBatch(pairs, mc, pool, &got);
+    ASSERT_EQ(values, expected) << "threads=" << threads;
+    EXPECT_EQ(got.met_walks, want.met_walks) << "threads=" << threads;
+    EXPECT_EQ(got.pruned_walks, want.pruned_walks);
+    EXPECT_EQ(got.sem_pruned_queries, want.sem_pruned_queries);
+    EXPECT_EQ(got.normalizers_computed, want.normalizers_computed);
+    EXPECT_EQ(got.normalizer_work, want.normalizer_work);
+    EXPECT_EQ(got.shared_cache_hits, 0);
+  }
+}
+
 TEST(BatchQuery, SingleSourceBatchMatchesSerialSweeps) {
   Fixture f = AminerFixture();
   SemSimMcOptions mc{0.6, 0.05};

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 #include "core/iterative.h"
 #include "core/mc_simrank.h"
 #include "core/walk_index.h"
@@ -186,6 +188,126 @@ TEST(SemSimMcIs, AgreesWithNaiveSampler) {
   double naive = NaiveSemSimMcQuery(w.graph, lin, w.a0, w.a1, 3000, 15, 0.6,
                                     rng);
   EXPECT_NEAR(is_score, naive, 0.06);
+}
+
+// ---- QueryContext: the flat epoch-stamped per-query normalizer memo ----
+
+using QueryContext = SemSimMcEstimator::QueryContext;
+
+double MemoValue(NodeId u, NodeId v) { return u * 1000.0 + v + 0.5; }
+
+TEST(QueryContext, AllocatesNothingUntilTheFirstInsert) {
+  QueryContext context;
+  EXPECT_EQ(context.capacity(), 0u);
+  EXPECT_EQ(context.Find(1, 2), nullptr);
+  context.Clear();
+  EXPECT_EQ(context.capacity(), 0u);
+  context.Insert(1, 2, 3.0);
+  EXPECT_EQ(context.capacity(), QueryContext::kInitialCapacity);
+}
+
+TEST(QueryContext, GrowsPastInitialCapacityKeepingEveryEntry) {
+  QueryContext context;
+  constexpr NodeId kEntries = 1000;
+  for (NodeId i = 0; i < kEntries; ++i) {
+    context.Insert(i, i + 1, MemoValue(i, i + 1));
+  }
+  EXPECT_EQ(context.size(), kEntries);
+  EXPECT_GT(context.capacity(), QueryContext::kInitialCapacity);
+  // Doubles when half full, so the load factor stays at most 1/2.
+  EXPECT_LE(2 * context.size(), context.capacity());
+  for (NodeId i = 0; i < kEntries; ++i) {
+    const double* value = context.Find(i, i + 1);
+    ASSERT_NE(value, nullptr) << i;
+    EXPECT_EQ(*value, MemoValue(i, i + 1));
+  }
+}
+
+TEST(QueryContext, KeyIsOrdered) {
+  // The memo keys (u, v) as the walk visits it; SO(v, u) is a separate
+  // entry, exactly like the historical per-query map.
+  QueryContext context;
+  context.Insert(3, 7, 1.5);
+  EXPECT_EQ(context.Find(7, 3), nullptr);
+  ASSERT_NE(context.Find(3, 7), nullptr);
+  EXPECT_EQ(*context.Find(3, 7), 1.5);
+}
+
+TEST(QueryContext, ClearForgetsEntriesAndKeepsCapacity) {
+  QueryContext context;
+  for (NodeId i = 0; i < 200; ++i) context.Insert(i, 0, MemoValue(i, 0));
+  const size_t capacity = context.capacity();
+  const uint32_t epoch = context.epoch();
+  context.Clear();
+  EXPECT_EQ(context.size(), 0u);
+  EXPECT_EQ(context.capacity(), capacity);
+  EXPECT_EQ(context.epoch(), epoch + 1);
+  for (NodeId i = 0; i < 200; ++i) EXPECT_EQ(context.Find(i, 0), nullptr);
+  // The next query reuses the slots with its own values.
+  for (NodeId i = 0; i < 200; ++i) context.Insert(i, 0, -MemoValue(i, 0));
+  EXPECT_EQ(context.capacity(), capacity);
+  for (NodeId i = 0; i < 200; ++i) {
+    ASSERT_NE(context.Find(i, 0), nullptr);
+    EXPECT_EQ(*context.Find(i, 0), -MemoValue(i, 0));
+  }
+}
+
+TEST(QueryContext, EpochWrapAroundReZeroesStamps) {
+  QueryContext context;
+  // Stamped with epoch 1, the epoch the table returns to after the wrap:
+  // unless the wrap re-zeroes the stamps, this entry would come back.
+  context.Insert(1, 2, 3.0);
+  context.SetEpochForTesting(UINT32_MAX - 1);
+  EXPECT_EQ(context.Find(1, 2), nullptr);
+  context.Insert(4, 5, 6.0);
+  context.Clear();  // epoch UINT32_MAX
+  EXPECT_EQ(context.epoch(), UINT32_MAX);
+  EXPECT_EQ(context.Find(4, 5), nullptr);
+  context.Insert(7, 8, 9.0);
+  ASSERT_NE(context.Find(7, 8), nullptr);
+  context.Clear();  // wraps
+  EXPECT_EQ(context.epoch(), 1u);
+  EXPECT_EQ(context.Find(1, 2), nullptr);
+  EXPECT_EQ(context.Find(4, 5), nullptr);
+  EXPECT_EQ(context.Find(7, 8), nullptr);
+  context.Insert(1, 2, 10.0);
+  ASSERT_NE(context.Find(1, 2), nullptr);
+  EXPECT_EQ(*context.Find(1, 2), 10.0);
+  EXPECT_EQ(context.size(), 1u);
+}
+
+TEST(QueryContext, ReusedContextMatchesFreshPerQuery) {
+  // Replaying Query() through CoupledWalkScore with one context cleared
+  // per pair gives the same bits and stage counts as Query() itself.
+  auto w = MakeSmallWorld();
+  LinMeasure lin(&w.context);
+  WalkIndex index = WalkIndex::Build(w.graph, BigIndex(43));
+  SemSimMcEstimator estimator(&w.graph, &lin, &index);
+  SemSimMcOptions opt{0.6, 0.0};
+  QueryContext context;
+  for (NodeId u = 0; u < w.graph.num_nodes(); ++u) {
+    for (NodeId v = 0; v < w.graph.num_nodes(); ++v) {
+      if (u == v) continue;
+      McQueryStats want;
+      double expected = estimator.Query(u, v, opt, &want);
+      context.Clear();
+      McQueryStats got;
+      double total = 0;
+      for (int walk = 0; walk < index.num_walks(); ++walk) {
+        int meet = FirstMeetingStep(index, u, v, walk);
+        if (meet < 0) continue;
+        ++got.met_walks;
+        total += estimator.CoupledWalkScore(u, v, walk, meet, opt, &context,
+                                            &got);
+      }
+      double replayed =
+          estimator.SemValue(u, v) * total / index.num_walks();
+      ASSERT_EQ(replayed, expected) << u << "," << v;
+      EXPECT_EQ(got.met_walks, want.met_walks);
+      EXPECT_EQ(got.normalizers_computed, want.normalizers_computed);
+      EXPECT_EQ(got.normalizer_work, want.normalizer_work);
+    }
+  }
 }
 
 }  // namespace

@@ -10,6 +10,7 @@
 
 #include "common/cancel.h"
 #include "common/future.h"
+#include "common/metrics.h"
 #include "core/batch_engine.h"
 #include "core/single_source.h"
 #include "core/walk_index.h"
@@ -293,6 +294,68 @@ TEST(QueryService, UndegradedResponsesMatchEngineBitForBit) {
       EXPECT_EQ(tr.topk[i][j].score, want_topk[i][j].score);
     }
   }
+}
+
+// A request is checked against the snapshot that serves it before it
+// reaches the engine. The first case is the historical crash: one pair
+// naming node 1<<28 indexed past the flat tables and took the
+// scheduler thread (and the process) down.
+TEST(QueryService, MalformedRequestsFailWithInvalidArgument) {
+  Fixture f = AminerFixture();
+  QueryService service = Unwrap(QueryService::Create(&f.engine));
+  const NodeId n = static_cast<NodeId>(f.dataset.graph.num_nodes());
+  Counter* invalid =
+      MetricsRegistry::Global().GetCounter("semsim_service_invalid_total");
+  const uint64_t before = invalid->Value();
+
+  std::vector<QueryRequest> bad;
+  QueryRequest huge_id;
+  huge_id.kind = QueryRequestKind::kPairs;
+  huge_id.pairs = {NodePair{0, 1}, NodePair{1u << 28, 0}};
+  bad.push_back(huge_id);
+  QueryRequest first_past_end;
+  first_past_end.kind = QueryRequestKind::kPairs;
+  first_past_end.pairs = {NodePair{0, n}};
+  bad.push_back(first_past_end);
+  QueryRequest empty_pairs;
+  empty_pairs.kind = QueryRequestKind::kPairs;
+  bad.push_back(empty_pairs);
+  QueryRequest empty_sources;
+  empty_sources.kind = QueryRequestKind::kSingleSource;
+  bad.push_back(empty_sources);
+  QueryRequest bad_source;
+  bad_source.kind = QueryRequestKind::kSingleSource;
+  bad_source.sources = {0, n};
+  bad.push_back(bad_source);
+  QueryRequest k_zero;
+  k_zero.kind = QueryRequestKind::kTopK;
+  k_zero.sources = {0};
+  k_zero.k = 0;
+  bad.push_back(k_zero);
+  QueryRequest topk_bad_source;
+  topk_bad_source.kind = QueryRequestKind::kTopK;
+  topk_bad_source.sources = {1u << 28};
+  bad.push_back(topk_bad_source);
+
+  for (size_t i = 0; i < bad.size(); ++i) {
+    QueryResponse resp = service.Submit(bad[i]).Get();
+    EXPECT_EQ(resp.status.code(), StatusCode::kInvalidArgument)
+        << "request " << i << ": " << resp.status.ToString();
+    EXPECT_TRUE(resp.scores.empty());
+    EXPECT_TRUE(resp.rows.empty());
+    EXPECT_TRUE(resp.topk.empty());
+  }
+  EXPECT_EQ(invalid->Value() - before, bad.size());
+
+  // The scheduler survived and still serves valid traffic bit-exactly,
+  // including the last valid id.
+  QueryRequest good;
+  good.kind = QueryRequestKind::kPairs;
+  good.pairs = {NodePair{0, 1}, NodePair{n - 1, 0}};
+  QueryResponse resp = service.Submit(good).Get();
+  ASSERT_TRUE(resp.ok()) << resp.status.ToString();
+  EXPECT_EQ(resp.scores, f.engine.QueryBatch(good.pairs).values);
+  EXPECT_EQ(invalid->Value() - before, bad.size());
 }
 
 // A pessimistic cost prior forces the projection over any realistic
