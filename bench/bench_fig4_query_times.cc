@@ -7,12 +7,9 @@
 // pruning brings it to within a small factor of SimRank.
 //
 // Extensions:
-//   --threads=N        drive the batch workload at 1 and N threads.
-//   --kernel=both|flat|generic
-//                      which query kernel(s) to measure (DESIGN.md §7).
-//                      "both" runs each, verifies the result vectors are
-//                      bit-identical, and reports the flat/generic
-//                      speedup.
+//   --threads=N        drive the batch workload at 1 and N threads (at
+//                      least 2, so the thread-count identity check
+//                      always runs).
 //   --dataset=medium|small
 //                      "small" is the CI smoke configuration: skips the
 //                      (a)/(b) single-pair sweeps and uses a smaller
@@ -21,10 +18,9 @@
 //                      P (JSON) and the .prom sibling (Prometheus text)
 //                      after the run (DESIGN.md §8).
 //
-// Each measured kernel writes BENCH_queries_<kernel>.json; with both
-// kernels a combined BENCH_queries.json adds the flat_speedup headline
-// (cold-pass single-thread queries/sec ratio, the devirtualization win
-// before cache effects).
+// The batch section writes BENCH_queries.json: per-pass wall time and
+// cache hit rates, cold/warm single-thread throughput, and
+// results_identical_across_thread_counts (gated by ci/compare_bench.py).
 #include <algorithm>
 #include <cstdio>
 #include <iostream>
@@ -102,30 +98,31 @@ QueryTimes Measure(const Dataset& dataset, const LinMeasure& lin, int num_walks,
   return times;
 }
 
-// Result of one kernel's batch-engine run, for the cross-kernel summary.
-struct KernelRun {
-  std::string name;              // "flat" or "generic"
-  double cold_qps_1t = 0;        // cold pass, 1 thread — the headline
-  double warm_qps_1t = 0;
-  std::vector<double> results;   // warm 1-thread result vector
-};
-
 // Batch-engine section: the paper-default workload (n_w=150, t=15) as a
-// query batch through one kernel, at 1 thread and at the requested count.
-KernelRun RunBatchKernel(const Dataset& dataset, const LinMeasure& lin,
-                         const WalkIndex& index,
-                         std::span<const NodePair> pairs, QueryKernel kernel,
-                         int requested_threads) {
-  int resolved = ThreadPool::ResolveThreadCount(requested_threads);
-  std::vector<int> counts = {1};
-  if (resolved != 1) counts.push_back(resolved);
+// query batch, at 1 thread and at the requested count.
+void RunBatch(const Dataset& dataset, const LinMeasure& lin,
+              int requested_threads, int batch_pairs) {
+  WalkIndexOptions wopt;
+  wopt.num_walks = 150;
+  wopt.walk_length = 15;
+  wopt.seed = 7;
+  WalkIndex index = WalkIndex::Build(dataset.graph, wopt);
 
-  KernelRun run;
-  run.name = kernel == QueryKernel::kFlat ? "flat" : "generic";
+  Rng rng(23);
+  std::vector<NodePair> pairs;
+  size_t n = dataset.graph.num_nodes();
+  for (int i = 0; i < batch_pairs; ++i) {
+    NodeId u = static_cast<NodeId>(rng.NextIndex(n));
+    NodeId v = static_cast<NodeId>(rng.NextIndex(n));
+    if (u == v) v = static_cast<NodeId>((v + 1) % n);
+    pairs.push_back({u, v});
+  }
+
+  int resolved = ThreadPool::ResolveThreadCount(requested_threads);
+  std::vector<int> counts = {1, std::max(resolved, 2)};
 
   bench::JsonBenchDoc doc("fig4_query_times");
   doc.Add("dataset", dataset.name)
-      .Add("kernel", run.name)
       .Add("num_nodes", dataset.graph.num_nodes())
       .Add("num_pairs", pairs.size())
       .Add("num_walks", index.num_walks())
@@ -134,10 +131,10 @@ KernelRun RunBatchKernel(const Dataset& dataset, const LinMeasure& lin,
       .Add("requested_threads", requested_threads)
       .Add("resolved_threads", resolved);
 
-  std::printf("\nbatch engine kernel=%s (n_w=%d, t=%d, theta=0.05, %zu "
-              "pairs), requested --threads=%d -> resolved %d\n",
-              run.name.c_str(), index.num_walks(), index.walk_length(),
-              pairs.size(), requested_threads, resolved);
+  std::printf("\nbatch engine (n_w=%d, t=%d, theta=0.05, %zu pairs), "
+              "requested --threads=%d -> resolved %d\n",
+              index.num_walks(), index.walk_length(), pairs.size(),
+              requested_threads, resolved);
   TablePrinter table({"threads", "pass", "wall ms", "queries/s",
                       "norm cache hit%", "sem cache hit%"});
   std::vector<double> reference;
@@ -145,7 +142,6 @@ KernelRun RunBatchKernel(const Dataset& dataset, const LinMeasure& lin,
   for (int threads : counts) {
     BatchQueryEngineOptions opt;
     opt.num_threads = threads;
-    opt.query.kernel = kernel;
     opt.query.mc = SemSimMcOptions{0.6, 0.05};
     BatchQueryEngine engine = bench::Unwrap(
         BatchQueryEngine::Create(&dataset.graph, &lin, &index, opt));
@@ -160,8 +156,7 @@ KernelRun RunBatchKernel(const Dataset& dataset, const LinMeasure& lin,
       McQueryStats& stats = results.stats;
       double qps = static_cast<double>(pairs.size()) / (wall_ms / 1e3);
       double norm_rate = engine.normalizer_cache()->hit_rate();
-      // The flat kernel devirtualizes sem(·,·), so there is no semantic
-      // cache to report on that path.
+      // A devirtualized measure has no semantic cache to report on.
       double sem_rate = engine.cached_semantic() != nullptr
                             ? engine.cached_semantic()->cache().hit_rate()
                             : 0.0;
@@ -184,12 +179,11 @@ KernelRun RunBatchKernel(const Dataset& dataset, const LinMeasure& lin,
           .Field("pruned_walks", static_cast<int64_t>(stats.pruned_walks));
       if (threads == 1) {
         if (std::string(pass) == "cold") {
-          run.cold_qps_1t = qps;
+          doc.Add("cold_queries_per_sec_1thread", qps);
         } else {
-          run.warm_qps_1t = qps;
+          doc.Add("warm_queries_per_sec_1thread", qps);
           base_ms = wall_ms;
-          reference = results.values;
-          run.results = std::move(results.values);
+          reference = std::move(results.values);
         }
       } else if (std::string(pass) == "warm") {
         bool identical = results.values == reference;
@@ -202,74 +196,11 @@ KernelRun RunBatchKernel(const Dataset& dataset, const LinMeasure& lin,
       }
     }
   }
-  doc.Add("cold_queries_per_sec_1thread", run.cold_qps_1t)
-      .Add("warm_queries_per_sec_1thread", run.warm_qps_1t);
   table.Print(std::cout);
-  doc.WriteFile("BENCH_queries_" + run.name + ".json");
-  return run;
+  doc.WriteFile("BENCH_queries.json");
 }
 
-void RunBatch(const Dataset& dataset, const LinMeasure& lin,
-              const std::string& kernel_flag, int requested_threads,
-              int batch_pairs) {
-  WalkIndexOptions wopt;
-  wopt.num_walks = 150;
-  wopt.walk_length = 15;
-  wopt.seed = 7;
-  WalkIndex index = WalkIndex::Build(dataset.graph, wopt);
-
-  Rng rng(23);
-  std::vector<NodePair> pairs;
-  size_t n = dataset.graph.num_nodes();
-  for (int i = 0; i < batch_pairs; ++i) {
-    NodeId u = static_cast<NodeId>(rng.NextIndex(n));
-    NodeId v = static_cast<NodeId>(rng.NextIndex(n));
-    if (u == v) v = static_cast<NodeId>((v + 1) % n);
-    pairs.push_back({u, v});
-  }
-
-  std::vector<KernelRun> runs;
-  if (kernel_flag == "both" || kernel_flag == "generic") {
-    runs.push_back(RunBatchKernel(dataset, lin, index, pairs,
-                                  QueryKernel::kGeneric, requested_threads));
-  }
-  if (kernel_flag == "both" || kernel_flag == "flat") {
-    runs.push_back(RunBatchKernel(dataset, lin, index, pairs,
-                                  QueryKernel::kFlat, requested_threads));
-  }
-  SEMSIM_CHECK(!runs.empty()) << "unknown --kernel value: " << kernel_flag;
-
-  if (runs.size() == 2) {
-    const KernelRun& generic = runs[0];
-    const KernelRun& flat = runs[1];
-    bool identical = flat.results == generic.results;
-    double cold_speedup = flat.cold_qps_1t / generic.cold_qps_1t;
-    double warm_speedup = flat.warm_qps_1t / generic.warm_qps_1t;
-    std::printf("\nflat vs generic: results bit-identical: %s\n",
-                identical ? "yes" : "NO — KERNEL EQUIVALENCE BUG");
-    std::printf("flat speedup (1 thread): cold %.2fx, warm %.2fx\n",
-                cold_speedup, warm_speedup);
-
-    bench::JsonBenchDoc doc("fig4_query_times");
-    doc.Add("dataset", dataset.name)
-        .Add("num_nodes", dataset.graph.num_nodes())
-        .Add("num_pairs", pairs.size())
-        .Add("num_walks", 150)
-        .Add("walk_length", 15)
-        .Add("theta", 0.05)
-        .Add("kernels_bit_identical", identical ? 1 : 0)
-        .Add("generic_cold_queries_per_sec", generic.cold_qps_1t)
-        .Add("flat_cold_queries_per_sec", flat.cold_qps_1t)
-        .Add("generic_warm_queries_per_sec", generic.warm_qps_1t)
-        .Add("flat_warm_queries_per_sec", flat.warm_qps_1t)
-        .Add("flat_speedup", cold_speedup)
-        .Add("flat_speedup_warm", warm_speedup);
-    doc.WriteFile("BENCH_queries.json");
-  }
-}
-
-void Run(const std::string& dataset_flag, const std::string& kernel_flag,
-         int requested_threads) {
+void Run(const std::string& dataset_flag, int requested_threads) {
   bool small = dataset_flag == "small";
   Dataset dataset = small ? bench::AmazonSmall() : bench::AmazonMedium();
   bench::Banner("Fig4 / Amazon", dataset, 2);
@@ -308,8 +239,7 @@ void Run(const std::string& dataset_flag, const std::string& kernel_flag,
         def.semsim_pruned_us, def.semsim_pruned_us / def.simrank_us);
   }
 
-  RunBatch(dataset, lin, kernel_flag, requested_threads,
-           small ? 600 : 2000);
+  RunBatch(dataset, lin, requested_threads, small ? 600 : 2000);
 }
 
 }  // namespace
@@ -317,13 +247,11 @@ void Run(const std::string& dataset_flag, const std::string& kernel_flag,
 
 int main(int argc, char** argv) {
   int threads = semsim::bench::ParseIntFlag(argc, argv, "--threads", 0);
-  std::string kernel =
-      semsim::bench::ParseStringFlag(argc, argv, "--kernel", "both");
   std::string dataset =
       semsim::bench::ParseStringFlag(argc, argv, "--dataset", "medium");
   std::string metrics_out =
       semsim::bench::ParseStringFlag(argc, argv, "--metrics-out", "");
-  semsim::Run(dataset, kernel, threads);
+  semsim::Run(dataset, threads);
   semsim::bench::MaybeWriteMetrics(metrics_out);
   return 0;
 }

@@ -228,14 +228,13 @@ Hin MakeDenseWeightedGraph(size_t n, int avg_in_degree, uint64_t seed) {
   return bench::Unwrap(std::move(b).Build());
 }
 
-// Walk-build throughput, alias vs scan sampler, on the dense weighted
-// graph. Emits BENCH_walkbuild.json for ci/compare_bench.py
-// --walkbuild, which gates the alias speedup at >= 3x.
+// Weighted walk-build throughput on the dense weighted graph. Emits
+// BENCH_walkbuild.json for ci/compare_bench.py --walkbuild, which gates
+// thread-count bit-identity and a materialized sampler table.
 void RunWalkBuild() {
   constexpr size_t kNodes = 3000;
   constexpr int kAvgInDegree = 192;
-  std::printf(
-      "\n=== Weighted walk build: alias sampler vs legacy scan ===\n");
+  std::printf("\n=== Weighted walk build (alias sampler) ===\n");
   Hin graph = MakeDenseWeightedGraph(kNodes, kAvgInDegree, 17);
   std::printf("synthetic dense graph: |V|=%zu avg in-degree=%d (heavy-tail "
               "weights)\n",
@@ -251,24 +250,15 @@ void RunWalkBuild() {
       static_cast<double>(kNodes) * static_cast<double>(wopt.num_walks);
 
   constexpr int kReps = 3;
-  auto best_build_s = [&](SamplerKind kind) {
-    wopt.sampler = kind;
-    double best = 1e30;
-    for (int rep = 0; rep < kReps; ++rep) {
-      WalkIndex index = WalkIndex::Build(graph, wopt);
-      best = std::min(best, index.build_seconds());
-    }
-    return best;
-  };
-  double scan_s = best_build_s(SamplerKind::kScan);
-  double alias_s = best_build_s(SamplerKind::kAlias);
-  double scan_wps = total_walks / scan_s;
+  double alias_s = 1e30;
+  for (int rep = 0; rep < kReps; ++rep) {
+    WalkIndex index = WalkIndex::Build(graph, wopt);
+    alias_s = std::min(alias_s, index.build_seconds());
+  }
   double alias_wps = total_walks / alias_s;
-  double speedup = scan_s / alias_s;
 
-  // Determinism: the alias build must be bit-identical at any thread
-  // count (per-node RNG streams + thread-invariant sampler tables).
-  wopt.sampler = SamplerKind::kAlias;
+  // Determinism: the build must be bit-identical at any thread count
+  // (per-node RNG streams + thread-invariant sampler tables).
   WalkIndex alias_one = WalkIndex::Build(graph, wopt);
   wopt.num_threads = 4;
   WalkIndex alias_four = WalkIndex::Build(graph, wopt);
@@ -277,16 +267,11 @@ void RunWalkBuild() {
   NodeSamplerIndex sampler =
       NodeSamplerIndex::Build(graph, SampleDirection::kIn);
 
-  TablePrinter table({"sampler", "build s (best of 3)", "walks/s"});
-  table.AddRow({"scan (legacy)", TablePrinter::Num(scan_s, 3),
-                TablePrinter::Num(scan_wps, 0)});
-  table.AddRow({"alias", TablePrinter::Num(alias_s, 3),
-                TablePrinter::Num(alias_wps, 0)});
-  table.Print(std::cout);
   std::printf(
-      "alias speedup: %.1fx  |  thread-count bit-identical: %s\n"
+      "build %.3f s (best of %d), %.0f walks/s  |  thread-count "
+      "bit-identical: %s\n"
       "sampler: build %.3f s, tables %.2f MB, %zu uniform node(s) of %zu\n",
-      speedup, threads_identical ? "yes" : "NO — BUG",
+      alias_s, kReps, alias_wps, threads_identical ? "yes" : "NO — BUG",
       sampler.build_seconds(), sampler.TableBytes() / 1e6,
       sampler.uniform_nodes(), sampler.num_nodes());
 
@@ -295,11 +280,8 @@ void RunWalkBuild() {
       .Add("avg_in_degree", kAvgInDegree)
       .Add("num_walks", wopt.num_walks)
       .Add("walk_length", wopt.walk_length)
-      .Add("scan_build_s", scan_s)
       .Add("alias_build_s", alias_s)
-      .Add("scan_walks_per_sec", scan_wps)
       .Add("alias_walks_per_sec", alias_wps)
-      .Add("alias_speedup", speedup)
       .Add("alias_threads_bit_identical", threads_identical ? 1 : 0)
       .Add("sampler_build_s", sampler.build_seconds())
       .Add("sampler_table_bytes", sampler.TableBytes())

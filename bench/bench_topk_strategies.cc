@@ -64,10 +64,12 @@ void Run(int requested_threads) {
     }
     bounded_ms = t.ElapsedMillis() / kQueries;
   }
+  // One scratch arena reused across every inverted top-k below.
+  QueryScratch scratch;
   {
     Timer t;
     for (NodeId u : queries) {
-      auto r = inverted.TopKFrom(u, kK, estimator, mc);
+      auto r = inverted.TopKFrom(u, kK, estimator, mc, scratch);
       (void)r;
     }
     inverted_ms = t.ElapsedMillis() / kQueries;
@@ -135,7 +137,7 @@ void Run(int requested_threads) {
       auto& batch = result.values;
       McQueryStats& stats = result.stats;
       for (size_t q = 0; q < queries.size(); ++q) {
-        auto serial = inverted.TopKFrom(queries[q], kK, estimator, mc);
+        auto serial = inverted.TopKFrom(queries[q], kK, estimator, mc, scratch);
         if (batch[q].size() != serial.size()) batch_matches = false;
         for (size_t i = 0; i < serial.size() && batch_matches; ++i) {
           if (batch[q][i].node != serial[i].node ||

@@ -7,9 +7,9 @@
 #           concurrent caches, batch query engine, metrics registry)
 #           plus the flat-kernel equivalence test, which drives
 #           multi-thread engines over the shared read-only flat tables.
-#   bench — smoke-run of the query bench with both kernels on the small
-#           dataset, gated by ci/compare_bench.py (flat must not be
-#           slower than generic, results must be bit-identical).
+#   bench — smoke-run of the query bench on the small dataset, gated by
+#           ci/compare_bench.py (batch results bit-identical between 1
+#           and N threads).
 #   metrics — bench smoke with --metrics-out, then the compare_bench
 #           metrics checker (required series present, histograms
 #           coherent, JSON and Prometheus exports agree).
@@ -21,10 +21,9 @@
 #           parallel builds reproduce the serial fingerprint).
 #   walkbuild — the weighted walk-build lane (DESIGN.md §11): the
 #           bench_preprocessing --build-only run times WalkIndex::Build
-#           on a dense weighted graph with the alias sampler vs the
-#           legacy linear scan, gated by ci/compare_bench.py --walkbuild
-#           (alias >= 3x scan walks/sec, alias builds bit-identical
-#           across thread counts, sampler tables actually allocated).
+#           on a dense weighted graph with the alias sampler, gated by
+#           ci/compare_bench.py --walkbuild (builds bit-identical across
+#           thread counts, sampler tables actually allocated).
 #   service — the serving lane (DESIGN.md §12): QueryService tests
 #           (admission overflow, deadline/cancellation boundaries,
 #           degradation determinism), then bench_service — nominal
@@ -34,8 +33,9 @@
 #           bounded admitted-request p99 under overload, overload
 #           visibly shed through rejection/degradation/deadlines).
 #   verify — randomized differential sweep (DESIGN.md §9): replays
-#           identical queries through the iterative oracle, both MC
-#           kernels, the batch engine, single-source and top-k, checking
+#           identical queries through the iterative oracle, the MC
+#           estimator with virtual and devirtualized semantics, the batch
+#           engine, single-source and top-k, checking
 #           bit-identity and statistical bands. Smoke = 200 fixed seeds
 #           (<60s); extended = 1000 further seeds for the nightly lane.
 #           Failing seeds dump replayable artifacts under
@@ -120,10 +120,10 @@ tsan() {
 }
 
 bench_smoke() {
-  echo "=== bench smoke: both query kernels on the small dataset ==="
+  echo "=== bench smoke: query bench on the small dataset ==="
   cmake -B build -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo
   cmake --build build -j "${JOBS}" --target bench_fig4_query_times
-  (cd build && ./bench/bench_fig4_query_times --dataset=small --kernel=both)
+  (cd build && ./bench/bench_fig4_query_times --dataset=small)
   python3 ci/compare_bench.py --dir build
 }
 
@@ -131,7 +131,7 @@ metrics_smoke() {
   echo "=== metrics smoke: bench with --metrics-out + snapshot checks ==="
   cmake -B build -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo
   cmake --build build -j "${JOBS}" --target bench_fig4_query_times
-  (cd build && ./bench/bench_fig4_query_times --dataset=small --kernel=both \
+  (cd build && ./bench/bench_fig4_query_times --dataset=small \
     --metrics-out=BENCH_metrics.json)
   python3 ci/compare_bench.py --dir build --metrics build/BENCH_metrics.json
 }
@@ -157,7 +157,7 @@ coldstart() {
 }
 
 walkbuild() {
-  echo "=== walkbuild: weighted walk-build throughput gate (alias vs scan) ==="
+  echo "=== walkbuild: weighted walk-build determinism gate ==="
   cmake -B build -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo
   cmake --build build -j "${JOBS}" --target bench_preprocessing
   (cd build && ./bench/bench_preprocessing --build-only)

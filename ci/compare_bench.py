@@ -1,15 +1,10 @@
 #!/usr/bin/env python3
-"""Compares per-kernel query-bench outputs and gates the flat kernel.
+"""Validates bench outputs and gates their determinism contracts.
 
-Reads the combined BENCH_queries.json written by bench_fig4_query_times
-when run with --kernel=both (falling back to the two per-kernel files if
-the combined document is absent), prints a summary, and exits non-zero
-when:
-
-  * the flat and generic kernels disagree bitwise on any query, or
-  * the flat kernel's cold single-thread throughput is not at least
-    --min-speedup times the generic kernel's (default 1.0, i.e. "flat
-    must not be slower"; the nightly perf job passes a higher bar).
+By default reads the BENCH_queries.json written by
+bench_fig4_query_times, prints a throughput summary, and exits non-zero
+when the batch results differ between 1 and N threads
+(results_identical_across_thread_counts != 1).
 
 With --metrics SNAPSHOT.json it additionally validates the metrics
 snapshot written by --metrics-out (DESIGN.md §8): the JSON document has
@@ -28,9 +23,8 @@ least --min-map-speedup times faster than Load (default 5.0).
 With --walkbuild BENCH_walkbuild.json it instead validates the
 weighted walk-build document written by bench_preprocessing
 --build-only (DESIGN.md §11): the alias-sampled build must be
-bit-identical across thread counts and at least --min-walkbuild-speedup
-times faster than the legacy scan sampler (default 3.0) on the dense
-weighted graph. --walkbuild also runs standalone.
+bit-identical across thread counts and the sampler must materialize
+tables on the dense weighted graph. --walkbuild also runs standalone.
 
 With --service BENCH_service.json it instead validates the serving
 document written by bench_service (DESIGN.md §12): undegraded service
@@ -42,12 +36,11 @@ finishes inside its deadline), and the overload must be visibly shed
 through rejections, degradations, or deadline failures rather than
 silently queued. --service also runs standalone.
 
-Usage: ci/compare_bench.py [--dir DIR] [--min-speedup X]
+Usage: ci/compare_bench.py [--dir DIR]
                            [--metrics SNAPSHOT.json]
                            [--coldstart BENCH_coldstart.json]
                            [--min-map-speedup X]
                            [--walkbuild BENCH_walkbuild.json]
-                           [--min-walkbuild-speedup X]
                            [--service BENCH_service.json]
                            [--max-service-p99-ratio X]
 """
@@ -61,28 +54,6 @@ import sys
 def load_json(path):
     with open(path, "r", encoding="utf-8") as f:
         return json.load(f)
-
-
-def from_combined(doc):
-    return {
-        "identical": bool(doc["kernels_bit_identical"]),
-        "generic_cold": float(doc["generic_cold_queries_per_sec"]),
-        "flat_cold": float(doc["flat_cold_queries_per_sec"]),
-        "generic_warm": float(doc["generic_warm_queries_per_sec"]),
-        "flat_warm": float(doc["flat_warm_queries_per_sec"]),
-    }
-
-
-def from_per_kernel(generic_doc, flat_doc):
-    # Bit-identity is only checked inside the bench when both kernels run
-    # in one process; the per-kernel fallback can't re-verify it here.
-    return {
-        "identical": None,
-        "generic_cold": float(generic_doc["cold_queries_per_sec_1thread"]),
-        "flat_cold": float(flat_doc["cold_queries_per_sec_1thread"]),
-        "generic_warm": float(generic_doc["warm_queries_per_sec_1thread"]),
-        "flat_warm": float(flat_doc["warm_queries_per_sec_1thread"]),
-    }
 
 
 # Series every instrumented bench run must have registered: the trace
@@ -244,12 +215,12 @@ def check_coldstart(json_path, min_map_speedup):
     return failures, doc
 
 
-def check_walkbuild(json_path, min_speedup):
+def check_walkbuild(json_path):
     """Validates a BENCH_walkbuild.json; returns a list of failures."""
     failures = []
     doc = load_json(json_path)
-    for key in ("scan_walks_per_sec", "alias_walks_per_sec", "alias_speedup",
-                "alias_threads_bit_identical", "sampler_table_bytes"):
+    for key in ("alias_walks_per_sec", "alias_threads_bit_identical",
+                "sampler_table_bytes"):
         if key not in doc:
             failures.append(f"walkbuild JSON lacks {key!r}")
     if failures:
@@ -258,9 +229,6 @@ def check_walkbuild(json_path, min_speedup):
     if not doc["alias_threads_bit_identical"]:
         failures.append("alias-sampled walk build is not bit-identical "
                         "across thread counts")
-    if doc["alias_speedup"] < min_speedup:
-        failures.append(f"alias walk-build speedup {doc['alias_speedup']:.1f}x "
-                        f"is below the required {min_speedup:.1f}x")
     if doc["sampler_table_bytes"] <= 0:
         failures.append("sampler index reports zero table bytes on the "
                         "dense weighted graph")
@@ -336,8 +304,6 @@ def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--dir", default=".",
                     help="directory holding the BENCH_*.json files")
-    ap.add_argument("--min-speedup", type=float, default=1.0,
-                    help="required flat/generic cold 1-thread qps ratio")
     ap.add_argument("--metrics", default=None,
                     help="also validate this --metrics-out JSON snapshot "
                          "(and its .prom sibling)")
@@ -350,9 +316,6 @@ def main():
     ap.add_argument("--walkbuild", default=None,
                     help="validate this BENCH_walkbuild.json instead of "
                          "the query-bench files")
-    ap.add_argument("--min-walkbuild-speedup", type=float, default=3.0,
-                    help="required alias-vs-scan walk-build throughput "
-                         "ratio for --walkbuild")
     ap.add_argument("--service", default=None,
                     help="validate this BENCH_service.json instead of "
                          "the query-bench files")
@@ -391,14 +354,11 @@ def main():
         return 0
 
     if args.walkbuild is not None:
-        failures, doc = check_walkbuild(args.walkbuild,
-                                        args.min_walkbuild_speedup)
+        failures, doc = check_walkbuild(args.walkbuild)
         print(f"walkbuild ({args.walkbuild})")
-        if "scan_walks_per_sec" in doc and "alias_walks_per_sec" in doc:
-            print(f"  weighted build throughput: scan "
-                  f"{doc['scan_walks_per_sec']:.0f} walks/s, alias "
-                  f"{doc['alias_walks_per_sec']:.0f} walks/s  ->  "
-                  f"{doc.get('alias_speedup', 0):.1f}x")
+        if "alias_walks_per_sec" in doc:
+            print(f"  weighted build throughput: "
+                  f"{doc['alias_walks_per_sec']:.0f} walks/s")
             print(f"  sampler tables: {doc.get('sampler_table_bytes', 0)} "
                   f"bytes, {doc.get('sampler_uniform_nodes', 0)} uniform "
                   f"node(s)")
@@ -406,8 +366,8 @@ def main():
             print(f"FAIL: walkbuild: {failure}", file=sys.stderr)
         if failures:
             return 1
-        print("OK: alias sampler meets the walk-build speedup bar and is "
-              "thread-count deterministic")
+        print("OK: alias-sampled walk build is thread-count deterministic "
+              "and its sampler tables are materialized")
         return 0
 
     if args.coldstart is not None:
@@ -427,41 +387,25 @@ def main():
               "latency bar")
         return 0
 
-    combined = os.path.join(args.dir, "BENCH_queries.json")
-    generic = os.path.join(args.dir, "BENCH_queries_generic.json")
-    flat = os.path.join(args.dir, "BENCH_queries_flat.json")
-
-    if os.path.exists(combined):
-        stats = from_combined(load_json(combined))
-        source = combined
-    elif os.path.exists(generic) and os.path.exists(flat):
-        stats = from_per_kernel(load_json(generic), load_json(flat))
-        source = f"{generic} + {flat}"
-    else:
+    path = os.path.join(args.dir, "BENCH_queries.json")
+    if not os.path.exists(path):
         print(f"error: no bench output found in {args.dir!r}; run "
-              "bench_fig4_query_times --kernel=both first", file=sys.stderr)
+              "bench_fig4_query_times first", file=sys.stderr)
         return 2
+    doc = load_json(path)
 
-    cold_speedup = stats["flat_cold"] / stats["generic_cold"]
-    warm_speedup = stats["flat_warm"] / stats["generic_warm"]
-
-    print(f"bench comparison ({source})")
-    print(f"  cold 1-thread qps: generic {stats['generic_cold']:.0f}, "
-          f"flat {stats['flat_cold']:.0f}  ->  {cold_speedup:.2f}x")
-    print(f"  warm 1-thread qps: generic {stats['generic_warm']:.0f}, "
-          f"flat {stats['flat_warm']:.0f}  ->  {warm_speedup:.2f}x")
-    if stats["identical"] is not None:
-        print(f"  results bit-identical: "
-              f"{'yes' if stats['identical'] else 'NO'}")
+    print(f"bench summary ({path})")
+    print(f"  1-thread qps: cold "
+          f"{doc.get('cold_queries_per_sec_1thread', 0):.0f}, warm "
+          f"{doc.get('warm_queries_per_sec_1thread', 0):.0f}")
+    identical = doc.get("results_identical_across_thread_counts")
+    print(f"  results bit-identical across thread counts: "
+          f"{'yes' if identical == 1 else 'NO'}")
 
     failed = False
-    if stats["identical"] is False:
-        print("FAIL: flat and generic kernels disagree on query results",
-              file=sys.stderr)
-        failed = True
-    if cold_speedup < args.min_speedup:
-        print(f"FAIL: flat cold speedup {cold_speedup:.2f}x is below the "
-              f"required {args.min_speedup:.2f}x", file=sys.stderr)
+    if identical != 1:
+        print("FAIL: batch results differ between 1 and N threads (or the "
+              "bench did not compare them)", file=sys.stderr)
         failed = True
 
     if args.metrics is not None:
@@ -479,7 +423,7 @@ def main():
 
     if failed:
         return 1
-    print("OK: flat kernel is no slower than generic and results agree")
+    print("OK: batch results agree across thread counts")
     return 0
 
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/logging.h"
+#include "graph/node_sampler.h"
 
 namespace semsim {
 
@@ -14,23 +15,10 @@ Panther Panther::Build(const Hin& graph, const PantherOptions& options) {
   size_t n = sym.num_nodes();
   if (n == 0) return panther;
   Rng rng(options.seed);
-  // Path transitions are weight-proportional on the symmetrized graph.
-  // The alias path draws each step in O(1) from a per-node sampler
-  // index; the scan path keeps the legacy RNG stream but hoists its
-  // scratch: `weights` is reserved to the maximum out-degree once, so
-  // no step (or path) triggers an allocation after warm-up.
-  const bool use_alias = options.sampler == SamplerKind::kAlias;
-  NodeSamplerIndex sampler;
-  std::vector<double> weights;
-  if (use_alias) {
-    sampler = NodeSamplerIndex::Build(sym, SampleDirection::kOut);
-  } else {
-    size_t max_out = 0;
-    for (NodeId v = 0; v < n; ++v) {
-      max_out = std::max(max_out, sym.OutNeighbors(v).size());
-    }
-    weights.reserve(max_out);
-  }
+  // Path transitions are weight-proportional on the symmetrized graph:
+  // each step is an O(1) draw from a per-node alias table.
+  NodeSamplerIndex sampler =
+      NodeSamplerIndex::Build(sym, SampleDirection::kOut);
   std::vector<NodeId> path;
   path.reserve(static_cast<size_t>(options.path_length));
   for (size_t p = 0; p < options.num_paths; ++p) {
@@ -40,15 +28,7 @@ Panther Panther::Build(const Hin& graph, const PantherOptions& options) {
     for (int s = 1; s < options.path_length; ++s) {
       auto out = sym.OutNeighbors(cur);
       if (out.empty()) break;
-      size_t pick;
-      if (use_alias) {
-        pick = sampler.Sample(cur, rng);
-      } else {
-        weights.clear();
-        for (const Neighbor& nb : out) weights.push_back(nb.weight);
-        pick = rng.NextWeighted(weights);
-      }
-      cur = out[pick].node;
+      cur = out[sampler.Sample(cur, rng)].node;
       path.push_back(cur);
     }
     // Count each unordered node pair co-occurring in the path once.

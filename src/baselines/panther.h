@@ -6,7 +6,6 @@
 
 #include "common/rng.h"
 #include "graph/hin.h"
-#include "graph/node_sampler.h"
 #include "graph/types.h"
 
 namespace semsim {
@@ -19,19 +18,15 @@ struct PantherOptions {
   /// Path length T (their default is 5).
   int path_length = 5;
   uint64_t seed = 7;
-  /// How the weighted step distribution is drawn (DESIGN.md §11):
-  /// kAlias builds one NodeSamplerIndex over the symmetrized graph's
-  /// out-neighbors and makes every step O(1); kScan reproduces the
-  /// legacy per-step inverse-CDF scan (and its RNG stream) exactly.
-  SamplerKind sampler = SamplerKind::kAlias;
 };
 
 /// Panther (Zhang et al. [43]): fast top-k similarity by random *path*
 /// sampling — S(u,v) is the fraction of sampled paths that contain both u
 /// and v. Paths are drawn on the symmetrized graph with edge-weight-
 /// proportional transitions, so edge weights are taken into account
-/// (matching the paper's description of this baseline). Structural only:
-/// no semantics.
+/// (matching the paper's description of this baseline). Each step is an
+/// O(1) draw from one NodeSamplerIndex over the symmetrized graph's
+/// out-neighbors (DESIGN.md §11). Structural only: no semantics.
 class Panther {
  public:
   /// Samples all paths and builds the co-occurrence table.

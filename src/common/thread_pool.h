@@ -224,11 +224,6 @@ class ThreadPool {
   mutable std::atomic<size_t> completed_chunks_{0};
 };
 
-/// Historical name: the spawn-per-call runner this pool replaced. Existing
-/// call sites (walk-index build, iterative sweeps) keep compiling; they
-/// now get a persistent pool scoped to the enclosing computation.
-using ParallelRunner = ThreadPool;
-
 }  // namespace semsim
 
 #endif  // SEMSIM_COMMON_THREAD_POOL_H_

@@ -93,7 +93,7 @@ BatchResult<std::vector<double>> BatchQueryEngine::SingleSourceBatch(
   BatchResult<std::vector<double>> result;
   result.values = ParallelSemSimFrom(snap.InvertedIndex(pool_.get()), sources,
                                      snap.estimator(), mc, *pool_,
-                                     &result.stats, scratch_pool_.get());
+                                     *scratch_pool_, &result.stats);
   return result;
 }
 
@@ -118,8 +118,8 @@ BatchResult<std::vector<Scored>> BatchQueryEngine::TopKBatch(
   items->Add(sources.size());
   BatchResult<std::vector<Scored>> result;
   result.values = ParallelTopKFrom(snap.InvertedIndex(pool_.get()), sources, k,
-                                   snap.estimator(), mc, *pool_, &result.stats,
-                                   scratch_pool_.get());
+                                   snap.estimator(), mc, *pool_, *scratch_pool_,
+                                   &result.stats);
   return result;
 }
 
@@ -141,8 +141,8 @@ namespace {
 template <typename Result, typename PerSource>
 std::vector<Result> PerSourceParallel(std::span<const NodeId> sources,
                                       const ThreadPool& pool,
+                                      ScratchPool& scratch_pool,
                                       McQueryStats* stats,
-                                      ScratchPool* scratch_pool,
                                       const CancelToken* cancel,
                                       const PerSource& per_source) {
   std::vector<Result> results(sources.size());
@@ -151,15 +151,13 @@ std::vector<Result> PerSourceParallel(std::span<const NodeId> sources,
       0, sources.size(),
       [&](size_t begin, size_t end) {
         McQueryStats local;
-        ScratchPool::Lease lease = scratch_pool != nullptr
-                                       ? scratch_pool->Acquire()
-                                       : ScratchPool::Lease();
+        ScratchPool::Lease lease = scratch_pool.Acquire();
         for (size_t i = begin; i < end; ++i) {
           // Between-sources poll; each sweep also polls internally
           // through the options' own token.
           if (cancel != nullptr && cancel->ShouldStop()) break;
           results[i] = per_source(sources[i], stats ? &local : nullptr,
-                                  lease.get());
+                                  *lease);
         }
         if (stats) {
           std::lock_guard<std::mutex> lock(stats_mu);
@@ -175,16 +173,13 @@ std::vector<Result> PerSourceParallel(std::span<const NodeId> sources,
 std::vector<std::vector<double>> ParallelSemSimFrom(
     const SingleSourceIndex& inverted, std::span<const NodeId> sources,
     const SemSimMcEstimator& estimator, const SemSimMcOptions& options,
-    const ThreadPool& pool, McQueryStats* stats, ScratchPool* scratch_pool) {
+    const ThreadPool& pool, ScratchPool& scratch_pool, McQueryStats* stats) {
   return PerSourceParallel<std::vector<double>>(
-      sources, pool, stats, scratch_pool, options.cancel,
-      [&](NodeId u, McQueryStats* local, QueryScratch* scratch) {
-        if (scratch != nullptr) {
-          std::vector<double> out;
-          inverted.SemSimFromInto(u, estimator, options, *scratch, out, local);
-          return out;
-        }
-        return inverted.SemSimFrom(u, estimator, options, local);
+      sources, pool, scratch_pool, stats, options.cancel,
+      [&](NodeId u, McQueryStats* local, QueryScratch& scratch) {
+        std::vector<double> out;
+        inverted.SemSimFromInto(u, estimator, options, scratch, out, local);
+        return out;
       });
 }
 
@@ -192,14 +187,11 @@ std::vector<std::vector<Scored>> ParallelTopKFrom(
     const SingleSourceIndex& inverted, std::span<const NodeId> sources,
     size_t k, const SemSimMcEstimator& estimator,
     const SemSimMcOptions& options, const ThreadPool& pool,
-    McQueryStats* stats, ScratchPool* scratch_pool) {
+    ScratchPool& scratch_pool, McQueryStats* stats) {
   return PerSourceParallel<std::vector<Scored>>(
-      sources, pool, stats, scratch_pool, options.cancel,
-      [&](NodeId u, McQueryStats* local, QueryScratch* scratch) {
-        if (scratch != nullptr) {
-          return inverted.TopKFrom(u, k, estimator, options, *scratch, local);
-        }
-        return inverted.TopKFrom(u, k, estimator, options, local);
+      sources, pool, scratch_pool, stats, options.cancel,
+      [&](NodeId u, McQueryStats* local, QueryScratch& scratch) {
+        return inverted.TopKFrom(u, k, estimator, options, scratch, local);
       });
 }
 

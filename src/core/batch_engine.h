@@ -35,9 +35,9 @@ struct BatchQueryEngineOptions {
   /// the measure — the flat table reads are cheaper than the cache's
   /// sharded lookup.
   int64_t semantic_cache_capacity = 1 << 20;
-  /// Kernel selection + estimator parameters applied to every batch
-  /// item — the QueryOptions surface shared with SemSimEngineOptions
-  /// (defaults: kFlat, c=0.6, θ=0.05).
+  /// Estimator parameters applied to every batch item — the
+  /// QueryOptions surface shared with SemSimEngineOptions (defaults:
+  /// c=0.6, θ=0.05).
   QueryOptions query;
 };
 
@@ -161,16 +161,16 @@ class BatchQueryEngine {
   /// exposed so benches can report the arena reuse rate.
   const ScratchPool& scratch_pool() const { return *scratch_pool_; }
 
-  /// The flat tables owned by the snapshot; nullptr under kGeneric (and
-  /// flat_semantic_table() also when the measure is not flattenable).
+  /// The snapshot's transition table, and its flat semantic table
+  /// (nullptr when the measure is not flattenable).
   const TransitionTable* transition_table() const {
     return snapshot_->transition_table();
   }
   const FlatSemanticTable* flat_semantic_table() const {
     return snapshot_->flat_semantic_table();
   }
-  /// "generic", or "flat+<sem kernel name>" (e.g. "flat+flat-lin",
-  /// "flat+virtual" when only edge acceleration applies).
+  /// "flat+<sem kernel name>" (e.g. "flat+flat-lin", or "flat+virtual"
+  /// when the measure is not flattenable).
   std::string kernel_name() const { return snapshot_->kernel_name(); }
 
   size_t MemoryBytes() const;
@@ -188,24 +188,23 @@ class BatchQueryEngine {
   std::unique_ptr<ScratchPool> scratch_pool_;
 };
 
-/// Free-standing parallel single-source driver: one SemSimFrom sweep per
-/// source, partitioned across `pool`. Usable without a BatchQueryEngine
-/// when the caller already owns an inverted index and estimator. With a
-/// `scratch_pool`, each worker leases one arena per chunk and runs its
-/// sweeps allocation-free through it; results are bit-identical either
-/// way.
+/// Free-standing parallel single-source entry point: one SemSimFromInto
+/// sweep per source, partitioned across `pool`. Usable without a
+/// BatchQueryEngine when the caller already owns an inverted index and
+/// estimator. Each worker leases one arena from `scratch_pool` per chunk
+/// and runs its sweeps allocation-free through it.
 std::vector<std::vector<double>> ParallelSemSimFrom(
     const SingleSourceIndex& inverted, std::span<const NodeId> sources,
     const SemSimMcEstimator& estimator, const SemSimMcOptions& options,
-    const ThreadPool& pool, McQueryStats* stats = nullptr,
-    ScratchPool* scratch_pool = nullptr);
+    const ThreadPool& pool, ScratchPool& scratch_pool,
+    McQueryStats* stats = nullptr);
 
 /// Free-standing parallel top-k driver over the inverted index.
 std::vector<std::vector<Scored>> ParallelTopKFrom(
     const SingleSourceIndex& inverted, std::span<const NodeId> sources,
     size_t k, const SemSimMcEstimator& estimator,
     const SemSimMcOptions& options, const ThreadPool& pool,
-    McQueryStats* stats = nullptr, ScratchPool* scratch_pool = nullptr);
+    ScratchPool& scratch_pool, McQueryStats* stats = nullptr);
 
 }  // namespace semsim
 

@@ -3,6 +3,7 @@
 #include <utility>
 
 #include "common/logging.h"
+#include "graph/node_sampler.h"
 
 namespace semsim {
 
@@ -82,10 +83,8 @@ Result<size_t> DynamicWalkIndex::Update(const Hin* new_graph,
   // O(1) weighted resampling steps: the alias index over the *new*
   // graph is built lazily, on the first suffix that actually needs a
   // weighted draw — an update touching no walks pays nothing for it.
-  const bool use_alias = opt.weighted && opt.sampler == SamplerKind::kAlias;
   NodeSamplerIndex sampler;
   bool sampler_built = false;
-  std::vector<double> weights;
   size_t resampled = 0;
 
   for (NodeId origin = 0; origin < n; ++origin) {
@@ -119,16 +118,12 @@ Result<size_t> DynamicWalkIndex::Update(const Hin* new_graph,
           break;
         }
         size_t pick;
-        if (use_alias) {
+        if (opt.weighted) {
           if (!sampler_built) {
             sampler = NodeSamplerIndex::Build(g, SampleDirection::kIn);
             sampler_built = true;
           }
           pick = sampler.Sample(cur, rng_);
-        } else if (opt.weighted) {
-          weights.clear();
-          for (const Neighbor& nb : in) weights.push_back(nb.weight);
-          pick = rng_.NextWeighted(weights);
         } else {
           pick = rng_.NextIndex(in.size());
         }

@@ -57,21 +57,17 @@ Result<EngineSnapshotPtr> EngineSnapshot::Create(
   snap->walk_index_ = std::move(walk_index);
   snap->options_ = options;
   snap->version_ = version;
-  // Flat-kernel preprocessing (DESIGN.md §7): the transition table
-  // always pays off; the flat semantic table only exists when the
-  // measure is one of the flattenable built-ins. When it is, the
-  // devirtualized kernel replaces every sem(·,·) call, so the memoizing
+  // Flat semantic table (DESIGN.md §7): only exists when the measure is
+  // one of the flattenable built-ins. When it is, the devirtualized
+  // kernel replaces every sem(·,·) call, so the memoizing
   // CachedSemanticMeasure wrapper would only add shard locks in front
-  // of a few array reads — skip building it entirely.
-  if (options.query.kernel == QueryKernel::kFlat) {
-    snap->transition_table_ = std::make_unique<TransitionTable>(
-        TransitionTable::Build(*snap->graph_));
-    kernels::SemInfo info = kernels::ClassifyMeasure(snap->semantic_.get());
-    if (info.kind != kernels::SemKind::kVirtual) {
-      snap->flat_semantic_ = std::make_unique<FlatSemanticTable>(
-          FlatSemanticTable::Build(*info.context));
-      snap->sem_devirtualized_ = true;
-    }
+  // of a few array reads — skip building it entirely. The transition
+  // table is built by the estimator below.
+  kernels::SemInfo info = kernels::ClassifyMeasure(snap->semantic_.get());
+  if (info.kind != kernels::SemKind::kVirtual) {
+    snap->flat_semantic_ = std::make_unique<FlatSemanticTable>(
+        FlatSemanticTable::Build(*info.context));
+    snap->sem_devirtualized_ = true;
   }
   if (static_cache != nullptr) {
     snap->static_cache_ = static_cache;
@@ -93,19 +89,15 @@ Result<EngineSnapshotPtr> EngineSnapshot::Create(
   snap->estimator_ = std::make_unique<SemSimMcEstimator>(
       snap->graph_.get(), measure, snap->walk_index_.get(),
       snap->static_cache_);
-  if (options.query.kernel == QueryKernel::kFlat) {
-    bool engaged = snap->estimator_->AttachFlatKernel(
-        snap->flat_semantic_.get(), snap->transition_table_.get());
-    SEMSIM_CHECK(engaged == snap->sem_devirtualized_);
-  }
+  bool engaged = snap->estimator_->AttachFlatKernel(snap->flat_semantic_.get());
+  SEMSIM_CHECK(engaged == snap->sem_devirtualized_);
   if (options.normalizer_cache_capacity > 0) {
     snap->normalizer_cache_ = std::make_unique<ConcurrentPairCache>(
         static_cast<size_t>(options.normalizer_cache_capacity));
     snap->normalizer_cache_->BindMetrics("normalizer");
     snap->estimator_->set_shared_cache(snap->normalizer_cache_.get());
   }
-  const WalkIndexOptions& walks = snap->walk_index_->options();
-  if (walks.weighted && walks.sampler == SamplerKind::kAlias) {
+  if (snap->walk_index_->options().weighted) {
     snap->sampler_ = std::make_unique<NodeSamplerIndex>(NodeSamplerIndex::Build(
         *snap->graph_, SampleDirection::kIn, build_pool));
   }
@@ -143,11 +135,8 @@ Result<EngineSnapshotPtr> EngineSnapshot::MapArtifact(
 
 void EngineSnapshot::ComputeFingerprint(EngineSnapshot& snap) {
   uint64_t fp = kFnv1a64Offset;
-  // Options that change results: kernel selection and the estimator
-  // parameters (walk_budget defaults resolve at query time; decay/theta
-  // pin the estimate itself).
-  const int32_t kernel = static_cast<int32_t>(snap.options_.query.kernel);
-  fp = ChainValue(fp, kernel);
+  // Options that change results: the estimator parameters (walk_budget
+  // defaults resolve at query time; decay/theta pin the estimate itself).
   fp = ChainValue(fp, snap.options_.query.mc.decay);
   fp = ChainValue(fp, snap.options_.query.mc.theta);
   fp = ChainValue(fp, snap.options_.cache_min_sem);
@@ -190,7 +179,6 @@ void EngineSnapshot::ComputeFingerprint(EngineSnapshot& snap) {
 }
 
 std::string EngineSnapshot::kernel_name() const {
-  if (options_.query.kernel == QueryKernel::kGeneric) return "generic";
   return "flat+" + std::string(estimator_->sem_kernel_name());
 }
 
@@ -211,7 +199,7 @@ const SingleSourceIndex& EngineSnapshot::InvertedIndex(
 
 size_t EngineSnapshot::MemoryBytes() const {
   size_t total = walk_index_->MemoryBytes();
-  if (transition_table_) total += transition_table_->MemoryBytes();
+  total += estimator_->transition_table().MemoryBytes();
   if (flat_semantic_) total += flat_semantic_->MemoryBytes();
   if (sampler_) total += sampler_->TableBytes();
   if (owned_static_cache_) total += owned_static_cache_->MemoryBytes();

@@ -42,8 +42,8 @@ std::shared_ptr<const T> Unowned(const T* ptr) {
 /// SemSimEngineOptions — the snapshot is the common substrate both
 /// engines now share.
 struct EngineSnapshotOptions {
-  /// Kernel selection + estimator parameters applied to every query
-  /// served from this snapshot.
+  /// Estimator parameters applied to every query served from this
+  /// snapshot.
   QueryOptions query;
   /// Slot budget of the cross-query SO-normalizer cache. 0 disables it;
   /// negative values are rejected.
@@ -145,23 +145,22 @@ class EngineSnapshot {
   /// Chained FNV-1a over options, graph shape, and walk-index content.
   uint64_t fingerprint() const { return fingerprint_; }
 
-  /// The flat tables; nullptr under kGeneric (and flat_semantic_table()
-  /// also when the measure is not flattenable).
+  /// The estimator's transition table, and the flat semantic table
+  /// (nullptr when the measure is not flattenable).
   const TransitionTable* transition_table() const {
-    return transition_table_.get();
+    return &estimator_->transition_table();
   }
   const FlatSemanticTable* flat_semantic_table() const {
     return flat_semantic_.get();
   }
   /// True when the flat kernel devirtualized sem(·,·).
   bool sem_devirtualized() const { return sem_devirtualized_; }
-  /// "generic", or "flat+<sem kernel name>".
+  /// "flat+<sem kernel name>".
   std::string kernel_name() const;
 
   /// The alias sampler over the graph's in-neighborhoods; built only
-  /// when the walk index was sampled weighted with SamplerKind::kAlias
-  /// (dynamic updates against this snapshot reuse it instead of
-  /// rebuilding).
+  /// when the walk index was sampled weighted (dynamic updates against
+  /// this snapshot reuse it instead of rebuilding).
   const NodeSamplerIndex* sampler() const { return sampler_.get(); }
 
   /// The SLING-style static cache consulted by the estimator (owned or
@@ -202,7 +201,6 @@ class EngineSnapshot {
   uint64_t fingerprint_ = 0;
   bool sem_devirtualized_ = false;
 
-  std::unique_ptr<TransitionTable> transition_table_;
   std::unique_ptr<FlatSemanticTable> flat_semantic_;
   std::unique_ptr<NodeSamplerIndex> sampler_;
   std::unique_ptr<PairNormalizerCache> owned_static_cache_;

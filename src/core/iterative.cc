@@ -41,7 +41,7 @@ double UpdateEntry(const Hin& g, const ScoreMatrix& prev, NodeId u, NodeId v,
 // pairs with an empty in-neighborhood (their score is defined as 0).
 ScoreMatrix PrecomputeNormalizers(const Hin& graph,
                                   const IterativeOptions& opt,
-                                  const ParallelRunner& runner) {
+                                  const ThreadPool& runner) {
   size_t n = graph.num_nodes();
   ScoreMatrix norm(n);
   runner.ParallelFor(0, n, [&](size_t row_begin, size_t row_end) {
@@ -73,7 +73,7 @@ ScoreMatrix PrecomputeNormalizers(const Hin& graph,
 void PartialSumsSweep(const Hin& graph, const IterativeOptions& opt,
                       const ScoreMatrix& normalizers,
                       const ScoreMatrix& current, ScoreMatrix* next,
-                      const ParallelRunner& runner) {
+                      const ThreadPool& runner) {
   size_t n = graph.num_nodes();
   runner.ParallelFor(0, n, [&](size_t row_begin, size_t row_end) {
     std::vector<double> partial(n);
@@ -116,7 +116,7 @@ Result<ScoreMatrix> ComputeIterativeScores(
   for (NodeId v = 0; v < n; ++v) current.set(v, v, 1.0);  // R_0 (Eq. 2)
   if (trace) trace->clear();
 
-  ParallelRunner runner(options.num_threads);
+  ThreadPool runner(options.num_threads);
   bool partial_sums =
       options.use_partial_sums && !options.restrict_same_edge_label;
   ScoreMatrix normalizers;

@@ -4,7 +4,6 @@
 #include <string_view>
 
 #include "core/concurrent_cache.h"
-#include "graph/hin.h"
 #include "graph/transition_table.h"
 #include "graph/types.h"
 #include "taxonomy/flat_semantic_table.h"
@@ -12,59 +11,24 @@
 
 namespace semsim {
 
-/// Which query-kernel implementation an engine should run (DESIGN.md §7).
-/// The two produce bit-identical results; kFlat builds flat tables
-/// (TransitionTable, and a FlatSemanticTable when the measure supports
-/// devirtualization) and runs the templated inner loops over them.
+/// The query kernel an engine runs (DESIGN.md §7). There is one: the
+/// transition-table edge policy, with devirtualized semantics whenever
+/// the measure is flattenable. The enum and QueryOptions::kernel remain
+/// only because the serving benchmark assigns kFlat; the next change to
+/// that benchmark removes both.
 enum class QueryKernel {
-  /// Virtual SemanticMeasure dispatch + Hin::InEdgeInfo binary search.
-  kGeneric,
-  /// Devirtualized semantics + precomputed transition tables.
   kFlat,
 };
 
 namespace kernels {
 
-/// Semantic policy for the templated estimator loops: the generic
+/// Semantic policy for the templated estimator loops: the virtual
 /// fallback — every sem(u,v) is a virtual call. Any SemanticMeasure
-/// (custom, cached, JiangConrath, ...) runs through this.
+/// (custom, cached, JiangConrath, ...) runs through this, and it is the
+/// oracle the devirtualized Flat*Kernel policies are tested against.
 struct VirtualSem {
   const SemanticMeasure* m;
   double Sim(NodeId u, NodeId v) const { return m->Sim(u, v); }
-};
-
-/// Per-side factors of one coupled-walk step: the collapsed parallel-edge
-/// weight (numerator of P) and the proposal probability q (denominator
-/// of the IS ratio).
-struct StepSide {
-  double total_weight;
-  double q;
-};
-
-/// Edge policy: the generic path. InEdgeInfo is a binary search over the
-/// sorted in-CSR plus a parallel-edge scan; q is computed with a fresh
-/// division, exactly as the estimator always has.
-struct SearchEdges {
-  const Hin* graph;
-  StepSide Step(NodeId cur, NodeId next, bool weighted) const {
-    Hin::EdgeInfo e = graph->InEdgeInfo(cur, next);
-    double q = weighted
-                   ? e.total_weight / graph->TotalInWeight(cur)
-                   : static_cast<double>(e.multiplicity) /
-                         static_cast<double>(graph->InDegree(cur));
-    return {e.total_weight, q};
-  }
-};
-
-/// Edge policy: the flat path. One O(1) hash probe returns the collapsed
-/// group with both q quotients precomputed (by the same divisions
-/// SearchEdges performs — see TransitionTable), so a step is two loads.
-struct TableEdges {
-  const TransitionTable* table;
-  StepSide Step(NodeId cur, NodeId next, bool weighted) const {
-    const TransitionTable::Group& g = table->InGroup(cur, next);
-    return {g.total_weight, weighted ? g.q_weighted : g.q_uniform};
-  }
 };
 
 /// Which devirtualized semantic kernel (if any) can replace a measure.

@@ -81,45 +81,44 @@ void PublishQueryStats(const McQueryStats& stats) {
   }
 }
 
+SemSimMcEstimator::SemSimMcEstimator(const Hin* graph,
+                                     const SemanticMeasure* semantic,
+                                     const WalkIndex* index,
+                                     const PairNormalizerCache* cache)
+    : graph_(graph),
+      semantic_(semantic),
+      index_(index),
+      cache_(cache),
+      transitions_(TransitionTable::Build(*graph)) {}
+
 // ---------------------------------------------------------------------------
 // Kernel dispatch. The inner loops below are member templates over a
-// semantic policy (VirtualSem or one of the Flat*Kernel structs) and an
-// edge policy (SearchEdges or TableEdges); Dispatch selects the
-// instantiation matching the attached flat tables. Every policy computes
-// the same arithmetic in the same order, so all instantiations return
-// bit-identical values — the flat ones just drop the virtual calls, the
-// CSR binary searches, and the per-step divisions.
+// semantic policy (VirtualSem or one of the Flat*Kernel structs), all
+// stepping through the one TransitionTable; Dispatch selects the
+// instantiation matching the attached semantic table. Every policy
+// computes the same arithmetic in the same order, so all instantiations
+// return bit-identical values — the flat ones just drop the virtual
+// calls.
 // ---------------------------------------------------------------------------
 
 template <typename F>
 auto SemSimMcEstimator::Dispatch(F&& f) const {
-  auto run = [&](const auto& sem) {
-    if (transitions_ != nullptr) {
-      return f(sem, kernels::TableEdges{transitions_});
-    }
-    return f(sem, kernels::SearchEdges{graph_});
-  };
   switch (sem_kind_) {
     case kernels::SemKind::kLin:
-      return run(FlatLinKernel{flat_sem_});
+      return f(FlatLinKernel{flat_sem_});
     case kernels::SemKind::kResnik:
-      return run(FlatResnikKernel{flat_sem_});
+      return f(FlatResnikKernel{flat_sem_});
     case kernels::SemKind::kWuPalmer:
-      return run(FlatWuPalmerKernel{flat_sem_});
+      return f(FlatWuPalmerKernel{flat_sem_});
     case kernels::SemKind::kPath:
-      return run(FlatPathKernel{flat_sem_});
+      return f(FlatPathKernel{flat_sem_});
     case kernels::SemKind::kVirtual:
       break;
   }
-  return run(kernels::VirtualSem{semantic_});
+  return f(kernels::VirtualSem{semantic_});
 }
 
-bool SemSimMcEstimator::AttachFlatKernel(const FlatSemanticTable* semantics,
-                                         const TransitionTable* transitions) {
-  if (transitions != nullptr) {
-    SEMSIM_CHECK(transitions->num_nodes() == graph_->num_nodes());
-  }
-  transitions_ = transitions;
+bool SemSimMcEstimator::AttachFlatKernel(const FlatSemanticTable* semantics) {
   flat_sem_ = nullptr;
   sem_kind_ = kernels::SemKind::kVirtual;
   if (semantics != nullptr) {
@@ -133,12 +132,6 @@ bool SemSimMcEstimator::AttachFlatKernel(const FlatSemanticTable* semantics,
     }
   }
   return sem_kind_ != kernels::SemKind::kVirtual;
-}
-
-void SemSimMcEstimator::DetachFlatKernel() {
-  transitions_ = nullptr;
-  flat_sem_ = nullptr;
-  sem_kind_ = kernels::SemKind::kVirtual;
 }
 
 std::string_view SemSimMcEstimator::sem_kernel_name() const {
@@ -229,15 +222,15 @@ double SemSimMcEstimator::NormalizerT(const Sem& sem, NodeId u, NodeId v,
 double SemSimMcEstimator::Normalizer(NodeId u, NodeId v,
                                      QueryContext* context,
                                      McQueryStats* stats) const {
-  return Dispatch([&](const auto& sem, const auto&) {
+  return Dispatch([&](const auto& sem) {
     return NormalizerT(sem, u, v, context, stats);
   });
 }
 
-template <typename Sem, typename Edges>
+template <typename Sem>
 double SemSimMcEstimator::CoupledWalkScoreT(
-    const Sem& sem, const Edges& edges, NodeId u, NodeId v, int walk,
-    int meeting_step, const SemSimMcOptions& options, QueryContext* context,
+    const Sem& sem, NodeId u, NodeId v, int walk, int meeting_step,
+    const SemSimMcOptions& options, QueryContext* context,
     McQueryStats* stats) const {
   SEMSIM_DCHECK(meeting_step >= 1 && meeting_step <= index_->walk_length());
   const NodeId* walk_u = index_->WalkData(u, walk);
@@ -255,11 +248,14 @@ double SemSimMcEstimator::CoupledWalkScoreT(
     NodeId next_v = walk_v[j];
     double so = NormalizerT(sem, cur_u, cur_v, context, stats);
     SEMSIM_DCHECK(so > 0);
-    kernels::StepSide su = edges.Step(cur_u, next_u, weighted);
-    kernels::StepSide sv = edges.Step(cur_v, next_v, weighted);
+    // One O(1) probe per side returns the collapsed in-edge group with
+    // its q quotient precomputed (TransitionTable), so a step is loads.
+    const TransitionTable::Group& gu = transitions_.InGroup(cur_u, next_u);
+    const TransitionTable::Group& gv = transitions_.InGroup(cur_v, next_v);
     double p_step =
-        sem.Sim(next_u, next_v) * su.total_weight * sv.total_weight / so;
-    double q_step = su.q * sv.q;
+        sem.Sim(next_u, next_v) * gu.total_weight * gv.total_weight / so;
+    double q_step = weighted ? gu.q_weighted * gv.q_weighted
+                             : gu.q_uniform * gv.q_uniform;
     score *= p_step * c / q_step;
     cur_u = next_u;
     cur_v = next_v;
@@ -278,15 +274,15 @@ double SemSimMcEstimator::CoupledWalkScore(NodeId u, NodeId v, int walk,
                                            const SemSimMcOptions& options,
                                            QueryContext* context,
                                            McQueryStats* stats) const {
-  return Dispatch([&](const auto& sem, const auto& edges) {
-    return CoupledWalkScoreT(sem, edges, u, v, walk, meeting_step, options,
-                             context, stats);
+  return Dispatch([&](const auto& sem) {
+    return CoupledWalkScoreT(sem, u, v, walk, meeting_step, options, context,
+                             stats);
   });
 }
 
-template <typename Sem, typename Edges>
-double SemSimMcEstimator::QueryT(const Sem& sem, const Edges& edges, NodeId u,
-                                 NodeId v, const SemSimMcOptions& options,
+template <typename Sem>
+double SemSimMcEstimator::QueryT(const Sem& sem, NodeId u, NodeId v,
+                                 const SemSimMcOptions& options,
                                  QueryContext* context,
                                  McQueryStats* stats) const {
   SEMSIM_DCHECK(options.decay > 0 && options.decay < 1);
@@ -320,8 +316,7 @@ double SemSimMcEstimator::QueryT(const Sem& sem, const Edges& edges, NodeId u,
     int meet = FirstMeetingStep(*index_, u, v, w);
     if (meet < 0) continue;
     if (stats) ++stats->met_walks;
-    total += CoupledWalkScoreT(sem, edges, u, v, w, meet, options, context,
-                               stats);
+    total += CoupledWalkScoreT(sem, u, v, w, meet, options, context, stats);
   }
   return sem_uv * total / static_cast<double>(budget);
 }
@@ -334,8 +329,8 @@ double SemSimMcEstimator::Query(NodeId u, NodeId v,
   // additional per-call view.
   McQueryStats local;
   QueryContext context;
-  double result = Dispatch([&](const auto& sem, const auto& edges) {
-    return QueryT(sem, edges, u, v, options, &context, &local);
+  double result = Dispatch([&](const auto& sem) {
+    return QueryT(sem, u, v, options, &context, &local);
   });
   PublishQueryStats(local);
   if (stats != nullptr) stats->Merge(local);
@@ -349,7 +344,7 @@ std::vector<double> SemSimMcEstimator::QueryBatch(
   std::mutex stats_mu;
   // One dispatch per worker chunk, not per pair: the chunk loop runs
   // entirely inside the selected instantiation.
-  Dispatch([&](const auto& sem, const auto& edges) {
+  Dispatch([&](const auto& sem) {
     pool.ParallelFor(
         0, pairs.size(),
         [&](size_t begin, size_t end) {
@@ -363,7 +358,7 @@ std::vector<double> SemSimMcEstimator::QueryBatch(
             if (options.cancel != nullptr && options.cancel->ShouldStop()) {
               break;
             }
-            results[i] = QueryT(sem, edges, pairs[i].first, pairs[i].second,
+            results[i] = QueryT(sem, pairs[i].first, pairs[i].second,
                                 options, &context, &local);
           }
           // Registry totals accumulate per chunk regardless of `stats`.

@@ -63,14 +63,13 @@ inline int EffectiveWalkBudget(const SemSimMcOptions& options,
 Status ValidateMcOptions(const SemSimMcOptions& options);
 
 /// The query-time surface shared by SemSimEngine and BatchQueryEngine:
-/// kernel selection plus the estimator parameters applied to every
-/// query. Both engines embed one of these as `.query`, so the two option
-/// structs cannot drift apart.
+/// the estimator parameters applied to every query. Both engines embed
+/// one of these as `.query`, so the two option structs cannot drift
+/// apart.
 struct QueryOptions {
-  /// Which query-kernel implementation to run (DESIGN.md §7). kFlat
-  /// precomputes the transition table (and, for the flattenable built-in
-  /// measures, the flat semantic table); results are bit-identical to
-  /// kGeneric.
+  /// Always kFlat, the only kernel (DESIGN.md §7). Kept only because the
+  /// serving benchmark assigns it; the next change to that benchmark
+  /// removes this field together with QueryKernel.
   QueryKernel kernel = QueryKernel::kFlat;
   /// Estimator parameters: c=0.6 and pruning θ=0.05 are the paper's
   /// experimental setting.
@@ -140,11 +139,12 @@ void PublishQueryStats(const McQueryStats& stats);
 class SemSimMcEstimator {
  public:
   /// All pointers must outlive the estimator; `cache` is optional
-  /// (nullptr = compute every normalizer on the fly).
+  /// (nullptr = compute every normalizer on the fly). Builds the
+  /// estimator's TransitionTable over `graph` (DESIGN.md §7), one
+  /// O(|V| + |E|) pass.
   SemSimMcEstimator(const Hin* graph, const SemanticMeasure* semantic,
                     const WalkIndex* index,
-                    const PairNormalizerCache* cache = nullptr)
-      : graph_(graph), semantic_(semantic), index_(index), cache_(cache) {}
+                    const PairNormalizerCache* cache = nullptr);
 
   /// Installs a cross-query normalizer cache shared by every thread and
   /// every subsequent query. Consulted after the static SLING cache and
@@ -155,28 +155,17 @@ class SemSimMcEstimator {
   void set_shared_cache(ConcurrentPairCache* cache) { shared_cache_ = cache; }
   const ConcurrentPairCache* shared_cache() const { return shared_cache_; }
 
-  /// Switches the estimator onto the flat query kernels (DESIGN.md §7).
-  /// `transitions` (built from the same graph) replaces the per-step
-  /// InEdgeInfo binary search and q divisions; `semantics` (may be
-  /// nullptr) devirtualizes sem(u,v) when the bound measure is one of
-  /// the four flattenable built-ins — `semantics` must then have been
-  /// built from that measure's SemanticContext (checked). Results are
-  /// bit-identical to the generic path on every query. Both tables must
-  /// outlive the estimator (or the detach). Returns true when the
-  /// semantic measure was devirtualized (false = virtual fallback, e.g.
-  /// for JiangConrath or custom measures; transition acceleration still
-  /// applies).
-  bool AttachFlatKernel(const FlatSemanticTable* semantics,
-                        const TransitionTable* transitions);
+  /// Devirtualizes sem(u,v) through `semantics` when the bound measure
+  /// is one of the four flattenable built-ins (DESIGN.md §7);
+  /// `semantics` must then have been built from that measure's
+  /// SemanticContext (checked). Results are bit-identical to the virtual
+  /// path on every query. The table must outlive the estimator. Returns
+  /// true when the measure was devirtualized (false = virtual fallback:
+  /// `semantics` is nullptr, or the measure is JiangConrath or custom).
+  bool AttachFlatKernel(const FlatSemanticTable* semantics);
 
-  /// Reverts to the fully generic path.
-  void DetachFlatKernel();
-
-  /// Whether any flat acceleration is attached.
-  bool flat() const {
-    return transitions_ != nullptr ||
-           sem_kind_ != kernels::SemKind::kVirtual;
-  }
+  /// The in-edge transition table every step reads.
+  const TransitionTable& transition_table() const { return transitions_; }
 
   /// Name of the active semantic kernel: "virtual", or
   /// "flat-lin" / "flat-resnik" / "flat-wupalmer" / "flat-path".
@@ -324,20 +313,19 @@ class SemSimMcEstimator {
   double Normalizer(NodeId u, NodeId v, QueryContext* context,
                     McQueryStats* stats) const;
 
-  // Templated inner loops, instantiated per (semantic, edge) policy pair
-  // in mc_semsim.cc; Dispatch routes a call to the instantiation matching
-  // the attached flat tables (defined there too — all uses are in that
-  // translation unit).
+  // Templated inner loops, instantiated per semantic policy in
+  // mc_semsim.cc; Dispatch routes a call to the instantiation matching
+  // the attached semantic table (defined there too — all uses are in
+  // that translation unit).
   template <typename F>
   auto Dispatch(F&& f) const;
-  template <typename Sem, typename Edges>
-  double QueryT(const Sem& sem, const Edges& edges, NodeId u, NodeId v,
+  template <typename Sem>
+  double QueryT(const Sem& sem, NodeId u, NodeId v,
                 const SemSimMcOptions& options, QueryContext* context,
                 McQueryStats* stats) const;
-  template <typename Sem, typename Edges>
-  double CoupledWalkScoreT(const Sem& sem, const Edges& edges, NodeId u,
-                           NodeId v, int walk, int meeting_step,
-                           const SemSimMcOptions& options,
+  template <typename Sem>
+  double CoupledWalkScoreT(const Sem& sem, NodeId u, NodeId v, int walk,
+                           int meeting_step, const SemSimMcOptions& options,
                            QueryContext* context, McQueryStats* stats) const;
   template <typename Sem>
   double NormalizerT(const Sem& sem, NodeId u, NodeId v,
@@ -348,9 +336,10 @@ class SemSimMcEstimator {
   const WalkIndex* index_;
   const PairNormalizerCache* cache_;
   ConcurrentPairCache* shared_cache_ = nullptr;
-  // Flat-kernel state (AttachFlatKernel). Null / kVirtual = generic path.
+  TransitionTable transitions_;
+  // Devirtualized semantics (AttachFlatKernel). Null / kVirtual = the
+  // virtual SemanticMeasure path.
   const FlatSemanticTable* flat_sem_ = nullptr;
-  const TransitionTable* transitions_ = nullptr;
   kernels::SemKind sem_kind_ = kernels::SemKind::kVirtual;
 };
 

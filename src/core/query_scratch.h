@@ -22,7 +22,7 @@ struct WalkMeeting {
 };
 
 /// Reusable per-query scratch arena for the single-source sweeps
-/// (DESIGN.md §10). One SemSimFrom over n nodes historically allocated
+/// (DESIGN.md §10). One single-source sweep over n nodes needs
 /// four O(n) vectors; with an arena those buffers persist across
 /// queries, and per-query "clearing" is an epoch bump instead of an O(n)
 /// reset:
@@ -111,11 +111,9 @@ class QueryScratch {
 /// its engine (bounded by the thread count) and never shrinks.
 class ScratchPool {
  public:
-  /// RAII lease. Default-constructed = empty (get() == nullptr), which
-  /// lets call sites thread "no pooling" through the same code path.
+  /// RAII lease: returns its arena to the pool on destruction.
   class Lease {
    public:
-    Lease() = default;
     Lease(ScratchPool* pool, std::unique_ptr<QueryScratch> scratch)
         : pool_(pool), scratch_(std::move(scratch)) {}
     Lease(Lease&& other) noexcept = default;

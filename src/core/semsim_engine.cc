@@ -38,8 +38,10 @@ std::vector<Scored> SemSimEngine::TopK(
     NodeId query, size_t k, const std::vector<NodeId>* candidates) const {
   const SingleSourceIndex* inverted = snapshot_->inverted_if_built();
   if (inverted != nullptr) {
-    std::vector<double> scores =
-        inverted->SemSimFrom(query, snapshot_->estimator(), options_.query.mc);
+    QueryScratch scratch;
+    std::vector<double> scores;
+    inverted->SemSimFromInto(query, snapshot_->estimator(), options_.query.mc,
+                             scratch, scores);
     return CallbackTopK(snapshot_->graph().num_nodes(), query, k, candidates,
                         [&](NodeId v) { return scores[v]; });
   }
@@ -54,8 +56,11 @@ Result<std::vector<double>> SemSimEngine::AllScores(NodeId query) const {
         "engine built without the single-source index "
         "(SemSimEngineOptions::single_source)");
   }
-  return inverted->SemSimFrom(query, snapshot_->estimator(),
-                              options_.query.mc);
+  QueryScratch scratch;
+  std::vector<double> scores;
+  inverted->SemSimFromInto(query, snapshot_->estimator(), options_.query.mc,
+                           scratch, scores);
+  return scores;
 }
 
 Result<double> SemSimEngine::SimilarityByName(std::string_view u,

@@ -21,9 +21,8 @@ namespace semsim {
 struct SemSimEngineOptions {
   /// Reverse-walk index parameters (paper defaults n_w=150, t=15).
   WalkIndexOptions walks;
-  /// Kernel selection + estimator parameters — the QueryOptions surface
-  /// shared with BatchQueryEngineOptions (defaults: kFlat, c=0.6,
-  /// θ=0.05).
+  /// Estimator parameters — the QueryOptions surface shared with
+  /// BatchQueryEngineOptions (defaults: c=0.6, θ=0.05).
   QueryOptions query;
   /// When >= 0, build the SLING-style normalizer cache for pairs with
   /// sem >= this value (the paper uses 0.1). Negative disables the cache.

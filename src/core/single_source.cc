@@ -278,23 +278,6 @@ void SingleSourceIndex::SemSimFromInto(NodeId u,
   if (stats != nullptr) stats->Merge(local);
 }
 
-std::vector<double> SingleSourceIndex::SemSimFrom(
-    NodeId u, const SemSimMcEstimator& estimator,
-    const SemSimMcOptions& options, McQueryStats* stats) const {
-  QueryScratch scratch;
-  std::vector<double> scores;
-  SemSimFromInto(u, estimator, options, scratch, scores, stats);
-  return scores;
-}
-
-std::vector<Scored> SingleSourceIndex::TopKFrom(
-    NodeId u, size_t k, const SemSimMcEstimator& estimator,
-    const SemSimMcOptions& options, McQueryStats* stats) const {
-  std::vector<double> scores = SemSimFrom(u, estimator, options, stats);
-  return CallbackTopK(num_nodes_, u, k, nullptr,
-                      [&](NodeId v) { return scores[v]; });
-}
-
 std::vector<Scored> SingleSourceIndex::TopKFrom(
     NodeId u, size_t k, const SemSimMcEstimator& estimator,
     const SemSimMcOptions& options, QueryScratch& scratch,

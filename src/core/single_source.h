@@ -62,30 +62,19 @@ class SingleSourceIndex {
   /// estimator.Query(u, v, options) for every v, but meeting detection is
   /// shared through this index and SO normalizers are shared through one
   /// QueryContext across all candidates. `estimator` must wrap the same
-  /// WalkIndex this index was built from. Instrumentation for the whole
-  /// sweep accumulates into *stats when given.
-  std::vector<double> SemSimFrom(NodeId u, const SemSimMcEstimator& estimator,
-                                 const SemSimMcOptions& options,
-                                 McQueryStats* stats = nullptr) const;
-
-  /// Allocation-free form of SemSimFrom: all transient state lives in
-  /// `scratch` (reusable across queries and sources), the result lands
+  /// WalkIndex this index was built from. All transient state lives in
+  /// `scratch` (reusable across queries and sources); the result lands
   /// in `out` (resized to n; its capacity is reused on repeat calls).
-  /// Scores are bit-identical to SemSimFrom — same meeting enumeration,
-  /// same accumulation order, same arithmetic — and so are the stats.
+  /// Scores and stats do not depend on the scratch's history.
+  /// Instrumentation for the whole sweep accumulates into *stats when
+  /// given.
   void SemSimFromInto(NodeId u, const SemSimMcEstimator& estimator,
                       const SemSimMcOptions& options, QueryScratch& scratch,
                       std::vector<double>& out,
                       McQueryStats* stats = nullptr) const;
 
-  /// Top-k via SemSimFrom. Ties broken by node id.
-  std::vector<Scored> TopKFrom(NodeId u, size_t k,
-                               const SemSimMcEstimator& estimator,
-                               const SemSimMcOptions& options,
-                               McQueryStats* stats = nullptr) const;
-
-  /// Top-k through a scratch arena; the dense score sweep stages in
-  /// scratch.result instead of a fresh vector.
+  /// Top-k via SemSimFromInto, the dense score sweep staged in
+  /// scratch.result. Ties broken by node id.
   std::vector<Scored> TopKFrom(NodeId u, size_t k,
                                const SemSimMcEstimator& estimator,
                                const SemSimMcOptions& options,

@@ -9,6 +9,7 @@
 #include "common/metrics.h"
 #include "common/thread_pool.h"
 #include "common/timer.h"
+#include "graph/node_sampler.h"
 
 namespace semsim {
 
@@ -27,18 +28,15 @@ WalkIndex WalkIndex::Build(const Hin& graph, const WalkIndexOptions& options) {
                                 static_cast<size_t>(options.walk_length),
                             kInvalidNode);
   index.live_owned_.assign(n * static_cast<size_t>(options.num_walks), 0);
-  ParallelRunner runner(options.num_threads);
+  ThreadPool runner(options.num_threads);
   // O(1) weighted steps: one alias-table index per graph, built in
-  // parallel on the same pool, shared read-only by every worker. The
-  // scan path keeps the legacy RNG stream (DESIGN.md §11).
-  const bool use_alias =
-      options.weighted && options.sampler == SamplerKind::kAlias;
+  // parallel on the same pool, shared read-only by every worker
+  // (DESIGN.md §11).
   NodeSamplerIndex sampler;
-  if (use_alias) {
+  if (options.weighted) {
     sampler = NodeSamplerIndex::Build(graph, SampleDirection::kIn, &runner);
   }
   runner.ParallelFor(0, n, [&](size_t begin, size_t end) {
-    std::vector<double> weights;
     for (NodeId v = static_cast<NodeId>(begin); v < end; ++v) {
       // Per-node RNG stream: walks are independent of the thread count
       // and of every other node's sampling.
@@ -56,16 +54,8 @@ WalkIndex WalkIndex::Build(const Hin& graph, const WalkIndexOptions& options) {
             live = s;
             break;
           }
-          size_t pick;
-          if (use_alias) {
-            pick = sampler.Sample(cur, rng);
-          } else if (options.weighted) {
-            weights.clear();
-            for (const Neighbor& nb : in) weights.push_back(nb.weight);
-            pick = rng.NextWeighted(weights);
-          } else {
-            pick = rng.NextIndex(in.size());
-          }
+          size_t pick = options.weighted ? sampler.Sample(cur, rng)
+                                         : rng.NextIndex(in.size());
           cur = in[pick].node;
           index.steps_owned_[cursor] = cur;
         }
@@ -77,24 +67,6 @@ WalkIndex WalkIndex::Build(const Hin& graph, const WalkIndexOptions& options) {
   walks_sampled->Add(n * static_cast<uint64_t>(options.num_walks));
   index.build_seconds_ = timer.ElapsedSeconds();
   return index;
-}
-
-void WalkIndex::RecomputeLiveLengths(size_t num_nodes) {
-  size_t walks = num_nodes * static_cast<size_t>(options_.num_walks);
-  int t = options_.walk_length;
-  live_owned_.assign(walks, 0);
-  for (size_t w = 0; w < walks; ++w) {
-    const NodeId* steps = steps_.data() + w * static_cast<size_t>(t);
-    int live = t;
-    for (int s = 0; s < t; ++s) {
-      if (steps[s] == kInvalidNode) {
-        live = s;
-        break;
-      }
-    }
-    live_owned_[w] = static_cast<uint16_t>(live);
-  }
-  live_len_ = live_owned_;
 }
 
 void WalkIndex::CopyFrom(const WalkIndex& other) {
@@ -142,16 +114,15 @@ namespace {
 //   [....,   ) live-len section (kind 2, page-aligned, n·n_w uint16)
 // File size == offset + size of the last section (no trailing bytes).
 //
-// legacy v1 payload (format_version 2, still accepted by Load/Map):
-//   [0, 48)  WalkIndexHeader
-//   [48, ..) raw step array; live lengths recomputed by a padding scan.
+// Older files — the "SEMWALK1" magic and format_version 2 (the
+// steps-only, unchecksummed "v1 payload") — are rejected with a
+// FailedPrecondition asking for a rebuild.
 // ---------------------------------------------------------------------------
 
 constexpr uint64_t kWalkIndexMagic = 0x5832584449574D53ULL;    // "SMWIDX2X"
 constexpr uint64_t kWalkIndexMagicV1 = 0x53454D57414C4B31ULL;  // "SEMWALK1"
-// format_version values: 2 = legacy steps-only payload ("v1 artifact"),
-// 3 = sectioned serving artifact ("v2 artifact").
-constexpr uint32_t kWalkIndexFormatLegacy = 2;
+// The only format_version this build reads and writes: the sectioned
+// serving artifact ("v2 artifact").
 constexpr uint32_t kWalkIndexFormatSectioned = 3;
 constexpr size_t kSectionAlignment = 4096;  // page-aligned for mmap serving
 
@@ -167,9 +138,9 @@ struct WalkIndexHeader {
   int32_t walk_length;
   uint64_t seed;
   uint8_t weighted;
-  // SamplerKind ordinal of the build (0 = alias, 1 = scan). Pre-sampler
-  // v2 artifacts carry 0 here (it was zeroed padding), which reads back
-  // as kAlias — the current default.
+  // Weighted-step sampler of the build. Always 0 (the alias sampler);
+  // 1 marked the retired linear-scan sampler, whose walks this build
+  // cannot reproduce, so such files are rejected.
   uint8_t sampler;
   uint8_t padding[6];
 };
@@ -200,8 +171,6 @@ size_t AlignUp(size_t value, size_t alignment) {
 /// spans point into the caller's buffer/mapping.
 struct ParsedArtifact {
   WalkIndexOptions options;
-  size_t num_nodes = 0;
-  bool legacy = false;  // v1 payload: live span empty, recompute needed
   std::span<const NodeId> steps;
   std::span<const uint16_t> live;
 };
@@ -231,13 +200,18 @@ Result<ParsedArtifact> ParseArtifact(const uint8_t* data, size_t size,
     }
     return Status::IOError("not a walk-index file: " + path);
   }
-  if (header.format_version != kWalkIndexFormatLegacy &&
-      header.format_version != kWalkIndexFormatSectioned) {
+  if (header.format_version < kWalkIndexFormatSectioned) {
+    return Status::FailedPrecondition(
+        "walk-index file uses the legacy format version " +
+        std::to_string(header.format_version) +
+        " (steps-only payload, no checksums): " + path +
+        "; rebuild the index with the current binary");
+  }
+  if (header.format_version != kWalkIndexFormatSectioned) {
     return Status::FailedPrecondition(
         "unsupported walk-index format version " +
         std::to_string(header.format_version) +
-        " (this build reads versions " +
-        std::to_string(kWalkIndexFormatLegacy) + " and " +
+        " (this build reads version " +
         std::to_string(kWalkIndexFormatSectioned) + "): " + path);
   }
   if (header.num_nodes != expected_nodes) {
@@ -247,9 +221,13 @@ Result<ParsedArtifact> ParseArtifact(const uint8_t* data, size_t size,
         std::to_string(expected_nodes) + ": " + path);
   }
   if (header.num_walks <= 0 || header.walk_length <= 0 ||
-      header.walk_length > 65535 ||
-      header.sampler > static_cast<uint8_t>(SamplerKind::kScan)) {
+      header.walk_length > 65535 || header.sampler > 1) {
     return Status::IOError("corrupt walk-index header: " + path);
+  }
+  if (header.sampler == 1) {
+    return Status::FailedPrecondition(
+        "walk-index file was sampled with the retired linear-scan "
+        "sampler: " + path + "; rebuild the index with the current binary");
   }
 
   ParsedArtifact parsed;
@@ -257,8 +235,6 @@ Result<ParsedArtifact> ParseArtifact(const uint8_t* data, size_t size,
   parsed.options.walk_length = header.walk_length;
   parsed.options.seed = header.seed;
   parsed.options.weighted = header.weighted != 0;
-  parsed.options.sampler = static_cast<SamplerKind>(header.sampler);
-  parsed.num_nodes = header.num_nodes;
 
   size_t walk_count =
       header.num_nodes * static_cast<size_t>(header.num_walks);
@@ -266,25 +242,7 @@ Result<ParsedArtifact> ParseArtifact(const uint8_t* data, size_t size,
   uint64_t steps_bytes = static_cast<uint64_t>(step_count) * sizeof(NodeId);
   uint64_t live_bytes = static_cast<uint64_t>(walk_count) * sizeof(uint16_t);
 
-  if (header.format_version == kWalkIndexFormatLegacy) {
-    // v1 payload: header + raw step array, live lengths derived on load.
-    uint64_t payload = size - sizeof(WalkIndexHeader);
-    if (payload < steps_bytes) {
-      return Status::IOError("truncated walk-index file: " + path);
-    }
-    if (payload > steps_bytes) {
-      return Status::IOError(
-          "walk-index file has trailing bytes beyond the declared payload: " +
-          path);
-    }
-    parsed.legacy = true;
-    parsed.steps = {reinterpret_cast<const NodeId*>(
-                        data + sizeof(WalkIndexHeader)),
-                    step_count};
-    return parsed;
-  }
-
-  // v2 sectioned artifact: directory + page-aligned checksummed sections.
+  // Directory + page-aligned checksummed sections.
   size_t dir_start = sizeof(WalkIndexHeader);
   if (size < dir_start + sizeof(SectionDirectoryHeader)) {
     return Status::IOError("truncated walk-index file: " + path);
@@ -375,7 +333,6 @@ Status WalkIndex::Save(const std::string& path) const {
   header.walk_length = options_.walk_length;
   header.seed = options_.seed;
   header.weighted = options_.weighted ? 1 : 0;
-  header.sampler = static_cast<uint8_t>(options_.sampler);
 
   uint64_t steps_bytes = steps_.size() * sizeof(NodeId);
   uint64_t live_bytes = live_len_.size() * sizeof(uint16_t);
@@ -447,19 +404,10 @@ Result<WalkIndex> WalkIndex::LoadImpl(const std::string& path,
       ParseArtifact(file.data(), file.size(), path, expected_nodes,
                     /*verify_checksums=*/true));
   WalkIndex index;
-  index.options_.num_walks = parsed.options.num_walks;
-  index.options_.walk_length = parsed.options.walk_length;
-  index.options_.seed = parsed.options.seed;
-  index.options_.weighted = parsed.options.weighted;
-  index.options_.sampler = parsed.options.sampler;
+  index.options_ = parsed.options;
   index.steps_owned_.assign(parsed.steps.begin(), parsed.steps.end());
-  index.steps_ = index.steps_owned_;
-  if (parsed.legacy) {
-    index.RecomputeLiveLengths(parsed.num_nodes);
-  } else {
-    index.live_owned_.assign(parsed.live.begin(), parsed.live.end());
-    index.live_len_ = index.live_owned_;
-  }
+  index.live_owned_.assign(parsed.live.begin(), parsed.live.end());
+  index.BindOwned();
   return index;
 }
 
@@ -487,22 +435,11 @@ Result<WalkIndex> WalkIndex::MapImpl(const std::string& path,
       ParseArtifact(file.data(), file.size(), path, expected_nodes,
                     map_options.verify_checksums));
   WalkIndex index;
-  index.options_.num_walks = parsed.options.num_walks;
-  index.options_.walk_length = parsed.options.walk_length;
-  index.options_.seed = parsed.options.seed;
-  index.options_.weighted = parsed.options.weighted;
-  index.options_.sampler = parsed.options.sampler;
+  index.options_ = parsed.options;
   index.mapping_ = std::move(file);
   index.borrows_mapping_ = true;
   index.steps_ = parsed.steps;
-  if (parsed.legacy) {
-    // Hybrid mode for legacy files: the step array serves from the
-    // mapping, but live lengths were never persisted and must be
-    // recomputed into owned storage (one padding scan, as Load did).
-    index.RecomputeLiveLengths(parsed.num_nodes);
-  } else {
-    index.live_len_ = parsed.live;
-  }
+  index.live_len_ = parsed.live;
   return index;
 }
 

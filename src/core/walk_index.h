@@ -10,7 +10,6 @@
 #include "common/result.h"
 #include "common/rng.h"
 #include "graph/hin.h"
-#include "graph/node_sampler.h"
 
 namespace semsim {
 
@@ -26,18 +25,12 @@ struct WalkIndexOptions {
   /// stream, so the sampled walks are identical for any thread count.
   uint64_t seed = 42;
   /// Proposal distribution Q: false = uniform over in-neighbors (the
-  /// paper's choice); true = proportional to edge weights (ablation).
+  /// paper's choice); true = proportional to edge weights (ablation),
+  /// drawn in O(1) per step through a NodeSamplerIndex (DESIGN.md §11).
   bool weighted = false;
   /// Worker threads for sampling (nodes are partitioned). <= 0 selects
   /// the hardware concurrency.
   int num_threads = 1;
-  /// How weighted steps are drawn (DESIGN.md §11). kAlias precomputes a
-  /// per-graph NodeSamplerIndex and makes every weighted step O(1);
-  /// kScan is the legacy O(degree) inverse-CDF scan, kept because the
-  /// two consume the RNG stream differently: only kScan reproduces the
-  /// exact walks of pre-sampler builds for a given seed. Irrelevant
-  /// when `weighted` is false (uniform steps always use NextIndex).
-  SamplerKind sampler = SamplerKind::kAlias;
 };
 
 /// Options of WalkIndex::Map (DESIGN.md §10).
@@ -154,13 +147,12 @@ class WalkIndex {
   /// page-aligned, Map() can serve them in place with natural alignment.
   Status Save(const std::string& path) const;
 
-  /// Loads an index into owned heap storage. Accepts both the v2
-  /// sectioned artifact (checksums verified, live lengths read back)
-  /// and the legacy v1 steps-only payload (live lengths recomputed by a
-  /// padding scan — the old behavior). Validates the header magic and
+  /// Loads a v2 sectioned artifact into owned heap storage (checksums
+  /// verified, live lengths read back). Validates the header magic and
   /// format version, the walk parameters, and `expected_nodes` (guards
   /// against pairing an index with the wrong graph), and rejects
-  /// truncated or oversized payloads with a descriptive Status.
+  /// truncated or oversized payloads with a descriptive Status. Older
+  /// formats get a FailedPrecondition asking for a rebuild.
   static Result<WalkIndex> Load(const std::string& path,
                                 size_t expected_nodes);
 
@@ -168,10 +160,9 @@ class WalkIndex {
   /// serves WalkData / WalkLiveLength directly out of a read-only mmap
   /// of the artifact — no heap copy, cold-start cost independent of the
   /// index size, physical pages shared with every other process mapping
-  /// the same file. Requires a v2 artifact for full zero-copy; a legacy
-  /// v1 file still maps its step array but owns recomputed live lengths
-  /// (hybrid mode). The returned index owns the mapping; queries fault
-  /// pages in lazily. See WalkIndexMapOptions for checksum policy.
+  /// the same file. Accepts exactly what Load accepts. The returned index
+  /// owns the mapping; queries fault pages in lazily. See
+  /// WalkIndexMapOptions for checksum policy.
   static Result<WalkIndex> Map(const std::string& path, size_t expected_nodes,
                                const WalkIndexMapOptions& map_options = {});
 
@@ -190,10 +181,6 @@ class WalkIndex {
   static Result<WalkIndex> MapImpl(const std::string& path,
                                    size_t expected_nodes,
                                    const WalkIndexMapOptions& map_options);
-
-  /// Rebuilds live_len_ from steps_ into owned storage (legacy v1 files
-  /// do not persist live lengths).
-  void RecomputeLiveLengths(size_t num_nodes);
 
   /// Re-points the views at the owned vectors.
   void BindOwned() {
@@ -214,7 +201,7 @@ class WalkIndex {
   uint16_t* MutableLiveLengths();
 
   WalkIndexOptions options_;
-  // Owned storage (Build / Load / copies / legacy live lengths).
+  // Owned storage (Build / Load / copies).
   std::vector<NodeId> steps_owned_;
   std::vector<uint16_t> live_owned_;
   // The artifact mapping (Map); empty in owned mode.

@@ -12,20 +12,6 @@ namespace semsim {
 
 class ThreadPool;
 
-/// Which per-step neighbor distribution a walk generator draws from.
-/// `kAlias` (the default) samples in O(1) through a precomputed
-/// NodeSamplerIndex; `kScan` is the legacy inverse-CDF linear scan over
-/// the neighbor weights. The two consume the RNG stream differently —
-/// an alias draw spends a bounded-integer draw plus a uniform double,
-/// a scan spends a single uniform double — so switching samplers
-/// changes which walks a given seed produces (the distribution is
-/// identical; the differential harness checks both against the exact
-/// oracle). Seed-compatibility with pre-sampler builds requires kScan.
-enum class SamplerKind : uint8_t {
-  kAlias = 0,
-  kScan = 1,
-};
-
 /// Adjacency side a NodeSamplerIndex is built over: in-neighbors (the
 /// reverse-walk generators) or out-neighbors (forward path samplers
 /// like Panther).
@@ -38,8 +24,8 @@ enum class SampleDirection : uint8_t {
 /// table per node over that node's neighbor-weight distribution,
 /// packed into CSR-style flat arrays (a single contiguous `prob` +
 /// `alias` slot buffer plus per-node offsets — no per-node vectors, no
-/// pointer chasing). Replaces the O(degree)-per-step weight rebuild +
-/// inverse-CDF scan in the walk-sampling hot loops.
+/// pointer chasing). Every weighted walk generator (WalkIndex::Build,
+/// DynamicWalkIndex, Panther) draws its steps through one of these.
 ///
 /// Uniform fast path: a node whose neighbor weights are all (bitwise)
 /// equal needs no table — its slot range is empty and Sample() falls

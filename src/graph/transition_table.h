@@ -11,9 +11,9 @@
 
 namespace semsim {
 
-/// Precomputed transition data over the in-adjacency of a Hin — the flat
-/// query-kernel replacement for the two per-step costs of the MC
-/// estimators (see DESIGN.md §7):
+/// Precomputed transition data over the in-adjacency of a Hin — what the
+/// IS estimator reads instead of paying two per-step costs against the
+/// Hin itself (see DESIGN.md §7):
 ///
 ///   1. `Hin::InEdgeInfo(v, from)` is an O(log d) binary search plus a
 ///      scan over parallel edges, paid twice per coupled-walk step. The
@@ -26,8 +26,9 @@ namespace semsim {
 ///      per group — so a step multiplies two loads instead of dividing.
 ///
 /// Bit-exactness: the per-group quotients are computed at build time
-/// with the *same division* the generic path performs at query time
-/// (`multiplicity / InDegree`, `total_weight / TotalInWeight`), and
+/// with the *same division* a per-step computation over
+/// `Hin::InEdgeInfo` would perform (`multiplicity / InDegree`,
+/// `total_weight / TotalInWeight`), and
 /// `total_weight` accumulates parallel edges in the same CSR order as
 /// `InEdgeInfo`. A kernel reading this table therefore produces values
 /// bit-identical to one calling into the Hin. The reciprocal arrays

@@ -21,7 +21,6 @@
 #include "core/topk.h"
 #include "graph/graph_io.h"
 #include "graph/node_sampler.h"
-#include "graph/transition_table.h"
 #include "taxonomy/flat_semantic_table.h"
 #include "taxonomy/taxonomy_io.h"
 #include "testing/stat_check.h"
@@ -183,7 +182,7 @@ namespace {
 // checks A-C cover the oracle, D-G the estimator kernels, H-I the batch
 // engine, J-L single-source and top-k, M the serving-artifact
 // round-trip (Save -> Load / Map bit-identity), N the walk-sampler
-// equivalence (alias thread-count pin, scan-vs-alias agreement).
+// determinism (alias thread-count pin).
 class InstanceRunner {
  public:
   InstanceRunner(const DifferentialConfig& cfg,
@@ -200,7 +199,7 @@ class InstanceRunner {
       CheckEngines();
       CheckSingleSourceAndTopK();
       CheckArtifactRoundTrip();
-      CheckSamplerEquivalence();
+      CheckSamplerDeterminism();
     }
     if (!report_.ok() && !opt_.dump_dir.empty()) DumpInstance();
     return report_;
@@ -428,16 +427,18 @@ class InstanceRunner {
   // ---- D-G: the MC estimator kernels -------------------------------------
 
   void CheckEstimatorKernels() {
-    SemSimMcEstimator generic(hin_.get(), measure_.get(), walks_.get());
+    // `virt` runs the VirtualSem oracle, `flat` the devirtualized
+    // semantic policy when the measure has one; both step through the
+    // same transition table.
+    SemSimMcEstimator virt(hin_.get(), measure_.get(), walks_.get());
     SemSimMcEstimator flat(hin_.get(), measure_.get(), walks_.get());
-    TransitionTable transitions = TransitionTable::Build(*hin_);
     kernels::SemInfo info = kernels::ClassifyMeasure(measure_.get());
     std::unique_ptr<FlatSemanticTable> flat_sem;
     if (info.kind != kernels::SemKind::kVirtual) {
       flat_sem = std::make_unique<FlatSemanticTable>(
           FlatSemanticTable::Build(*info.context));
     }
-    flat.AttachFlatKernel(flat_sem.get(), &transitions);
+    flat.AttachFlatKernel(flat_sem.get());
 
     SemSimMcOptions unpruned{cfg_.mc.decay, 0.0};
     double bias = DifferentialBias(cfg_.mc.decay, cfg_.walks.walk_length,
@@ -457,16 +458,17 @@ class InstanceRunner {
       std::string pair_tag =
           "(" + std::to_string(u) + "," + std::to_string(v) + ")";
 
-      // D: flat kernels are bit-identical to the generic path, pruned
-      // and unpruned, and the devirtualized sem matches the measure.
-      double gen0 = generic.Query(u, v, unpruned);
-      CheckBit("flat-vs-generic", "Query theta=0 " + pair_tag,
-               flat.Query(u, v, unpruned), gen0);
-      double gen_theta = generic.Query(u, v, cfg_.mc);
-      CheckBit("flat-vs-generic",
+      // D: the devirtualized semantic policy is bit-identical to the
+      // VirtualSem oracle, pruned and unpruned, and the devirtualized
+      // sem matches the measure.
+      double virt0 = virt.Query(u, v, unpruned);
+      CheckBit("flat-vs-virtual", "Query theta=0 " + pair_tag,
+               flat.Query(u, v, unpruned), virt0);
+      double virt_theta = virt.Query(u, v, cfg_.mc);
+      CheckBit("flat-vs-virtual",
                "Query theta=" + FormatDouble(cfg_.mc.theta) + " " + pair_tag,
-               flat.Query(u, v, cfg_.mc), gen_theta);
-      CheckBit("flat-vs-generic", "SemValue " + pair_tag,
+               flat.Query(u, v, cfg_.mc), virt_theta);
+      CheckBit("flat-vs-virtual", "SemValue " + pair_tag,
                flat.SemValue(u, v), measure_->Sim(u, v));
 
       // E: Query decomposes into CoupledWalkScore samples — replaying
@@ -475,7 +477,7 @@ class InstanceRunner {
       std::vector<double> samples;
       if (u != v) {
         SemSimMcEstimator::QueryContext context;
-        double sem_uv = generic.SemValue(u, v);
+        double sem_uv = virt.SemValue(u, v);
         double total = 0.0;
         samples.reserve(static_cast<size_t>(walks_->num_walks()));
         for (int w = 0; w < walks_->num_walks(); ++w) {
@@ -485,7 +487,7 @@ class InstanceRunner {
             continue;
           }
           double score =
-              generic.CoupledWalkScore(u, v, w, meet, unpruned, &context);
+              virt.CoupledWalkScore(u, v, w, meet, unpruned, &context);
           total += score;
           samples.push_back(sem_uv * score);
         }
@@ -493,7 +495,7 @@ class InstanceRunner {
             sem_uv * total / static_cast<double>(walks_->num_walks());
         CheckBit("walk-recomposition",
                  "sem*sum(CoupledWalkScore)/n_w vs Query " + pair_tag,
-                 recomposed, gen0);
+                 recomposed, virt0);
       }
 
       // F: unpruned MC within the Hoeffding/CLT band of the oracle.
@@ -501,7 +503,7 @@ class InstanceRunner {
         double max_sample = 0.0;
         for (double s : samples) max_sample = std::max(max_sample, s);
         std::string msg = CheckWithinStatBand(
-            gen0, oracle_->at(u, v), samples, std::max(1.0, max_sample),
+            virt0, oracle_->at(u, v), samples, std::max(1.0, max_sample),
             opt_.delta, bias + 1e-12, "MC vs oracle " + pair_tag);
         ++report_.stat_checks;
         if (!msg.empty()) AddViolation("mc-vs-oracle", msg);
@@ -511,7 +513,7 @@ class InstanceRunner {
       // sem-prune branch, both of which drop at most θ of mass).
       if (cfg_.mc.theta > 0) {
         CheckNear("pruning-bound",
-                  "theta-pruned vs unpruned " + pair_tag, gen_theta, gen0,
+                  "theta-pruned vs unpruned " + pair_tag, virt_theta, virt0,
                   cfg_.mc.theta + 1e-12);
       }
     }
@@ -519,99 +521,86 @@ class InstanceRunner {
 
   // ---- H-I: the batch engine ----------------------------------------------
 
-  Result<BatchQueryEngine> MakeEngine(QueryKernel kernel, int threads) const {
+  Result<BatchQueryEngine> MakeEngine(int threads) const {
     BatchQueryEngineOptions opt;
     opt.num_threads = threads;
-    opt.query.kernel = kernel;
     opt.query.mc = cfg_.mc;
     return BatchQueryEngine::Create(hin_.get(), measure_.get(), walks_.get(),
                                     opt);
   }
 
   void CheckEngines() {
-    Result<BatchQueryEngine> gen1 = MakeEngine(QueryKernel::kGeneric, 1);
-    Result<BatchQueryEngine> flat1 = MakeEngine(QueryKernel::kFlat, 1);
-    Result<BatchQueryEngine> flatN =
-        MakeEngine(QueryKernel::kFlat, cfg_.threads);
-    if (!gen1.ok() || !flat1.ok() || !flatN.ok()) {
+    Result<BatchQueryEngine> eng1 = MakeEngine(1);
+    Result<BatchQueryEngine> engN = MakeEngine(cfg_.threads);
+    if (!eng1.ok() || !engN.ok()) {
       AddViolation("engine-create",
-                   (!gen1.ok() ? gen1.status() : !flat1.ok() ? flat1.status()
-                                                             : flatN.status())
-                       .ToString());
+                   (!eng1.ok() ? eng1.status() : engN.status()).ToString());
       return;
     }
-    gen1_ = std::make_unique<BatchQueryEngine>(std::move(gen1).value());
-    flat1_ = std::make_unique<BatchQueryEngine>(std::move(flat1).value());
-    flatN_ = std::make_unique<BatchQueryEngine>(std::move(flatN).value());
+    eng1_ = std::make_unique<BatchQueryEngine>(std::move(eng1).value());
+    engN_ = std::make_unique<BatchQueryEngine>(std::move(engN).value());
 
     // H: the engine's batch answer equals its own estimator queried
-    // serially, pair by pair (the QueryBatch contract).
-    std::vector<double> reference = gen1_->QueryBatch(pairs_).values;
+    // serially, pair by pair (the QueryBatch contract). The 1-thread
+    // cold run is the reference of check I.
+    std::vector<double> reference = eng1_->QueryBatch(pairs_).values;
     for (size_t i = 0; i < pairs_.size() && !suppressed_; ++i) {
       CheckBit("engine-batch-vs-serial",
                "QueryBatch[" + std::to_string(i) + "] vs estimator().Query",
                reference[i],
-               gen1_->estimator().Query(pairs_[i].first, pairs_[i].second,
+               eng1_->estimator().Query(pairs_[i].first, pairs_[i].second,
                                         cfg_.mc));
     }
 
-    // I: kernels, thread counts, and cache history never change batch
-    // results. Two rounds per engine exercise warm-cache replays; the
-    // self-test hook perturbs the first flat round so harness unit tests
-    // can prove a deviation is caught and reported with a repro line.
-    std::vector<double> flat_round1 = flat1_->QueryBatch(pairs_).values;
-    if (opt_.self_test_perturbation != 0.0 && !flat_round1.empty()) {
-      flat_round1[0] += opt_.self_test_perturbation;
+    // I: thread counts and cache history never change batch results.
+    // A second round per engine replays with warm caches; the self-test
+    // hook perturbs the N-thread cold round so harness unit tests can
+    // prove a deviation is caught and reported with a repro line.
+    std::vector<double> n_round1 = engN_->QueryBatch(pairs_).values;
+    if (opt_.self_test_perturbation != 0.0 && !n_round1.empty()) {
+      n_round1[0] += opt_.self_test_perturbation;
     }
     CompareVectorsBit("engine-equivalence",
-                      "flat 1-thread round 1 vs generic", flat_round1,
+                      "N-thread round 1 vs 1-thread round 1", n_round1,
                       reference);
     CompareVectorsBit("engine-equivalence",
-                      "flat 1-thread round 2 (warm caches) vs generic",
-                      flat1_->QueryBatch(pairs_).values, reference);
+                      "1-thread round 2 (warm caches) vs 1-thread round 1",
+                      eng1_->QueryBatch(pairs_).values, reference);
     CompareVectorsBit("engine-equivalence",
-                      "flat N-thread round 1 vs generic",
-                      flatN_->QueryBatch(pairs_).values, reference);
-    CompareVectorsBit("engine-equivalence",
-                      "flat N-thread round 2 (warm caches) vs generic",
-                      flatN_->QueryBatch(pairs_).values, reference);
+                      "N-thread round 2 (warm caches) vs 1-thread round 1",
+                      engN_->QueryBatch(pairs_).values, reference);
   }
 
   // ---- J-L: single-source and top-k ---------------------------------------
 
   void CheckSingleSourceAndTopK() {
-    if (!gen1_ || !flat1_ || !flatN_) return;
+    if (!eng1_ || !engN_) return;
 
-    std::vector<std::vector<double>> rows_gen =
-        gen1_->SingleSourceBatch(sources_).values;
-    std::vector<std::vector<double>> rows_flat1 =
-        flat1_->SingleSourceBatch(sources_).values;
-    std::vector<std::vector<double>> rows_flatN =
-        flatN_->SingleSourceBatch(sources_).values;
+    std::vector<std::vector<double>> rows_1 =
+        eng1_->SingleSourceBatch(sources_).values;
+    std::vector<std::vector<double>> rows_N =
+        engN_->SingleSourceBatch(sources_).values;
 
     for (size_t i = 0; i < sources_.size() && !suppressed_; ++i) {
       NodeId u = sources_[i];
       std::string src_tag = "source " + std::to_string(u);
 
-      // J: the inverted sweep is bit-stable across kernels and thread
-      // counts, and matches per-pair Query up to the documented
-      // summation-order band.
+      // J: the inverted sweep is bit-stable across thread counts, and
+      // matches per-pair Query up to the documented summation-order
+      // band.
       CompareVectorsBit("single-source-equivalence",
-                        src_tag + ": flat 1-thread vs generic",
-                        rows_flat1[i], rows_gen[i]);
-      CompareVectorsBit("single-source-equivalence",
-                        src_tag + ": flat N-thread vs flat 1-thread",
-                        rows_flatN[i], rows_flat1[i]);
+                        src_tag + ": N-thread vs 1-thread", rows_N[i],
+                        rows_1[i]);
       CheckBit("single-source-vs-query", src_tag + ": self score",
-               rows_gen[i][u], 1.0);
+               rows_1[i][u], 1.0);
       size_t n = hin_->num_nodes();
       for (NodeId v = 0; v < n && !suppressed_; ++v) {
         if (v == u) continue;
         CheckNear("single-source-vs-query",
                   src_tag + ": scores[" + std::to_string(v) +
                       "] vs per-pair Query",
-                  rows_gen[i][v],
-                  gen1_->estimator().Query(u, v, cfg_.mc), 1e-10);
+                  rows_1[i][v],
+                  eng1_->estimator().Query(u, v, cfg_.mc), 1e-10);
       }
     }
 
@@ -619,11 +608,11 @@ class InstanceRunner {
     // rows (score descending, node ascending, query excluded).
     size_t k = static_cast<size_t>(cfg_.top_k);
     std::vector<std::vector<Scored>> topk =
-        flatN_->TopKBatch(sources_, k).values;
+        engN_->TopKBatch(sources_, k).values;
     for (size_t i = 0; i < sources_.size() && !suppressed_; ++i) {
       ++report_.bit_checks;
       std::string msg = CheckTopKMatchesScores(
-          topk[i], rows_flatN[i], sources_[i], k,
+          topk[i], rows_N[i], sources_[i], k,
           "TopKBatch vs SingleSourceBatch, source " +
               std::to_string(sources_[i]));
       if (!msg.empty()) AddViolation("topk-structure", msg);
@@ -643,7 +632,7 @@ class InstanceRunner {
         oracle_row[v] = oracle_->at(u, v);
         if (v != u) {
           max_dev =
-              std::max(max_dev, std::abs(rows_flatN[i][v] - oracle_row[v]));
+              std::max(max_dev, std::abs(rows_N[i][v] - oracle_row[v]));
         }
       }
       ++report_.stat_checks;
@@ -722,30 +711,27 @@ class InstanceRunner {
       AddViolation("artifact-roundtrip",
                    "inverted-index fingerprints differ between Load and Map");
     }
+    QueryScratch scratch;
+    std::vector<double> row_mapped, row_loaded;
     for (size_t i = 0; i < sources_.size() && !suppressed_; ++i) {
       NodeId u = sources_[i];
+      inv_mapped.SemSimFromInto(u, est_mapped, cfg_.mc, scratch, row_mapped);
+      inv_loaded.SemSimFromInto(u, est_loaded, cfg_.mc, scratch, row_loaded);
       CompareVectorsBit(
           "artifact-roundtrip",
           "source " + std::to_string(u) + ": mapped sweep vs loaded sweep",
-          inv_mapped.SemSimFrom(u, est_mapped, cfg_.mc),
-          inv_loaded.SemSimFrom(u, est_loaded, cfg_.mc));
+          row_mapped, row_loaded);
     }
     std::remove(path.c_str());
   }
 
-  // ---- N: walk-sampler equivalence ----------------------------------------
+  // ---- N: walk-sampler determinism --------------------------------------
 
-  // The alias sampler index must be a pure function of the graph
-  // (thread-count invariant), must be inert when the proposal is
-  // uniform, and — on weighted instances — the legacy scan sampler must
-  // estimate the same quantity as the alias default within the
-  // statistical band (the two target the identical distribution through
-  // different RNG-stream recipes, so their walks differ bit-wise by
-  // design; check F covers the alias walks, this covers scan).
-  void CheckSamplerEquivalence() {
+  // The alias sampler index must be a pure function of the graph:
+  // serial and N-thread builds produce identical bytes. (Check F already
+  // holds the alias-sampled walks against the oracle.)
+  void CheckSamplerDeterminism() {
     if (suppressed_) return;
-
-    // N1: serial and N-thread alias builds produce identical bytes.
     NodeSamplerIndex serial =
         NodeSamplerIndex::Build(*hin_, SampleDirection::kIn);
     ThreadPool pool(cfg_.threads);
@@ -757,71 +743,6 @@ class InstanceRunner {
                    "NodeSamplerIndex fingerprint differs between the serial "
                    "and the " +
                        std::to_string(cfg_.threads) + "-thread build");
-    }
-
-    WalkIndexOptions scan_opt = cfg_.walks;
-    scan_opt.sampler = SamplerKind::kScan;
-    WalkIndex scan_walks = WalkIndex::Build(*hin_, scan_opt);
-    size_t n = hin_->num_nodes();
-
-    if (!cfg_.walks.weighted) {
-      // N2: with a uniform proposal the sampler choice must be inert —
-      // scan and alias builds agree bit for bit.
-      ++report_.bit_checks;
-      size_t step_bytes =
-          static_cast<size_t>(walks_->walk_length()) * sizeof(NodeId);
-      for (NodeId v = 0; v < n; ++v) {
-        for (int w = 0; w < walks_->num_walks(); ++w) {
-          if (std::memcmp(scan_walks.WalkData(v, w), walks_->WalkData(v, w),
-                          step_bytes) != 0 ||
-              scan_walks.WalkLiveLength(v, w) != walks_->WalkLiveLength(v, w)) {
-            AddViolation("sampler-uniform-identity",
-                         "uniform-Q walks differ between kScan and kAlias "
-                         "builds at node " +
-                             std::to_string(v) + " walk " + std::to_string(w));
-            return;
-          }
-        }
-      }
-      return;
-    }
-
-    // N3: the scan-sampled estimator stays within the Hoeffding/CLT
-    // band of the oracle on the replayed pairs (weighted-Q instances
-    // are always band-sound: the proposal matches the weights).
-    if (!oracle_) return;
-    SemSimMcEstimator scan_est(hin_.get(), measure_.get(), &scan_walks);
-    SemSimMcOptions unpruned{cfg_.mc.decay, 0.0};
-    double bias = DifferentialBias(cfg_.mc.decay, cfg_.walks.walk_length,
-                                   cfg_.oracle_iterations, 0.0);
-    std::vector<double> samples;
-    for (const NodePair& p : pairs_) {
-      if (suppressed_) return;
-      NodeId u = p.first, v = p.second;
-      if (u == v) continue;
-      SemSimMcEstimator::QueryContext context;
-      double sem_uv = scan_est.SemValue(u, v);
-      samples.clear();
-      double max_sample = 0.0;
-      for (int w = 0; w < scan_walks.num_walks(); ++w) {
-        int meet = FirstMeetingStep(scan_walks, u, v, w);
-        if (meet < 0) {
-          samples.push_back(0.0);
-          continue;
-        }
-        double score =
-            scan_est.CoupledWalkScore(u, v, w, meet, unpruned, &context);
-        samples.push_back(sem_uv * score);
-        max_sample = std::max(max_sample, samples.back());
-      }
-      std::string pair_tag =
-          "(" + std::to_string(u) + "," + std::to_string(v) + ")";
-      std::string msg = CheckWithinStatBand(
-          scan_est.Query(u, v, unpruned), oracle_->at(u, v), samples,
-          std::max(1.0, max_sample), opt_.delta, bias + 1e-12,
-          "scan-sampler MC vs oracle " + pair_tag);
-      ++report_.stat_checks;
-      if (!msg.empty()) AddViolation("scan-sampler-vs-oracle", msg);
     }
   }
 
@@ -869,9 +790,8 @@ class InstanceRunner {
   std::unique_ptr<SemanticMeasure> measure_;
   std::unique_ptr<WalkIndex> walks_;
   std::unique_ptr<ScoreMatrix> oracle_;
-  std::unique_ptr<BatchQueryEngine> gen1_;
-  std::unique_ptr<BatchQueryEngine> flat1_;
-  std::unique_ptr<BatchQueryEngine> flatN_;
+  std::unique_ptr<BatchQueryEngine> eng1_;
+  std::unique_ptr<BatchQueryEngine> engN_;
   std::vector<NodePair> pairs_;
   std::vector<NodeId> sources_;
 };

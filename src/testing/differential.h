@@ -63,9 +63,9 @@ struct DifferentialOptions {
   /// Print per-instance progress to stderr.
   bool verbose = false;
   /// Self-test hook ("testing the tester"): added to the first element
-  /// of the flat engine's batch results before comparison, so unit tests
-  /// can prove a real deviation produces a violation with a usable repro
-  /// line. 0 in all real runs.
+  /// of the N-thread engine's batch results before comparison, so unit
+  /// tests can prove a real deviation produces a violation with a usable
+  /// repro line. 0 in all real runs.
   double self_test_perturbation = 0.0;
 };
 
@@ -100,17 +100,14 @@ double DifferentialBias(double decay, int walk_length, int oracle_iterations,
 
 /// Generates the instance for `config` and replays the same query set
 /// through the exact iterative oracle (naive and partial-sums sweeps, 1
-/// and N threads), the generic- and flat-kernel MC estimators, the
-/// BatchQueryEngine (generic and flat, 1 and N threads, repeated
+/// and N threads), the MC estimator with virtual and devirtualized
+/// semantics, the BatchQueryEngine (1 and N threads, cold and warm
 /// rounds), the single-source sweep and top-k, a serving-artifact
 /// round-trip (Save, then Load and zero-copy Map, compared bit for bit
-/// through the single-source stack), and the walk-sampler equivalence
-/// checks (alias builds thread-count-pinned by fingerprint; kScan and
-/// kAlias bit-identical under a uniform proposal and band-equivalent
-/// against the oracle under a weighted one) — asserting bit-identity where
-/// DESIGN.md promises it and Hoeffding/CLT tolerance bands where the
-/// guarantee is statistical (see DESIGN.md §9 for the full check
-/// matrix).
+/// through the single-source stack), and the alias sampler's
+/// thread-count pin — asserting bit-identity where DESIGN.md promises it
+/// and Hoeffding/CLT tolerance bands where the guarantee is statistical
+/// (see DESIGN.md §9 for the full check matrix).
 DifferentialReport RunDifferentialInstance(const DifferentialConfig& config,
                                            const DifferentialOptions& options);
 

@@ -148,8 +148,10 @@ TEST(BatchQuery, SingleSourceBatchMatchesSerialSweeps) {
   std::vector<NodeId> sources = {0, 3, 7, 11, 0, 3};
   auto batch = engine.SingleSourceBatch(sources).values;
   ASSERT_EQ(batch.size(), sources.size());
+  QueryScratch scratch;
+  std::vector<double> serial;
   for (size_t i = 0; i < sources.size(); ++i) {
-    std::vector<double> serial = inverted.SemSimFrom(sources[i], plain, mc);
+    inverted.SemSimFromInto(sources[i], plain, mc, scratch, serial);
     ASSERT_EQ(batch[i].size(), serial.size());
     for (size_t v = 0; v < serial.size(); ++v) {
       ASSERT_EQ(batch[i][v], serial[v]) << "source=" << sources[i];
@@ -176,8 +178,10 @@ TEST(BatchQuery, TopKBatchMatchesSerialTopK) {
   }
   auto batch = engine.TopKBatch(sources, 3).values;
   ASSERT_EQ(batch.size(), sources.size());
+  QueryScratch scratch;
   for (size_t i = 0; i < sources.size(); ++i) {
-    std::vector<Scored> serial = inverted.TopKFrom(sources[i], 3, plain, mc);
+    std::vector<Scored> serial =
+        inverted.TopKFrom(sources[i], 3, plain, mc, scratch);
     ASSERT_EQ(batch[i].size(), serial.size());
     for (size_t j = 0; j < serial.size(); ++j) {
       EXPECT_EQ(batch[i][j].node, serial[j].node);

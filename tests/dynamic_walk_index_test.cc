@@ -142,7 +142,7 @@ TEST(DynamicWalkIndex, UpdatedIndexMatchesFreshIndexStatistically) {
 }
 
 TEST(DynamicWalkIndex, WeightedAliasUpdateKeepsWalksValidAndUnbiased) {
-  // Weighted proposal on the alias (default) path: Update must lazily
+  // Weighted proposal (alias-sampled steps): Update must lazily
   // build the sampler over the new graph, keep every resampled suffix a
   // valid weighted walk, and stay statistically indistinguishable from
   // a fresh weighted build.
@@ -152,7 +152,6 @@ TEST(DynamicWalkIndex, WeightedAliasUpdateKeepsWalksValidAndUnbiased) {
   opt.walk_length = 10;
   opt.seed = 33;
   opt.weighted = true;
-  ASSERT_EQ(opt.sampler, SamplerKind::kAlias);
   DynamicWalkIndex dyn = DynamicWalkIndex::Build(&w.graph, opt);
 
   HinBuilder builder = w.graph.ToBuilder();

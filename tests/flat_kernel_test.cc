@@ -11,7 +11,6 @@
 #include "core/walk_index.h"
 #include "datasets/aminer_gen.h"
 #include "datasets/figure1.h"
-#include "graph/transition_table.h"
 #include "taxonomy/flat_semantic_table.h"
 #include "taxonomy/semantic_measure.h"
 #include "tests/test_util.h"
@@ -113,7 +112,7 @@ TEST(MeasureClassification, DetectsFlattenableMeasuresThroughCache) {
 
 // ---------------------------------------------------------------------------
 // Layer 2: estimator-level bit-equality — single-pair, single-source and
-// top-k answers are identical with and without the flat kernels.
+// top-k answers are identical with devirtualized and virtual semantics.
 // ---------------------------------------------------------------------------
 
 template <typename Measure>
@@ -121,22 +120,21 @@ void CheckEstimatorEquivalence(const Dataset& d, const char* flat_name) {
   Measure measure(&d.context);
   WalkIndex index = WalkIndex::Build(d.graph,
                                      WalkIndexOptions{40, 8, 13, false});
-  TransitionTable transitions = TransitionTable::Build(d.graph);
   FlatSemanticTable semantics = FlatSemanticTable::Build(d.context);
 
-  SemSimMcEstimator generic(&d.graph, &measure, &index);
+  SemSimMcEstimator virt(&d.graph, &measure, &index);
   SemSimMcEstimator flat(&d.graph, &measure, &index);
-  ASSERT_TRUE(flat.AttachFlatKernel(&semantics, &transitions));
-  EXPECT_TRUE(flat.flat());
+  ASSERT_TRUE(flat.AttachFlatKernel(&semantics));
   EXPECT_EQ(flat.sem_kernel_name(), flat_name);
-  EXPECT_EQ(generic.sem_kernel_name(), "virtual");
+  EXPECT_EQ(virt.sem_kernel_name(), "virtual");
+  EXPECT_EQ(flat.transition_table().num_nodes(), d.graph.num_nodes());
 
   std::vector<NodePair> pairs = MakePairs(d.graph.num_nodes(), 150);
   for (double theta : {0.0, 0.05}) {
     SemSimMcOptions opt{0.6, theta};
     for (const NodePair& p : pairs) {
       ASSERT_EQ(flat.Query(p.first, p.second, opt),
-                generic.Query(p.first, p.second, opt))
+                virt.Query(p.first, p.second, opt))
           << "pair (" << p.first << "," << p.second << ") theta " << theta;
       ASSERT_EQ(flat.SemValue(p.first, p.second),
                 measure.Sim(p.first, p.second));
@@ -146,26 +144,29 @@ void CheckEstimatorEquivalence(const Dataset& d, const char* flat_name) {
   SingleSourceIndex inverted =
       SingleSourceIndex::Build(index, d.graph.num_nodes());
   SemSimMcOptions opt{0.6, 0.05};
+  QueryScratch flat_scratch, virt_scratch;
+  std::vector<double> sf, sv;
   for (NodeId u = 0; u < d.graph.num_nodes();
        u += 1 + d.graph.num_nodes() / 8) {
-    std::vector<double> sf = inverted.SemSimFrom(u, flat, opt);
-    std::vector<double> sg = inverted.SemSimFrom(u, generic, opt);
-    ASSERT_EQ(sf.size(), sg.size());
-    for (size_t v = 0; v < sf.size(); ++v) ASSERT_EQ(sf[v], sg[v]);
-    std::vector<Scored> tf = inverted.TopKFrom(u, 10, flat, opt);
-    std::vector<Scored> tg = inverted.TopKFrom(u, 10, generic, opt);
-    ASSERT_EQ(tf.size(), tg.size());
+    inverted.SemSimFromInto(u, flat, opt, flat_scratch, sf);
+    inverted.SemSimFromInto(u, virt, opt, virt_scratch, sv);
+    ASSERT_EQ(sf.size(), sv.size());
+    for (size_t v = 0; v < sf.size(); ++v) ASSERT_EQ(sf[v], sv[v]);
+    std::vector<Scored> tf = inverted.TopKFrom(u, 10, flat, opt, flat_scratch);
+    std::vector<Scored> tv = inverted.TopKFrom(u, 10, virt, opt, virt_scratch);
+    ASSERT_EQ(tf.size(), tv.size());
     for (size_t i = 0; i < tf.size(); ++i) {
-      ASSERT_EQ(tf[i].node, tg[i].node);
-      ASSERT_EQ(tf[i].score, tg[i].score);
+      ASSERT_EQ(tf[i].node, tv[i].node);
+      ASSERT_EQ(tf[i].score, tv[i].score);
     }
   }
 
-  // Detach restores the generic path (still bit-identical, of course).
-  flat.DetachFlatKernel();
-  EXPECT_FALSE(flat.flat());
+  // Re-attaching nothing restores the virtual path (still bit-identical,
+  // of course).
+  EXPECT_FALSE(flat.AttachFlatKernel(nullptr));
+  EXPECT_EQ(flat.sem_kernel_name(), "virtual");
   ASSERT_EQ(flat.Query(pairs[0].first, pairs[0].second, opt),
-            generic.Query(pairs[0].first, pairs[0].second, opt));
+            virt.Query(pairs[0].first, pairs[0].second, opt));
 }
 
 TEST(FlatKernelEstimator, LinBitIdentical) {
@@ -188,36 +189,35 @@ TEST(FlatKernelEstimator, PathBitIdentical) {
   CheckEstimatorEquivalence<PathMeasure>(Aminer(), "flat-path");
 }
 
-TEST(FlatKernelEstimator, TransitionTableOnlyFallbackForJiangConrath) {
+TEST(FlatKernelEstimator, JiangConrathStaysVirtual) {
   // JiangConrath has no flat kernel: AttachFlatKernel must keep the
-  // virtual semantics, still use the transition table, and still be
-  // bit-identical to the fully generic path.
+  // virtual semantics even when handed a table.
   Dataset d = Figure1();
   JiangConrathMeasure measure(&d.context);
   WalkIndex index = WalkIndex::Build(d.graph,
                                      WalkIndexOptions{40, 8, 13, false});
-  TransitionTable transitions = TransitionTable::Build(d.graph);
+  FlatSemanticTable semantics = FlatSemanticTable::Build(d.context);
 
-  SemSimMcEstimator generic(&d.graph, &measure, &index);
+  SemSimMcEstimator virt(&d.graph, &measure, &index);
   SemSimMcEstimator flat(&d.graph, &measure, &index);
-  EXPECT_FALSE(flat.AttachFlatKernel(nullptr, &transitions));
-  EXPECT_TRUE(flat.flat());
+  EXPECT_FALSE(flat.AttachFlatKernel(&semantics));
   EXPECT_EQ(flat.sem_kernel_name(), "virtual");
 
   SemSimMcOptions opt{0.6, 0.05};
   for (const NodePair& p : MakePairs(d.graph.num_nodes(), 100)) {
     ASSERT_EQ(flat.Query(p.first, p.second, opt),
-              generic.Query(p.first, p.second, opt));
+              virt.Query(p.first, p.second, opt));
   }
 }
 
 // ---------------------------------------------------------------------------
-// Layer 3: engine-level bit-equality — a kFlat BatchQueryEngine and a
-// kGeneric one return identical batches at 1, 2 and 8 threads, across
+// Layer 3: engine-level bit-equality — a BatchQueryEngine (devirtualized
+// semantics, shared caches) returns at 1, 2 and 8 threads exactly what a
+// bare estimator with virtual semantics returns serially, across
 // repeated rounds (cache history must not matter).
 // ---------------------------------------------------------------------------
 
-TEST(FlatKernelEngine, BatchesBitIdenticalAcrossKernelsAndThreads) {
+TEST(FlatKernelEngine, BatchesMatchVirtualEstimatorAcrossThreads) {
   for (const Dataset& d : {Figure1(), Aminer()}) {
     LinMeasure lin(&d.context);
     WalkIndex index = WalkIndex::Build(d.graph,
@@ -229,21 +229,26 @@ TEST(FlatKernelEngine, BatchesBitIdenticalAcrossKernelsAndThreads) {
       sources.push_back(u);
     }
 
-    BatchQueryEngineOptions generic_opt;
-    generic_opt.num_threads = 1;
-    generic_opt.query.kernel = QueryKernel::kGeneric;
-    BatchQueryEngine reference = testutil::Unwrap(
-        BatchQueryEngine::Create(&d.graph, &lin, &index, generic_opt));
-    EXPECT_EQ(reference.kernel_name(), "generic");
-    EXPECT_EQ(reference.transition_table(), nullptr);
-    std::vector<double> want = reference.QueryBatch(pairs).values;
-    auto want_sources = reference.SingleSourceBatch(sources).values;
-    auto want_topk = reference.TopKBatch(sources, 10).values;
+    SemSimMcOptions mc = BatchQueryEngineOptions().query.mc;
+    SemSimMcEstimator virt(&d.graph, &lin, &index);
+    SingleSourceIndex inverted =
+        SingleSourceIndex::Build(index, d.graph.num_nodes());
+    std::vector<double> want;
+    for (const NodePair& p : pairs) {
+      want.push_back(virt.Query(p.first, p.second, mc));
+    }
+    std::vector<std::vector<double>> want_sources;
+    std::vector<std::vector<Scored>> want_topk;
+    QueryScratch scratch;
+    for (NodeId u : sources) {
+      want_sources.emplace_back();
+      inverted.SemSimFromInto(u, virt, mc, scratch, want_sources.back());
+      want_topk.push_back(inverted.TopKFrom(u, 10, virt, mc, scratch));
+    }
 
     for (int threads : {1, 2, 8}) {
       BatchQueryEngineOptions opt;
       opt.num_threads = threads;
-      opt.query.kernel = QueryKernel::kFlat;
       BatchQueryEngine engine = testutil::Unwrap(
           BatchQueryEngine::Create(&d.graph, &lin, &index, opt));
       EXPECT_EQ(engine.kernel_name(), "flat+flat-lin");
@@ -285,25 +290,21 @@ TEST(FlatKernelEngine, ConstantMeasureFallsBackToVirtual) {
   ConstantMeasure constant;
   WalkIndex index = WalkIndex::Build(d.graph,
                                      WalkIndexOptions{30, 8, 13, false});
-  BatchQueryEngineOptions flat_opt;
-  flat_opt.num_threads = 2;
-  flat_opt.query.kernel = QueryKernel::kFlat;
-  BatchQueryEngine flat_engine = testutil::Unwrap(
-      BatchQueryEngine::Create(&d.graph, &constant, &index, flat_opt));
-  EXPECT_EQ(flat_engine.kernel_name(), "flat+virtual");
-  EXPECT_EQ(flat_engine.flat_semantic_table(), nullptr);
-  ASSERT_NE(flat_engine.transition_table(), nullptr);
+  BatchQueryEngineOptions opt;
+  opt.num_threads = 2;
+  BatchQueryEngine engine = testutil::Unwrap(
+      BatchQueryEngine::Create(&d.graph, &constant, &index, opt));
+  EXPECT_EQ(engine.kernel_name(), "flat+virtual");
+  EXPECT_EQ(engine.flat_semantic_table(), nullptr);
+  ASSERT_NE(engine.transition_table(), nullptr);
 
-  BatchQueryEngineOptions generic_opt;
-  generic_opt.num_threads = 2;
-  generic_opt.query.kernel = QueryKernel::kGeneric;
-  BatchQueryEngine generic_engine = testutil::Unwrap(
-      BatchQueryEngine::Create(&d.graph, &constant, &index, generic_opt));
-
+  SemSimMcEstimator virt(&d.graph, &constant, &index);
   std::vector<NodePair> pairs = MakePairs(d.graph.num_nodes(), 120);
-  std::vector<double> got = flat_engine.QueryBatch(pairs).values;
-  std::vector<double> want = generic_engine.QueryBatch(pairs).values;
-  for (size_t i = 0; i < got.size(); ++i) ASSERT_EQ(got[i], want[i]);
+  std::vector<double> got = engine.QueryBatch(pairs).values;
+  for (size_t i = 0; i < got.size(); ++i) {
+    ASSERT_EQ(got[i], virt.Query(pairs[i].first, pairs[i].second,
+                                 opt.query.mc));
+  }
 }
 
 }  // namespace

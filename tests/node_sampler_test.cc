@@ -15,7 +15,6 @@
 namespace semsim {
 namespace {
 
-using testutil::MakeSmallWorld;
 using testutil::Unwrap;
 
 // A directed graph with one skewed-weight node, one uniform-weight
@@ -185,8 +184,8 @@ TEST(NodeSamplerIndex, BuildRecordsMetrics) {
 }
 
 // ---------------------------------------------------------------------------
-// WalkIndex integration: the alias path keeps every determinism promise
-// the scan path makes.
+// WalkIndex integration: alias-sampled walk builds are thread-count
+// invariant and follow the exact edge weights.
 // ---------------------------------------------------------------------------
 
 void ExpectSameWalks(const WalkIndex& a, const WalkIndex& b, size_t n) {
@@ -208,7 +207,6 @@ TEST(NodeSamplerIndex, AliasWalkBuildBitIdenticalAcrossThreadCounts) {
   opt.walk_length = 10;
   opt.seed = 99;
   opt.weighted = true;
-  opt.sampler = SamplerKind::kAlias;
   opt.num_threads = 1;
   WalkIndex one = WalkIndex::Build(graph, opt);
   for (int threads : {2, 8}) {
@@ -218,25 +216,9 @@ TEST(NodeSamplerIndex, AliasWalkBuildBitIdenticalAcrossThreadCounts) {
   }
 }
 
-TEST(NodeSamplerIndex, SamplerChoiceInertForUniformProposal) {
-  auto w = MakeSmallWorld();
-  WalkIndexOptions opt;
-  opt.num_walks = 25;
-  opt.walk_length = 8;
-  opt.seed = 7;
-  opt.weighted = false;
-  opt.sampler = SamplerKind::kAlias;
-  WalkIndex alias = WalkIndex::Build(w.graph, opt);
-  opt.sampler = SamplerKind::kScan;
-  WalkIndex scan = WalkIndex::Build(w.graph, opt);
-  ExpectSameWalks(alias, scan, w.graph.num_nodes());
-}
-
-TEST(NodeSamplerIndex, WeightedAliasAndScanAgreeStatistically) {
-  // The two samplers consume the RNG stream differently, so their walks
-  // differ bit-wise — but first-step frequencies must match the same
-  // weight distribution. s2's only in-neighborhood is hub's weighted
-  // row; compare the empirical first-step histogram from hub instead:
+TEST(NodeSamplerIndex, WeightedWalkFirstStepsMatchExactWeights) {
+  // s2's only in-neighborhood is hub's weighted row; compare the
+  // empirical first-step histogram from hub instead: alias-sampled
   // walks from hub step to s0/s1/s2 proportionally to 1/3/6.
   auto w = MakeWeightedWorld();
   WalkIndexOptions opt;
@@ -244,24 +226,16 @@ TEST(NodeSamplerIndex, WeightedAliasAndScanAgreeStatistically) {
   opt.walk_length = 1;
   opt.seed = 61;
   opt.weighted = true;
-  auto first_step_counts = [&](SamplerKind kind) {
-    opt.sampler = kind;
-    WalkIndex walks = WalkIndex::Build(w.graph, opt);
-    std::vector<int> counts(w.graph.num_nodes(), 0);
-    for (int i = 0; i < opt.num_walks; ++i) {
-      EXPECT_EQ(walks.WalkLiveLength(w.hub, i), 1);
-      ++counts[walks.WalkData(w.hub, i)[0]];
-    }
-    return counts;
-  };
-  std::vector<int> alias_counts, scan_counts;
-  alias_counts = first_step_counts(SamplerKind::kAlias);
-  scan_counts = first_step_counts(SamplerKind::kScan);
+  WalkIndex walks = WalkIndex::Build(w.graph, opt);
+  std::vector<int> counts(w.graph.num_nodes(), 0);
+  for (int i = 0; i < opt.num_walks; ++i) {
+    EXPECT_EQ(walks.WalkLiveLength(w.hub, i), 1);
+    ++counts[walks.WalkData(w.hub, i)[0]];
+  }
   for (NodeId v : {w.s0, w.s1, w.s2}) {
     double weight = v == w.s0 ? 1.0 : v == w.s1 ? 3.0 : 6.0;
     double expected = opt.num_walks * weight / 10.0;
-    EXPECT_NEAR(alias_counts[v], expected, opt.num_walks * 0.012) << v;
-    EXPECT_NEAR(scan_counts[v], expected, opt.num_walks * 0.012) << v;
+    EXPECT_NEAR(counts[v], expected, opt.num_walks * 0.012) << v;
   }
 }
 

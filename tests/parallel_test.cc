@@ -16,9 +16,9 @@ namespace {
 using testutil::MakeSmallWorld;
 using testutil::Unwrap;
 
-TEST(ParallelRunner, CoversRangeExactlyOnce) {
+TEST(ThreadPool, CoversRangeExactlyOnce) {
   for (int threads : {1, 2, 4, 7}) {
-    ParallelRunner runner(threads);
+    ThreadPool runner(threads);
     std::vector<std::atomic<int>> hits(100);
     runner.ParallelFor(0, 100, [&](size_t lo, size_t hi) {
       for (size_t i = lo; i < hi; ++i) hits[i].fetch_add(1);
@@ -27,15 +27,15 @@ TEST(ParallelRunner, CoversRangeExactlyOnce) {
   }
 }
 
-TEST(ParallelRunner, EmptyRangeIsNoOp) {
-  ParallelRunner runner(4);
+TEST(ThreadPool, EmptyRangeIsNoOp) {
+  ThreadPool runner(4);
   bool called = false;
   runner.ParallelFor(5, 5, [&](size_t, size_t) { called = true; });
   EXPECT_FALSE(called);
 }
 
-TEST(ParallelRunner, MoreThreadsThanWork) {
-  ParallelRunner runner(16);
+TEST(ThreadPool, MoreThreadsThanWork) {
+  ThreadPool runner(16);
   std::vector<std::atomic<int>> hits(3);
   runner.ParallelFor(0, 3, [&](size_t lo, size_t hi) {
     for (size_t i = lo; i < hi; ++i) hits[i].fetch_add(1);
@@ -43,8 +43,8 @@ TEST(ParallelRunner, MoreThreadsThanWork) {
   for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
-TEST(ParallelRunner, AutoThreadCountIsPositive) {
-  ParallelRunner runner(0);
+TEST(ThreadPool, AutoThreadCountIsPositive) {
+  ThreadPool runner(0);
   EXPECT_GE(runner.num_threads(), 1);
 }
 

@@ -198,7 +198,9 @@ TEST(Cancellation, PreFiredTokenIsObservedMidSweep) {
   size_t polls_before = token.polls();
   SingleSourceIndex inverted =
       SingleSourceIndex::Build(f.index, f.dataset.graph.num_nodes());
-  std::vector<double> row = inverted.SemSimFrom(1, estimator, mc);
+  QueryScratch scratch;
+  std::vector<double> row;
+  inverted.SemSimFromInto(1, estimator, mc, scratch, row);
   EXPECT_GT(token.polls(), polls_before);
   // The sweep unwound before accumulating: only the self-score survives.
   for (NodeId v = 0; v < row.size(); ++v) {

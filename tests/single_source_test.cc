@@ -63,10 +63,12 @@ TEST_F(SingleSourceTest, SimRankFromMatchesPairQueries) {
 TEST_F(SingleSourceTest, SemSimFromMatchesPairQueries) {
   LinMeasure lin(&world_.context);
   SemSimMcEstimator estimator(&world_.graph, &lin, &index_);
+  QueryScratch scratch;
+  std::vector<double> scores;
   for (double theta : {0.0, 0.05}) {
     SemSimMcOptions opt{0.6, theta};
     for (NodeId u = 0; u < world_.graph.num_nodes(); ++u) {
-      std::vector<double> scores = inverted_.SemSimFrom(u, estimator, opt);
+      inverted_.SemSimFromInto(u, estimator, opt, scratch, scores);
       for (NodeId v = 0; v < world_.graph.num_nodes(); ++v) {
         EXPECT_NEAR(scores[v], estimator.Query(u, v, opt), 1e-10)
             << "theta=" << theta << " u=" << u << " v=" << v;
@@ -79,7 +81,8 @@ TEST_F(SingleSourceTest, TopKMatchesMcTopK) {
   LinMeasure lin(&world_.context);
   SemSimMcEstimator estimator(&world_.graph, &lin, &index_);
   SemSimMcOptions opt{0.6, 0.0};
-  auto fast = inverted_.TopKFrom(world_.a0, 4, estimator, opt);
+  QueryScratch scratch;
+  auto fast = inverted_.TopKFrom(world_.a0, 4, estimator, opt, scratch);
   auto slow = McTopK(estimator, world_.a0, 4, opt);
   ASSERT_EQ(fast.size(), slow.size());
   for (size_t i = 0; i < fast.size(); ++i) {
@@ -106,7 +109,7 @@ TEST_F(SingleSourceTest, ParallelBuildIsBitIdenticalAcrossThreadCounts) {
   }
 }
 
-TEST_F(SingleSourceTest, ScratchSweepsAreBitIdenticalToFreshAllocation) {
+TEST_F(SingleSourceTest, ReusedScratchSweepsAreBitIdenticalToFreshScratch) {
   LinMeasure lin(&world_.context);
   SemSimMcEstimator estimator(&world_.graph, &lin, &index_);
   QueryScratch scratch;
@@ -117,8 +120,10 @@ TEST_F(SingleSourceTest, ScratchSweepsAreBitIdenticalToFreshAllocation) {
     // stamping must fully isolate the queries.
     for (NodeId u = 0; u < world_.graph.num_nodes(); ++u) {
       McQueryStats fresh_stats, scratch_stats;
-      std::vector<double> fresh =
-          inverted_.SemSimFrom(u, estimator, opt, &fresh_stats);
+      QueryScratch fresh_scratch;
+      std::vector<double> fresh;
+      inverted_.SemSimFromInto(u, estimator, opt, fresh_scratch, fresh,
+                               &fresh_stats);
       inverted_.SemSimFromInto(u, estimator, opt, scratch, out,
                                &scratch_stats);
       ASSERT_EQ(out.size(), fresh.size());
@@ -135,13 +140,14 @@ TEST_F(SingleSourceTest, ScratchSweepsAreBitIdenticalToFreshAllocation) {
   }
 }
 
-TEST_F(SingleSourceTest, ScratchTopKMatchesPlainTopK) {
+TEST_F(SingleSourceTest, ReusedScratchTopKMatchesFreshScratch) {
   LinMeasure lin(&world_.context);
   SemSimMcEstimator estimator(&world_.graph, &lin, &index_);
   SemSimMcOptions opt{0.6, 0.05};
   QueryScratch scratch;
   for (NodeId u = 0; u < world_.graph.num_nodes(); ++u) {
-    auto plain = inverted_.TopKFrom(u, 4, estimator, opt);
+    QueryScratch fresh;
+    auto plain = inverted_.TopKFrom(u, 4, estimator, opt, fresh);
     auto pooled = inverted_.TopKFrom(u, 4, estimator, opt, scratch);
     ASSERT_EQ(plain.size(), pooled.size());
     for (size_t i = 0; i < plain.size(); ++i) {
@@ -207,9 +213,11 @@ TEST(SingleSourceGenerated, ConsistentOnLargerGraph) {
   SemSimMcEstimator est(&d.graph, &lin, &index);
   SemSimMcOptions opt{0.6, 0.05};
   Rng rng(5);
+  QueryScratch scratch;
+  std::vector<double> scores;
   for (int q = 0; q < 10; ++q) {
     NodeId u = static_cast<NodeId>(rng.NextIndex(d.graph.num_nodes()));
-    std::vector<double> scores = inverted.SemSimFrom(u, est, opt);
+    inverted.SemSimFromInto(u, est, opt, scratch, scores);
     for (int c = 0; c < 30; ++c) {
       NodeId v = static_cast<NodeId>(rng.NextIndex(d.graph.num_nodes()));
       ASSERT_NEAR(scores[v], est.Query(u, v, opt), 1e-10);

@@ -11,9 +11,9 @@ namespace {
 using testutil::MakeSmallWorld;
 using testutil::Unwrap;
 
-// Every group must reproduce Hin::InEdgeInfo bit-for-bit, and the
-// precomputed quotients must equal the divisions the generic query path
-// performs — exact EXPECT_EQ on doubles, no tolerance.
+// Every group must reproduce Hin::InEdgeInfo (the edge oracle)
+// bit-for-bit, and the precomputed quotients must equal the divisions
+// over it — exact EXPECT_EQ on doubles, no tolerance.
 void CheckAgainstGraph(const Hin& g, const TransitionTable& t) {
   ASSERT_EQ(t.num_nodes(), g.num_nodes());
   size_t groups_seen = 0;

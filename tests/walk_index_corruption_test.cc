@@ -5,7 +5,8 @@
 // (48 bytes, static_asserted there):
 //   [0,8)   magic            [8,12)  format_version   [12,16) reserved
 //   [16,24) num_nodes        [24,28) num_walks        [28,32) walk_length
-//   [32,40) seed             [40]    weighted         [41,48) padding
+//   [32,40) seed             [40]    weighted         [41]    sampler
+//   [42,48) padding
 // The v2 serving artifact continues with a section directory at 48
 // (uint32 count + uint32 reserved, then 32-byte records of
 // {offset u64, size u64, checksum u64, kind u32, reserved u32}) and
@@ -35,10 +36,11 @@ constexpr size_t kNumWalksOffset = 24;
 constexpr size_t kWalkLengthOffset = 28;
 constexpr size_t kSeedOffset = 32;
 constexpr size_t kWeightedOffset = 40;
+constexpr size_t kSamplerOffset = 41;
 constexpr size_t kHeaderSize = 48;
 constexpr size_t kRecordsOffset = kHeaderSize + 8;  // past the dir header
 constexpr size_t kRecordSize = 32;
-constexpr uint32_t kLegacyFormatVersion = 2;  // steps-only payload
+constexpr uint32_t kStepsOnlyFormatVersion = 2;  // retired, unchecksummed
 
 class WalkIndexCorruptionTest : public ::testing::Test {
  protected:
@@ -108,18 +110,40 @@ class WalkIndexCorruptionTest : public ::testing::Test {
     return WalkIndex::Map(path_, world_.graph.num_nodes(), options);
   }
 
-  // Re-encodes the saved artifact as a legacy (steps-only, format
+  // Re-encodes the saved artifact as a retired steps-only (format
   // version 2) payload: old header + raw step array, no directory, no
-  // live-length section.
-  std::vector<char> LegacyBytes() const {
+  // live-length section, no checksum.
+  std::vector<char> StepsOnlyBytes() const {
     std::vector<char> legacy(bytes_.begin(), bytes_.begin() + kHeaderSize);
-    uint32_t version = kLegacyFormatVersion;
+    uint32_t version = kStepsOnlyFormatVersion;
     std::memcpy(legacy.data() + kVersionOffset, &version, sizeof(version));
     size_t steps_off = RecordField(0, 0);
     size_t steps_size = RecordField(0, 1);
     legacy.insert(legacy.end(), bytes_.begin() + steps_off,
                   bytes_.begin() + steps_off + steps_size);
     return legacy;
+  }
+
+  // Load, Map with checksum verification and Map without it all refuse
+  // `bytes` with a FailedPrecondition naming `needle` and asking for a
+  // rebuild: never an abort, never a served index.
+  void ExpectRebuildRequested(const std::vector<char>& bytes,
+                              const std::string& needle) {
+    WalkIndexMapOptions verify;
+    verify.verify_checksums = true;
+    WalkIndexMapOptions lazy;
+    lazy.verify_checksums = false;
+    const char* paths[] = {"Load", "Map verified", "Map unverified"};
+    for (int i = 0; i < 3; ++i) {
+      SCOPED_TRACE(paths[i]);
+      Result<WalkIndex> r = i == 0   ? LoadMutated(bytes)
+                            : i == 1 ? MapMutated(bytes, verify)
+                                     : MapMutated(bytes, lazy);
+      ExpectStatus(r, StatusCode::kFailedPrecondition, needle);
+      if (!r.ok()) {
+        EXPECT_NE(r.status().ToString().find("rebuild"), std::string::npos);
+      }
+    }
   }
 
   // Every walk and live length of `loaded` matches the built index.
@@ -280,21 +304,38 @@ TEST_F(WalkIndexCorruptionTest, UnknownSectionKindIsCorrupt) {
                "corrupt walk-index section directory");
 }
 
-TEST_F(WalkIndexCorruptionTest, LegacyPayloadRoundTripsThroughRecompute) {
-  // A pre-v2 (steps-only) file still loads: live lengths come back via
-  // the padding-scan recompute and must equal the persisted ones.
-  WalkIndex loaded = Unwrap(LoadMutated(LegacyBytes()));
-  ExpectBitIdentical(loaded);
-  EXPECT_FALSE(loaded.mapped());
+TEST_F(WalkIndexCorruptionTest, StepsOnlyFormatAsksForRebuild) {
+  // Format 2 carried no checksum and no live lengths; no current writer
+  // produces it.
+  ExpectRebuildRequested(StepsOnlyBytes(), "legacy format version 2");
 }
 
-TEST_F(WalkIndexCorruptionTest, LegacyPayloadMapsInHybridMode) {
-  // Map on a legacy file serves steps from the mapping but must own the
-  // recomputed live lengths — and stay bit-identical throughout.
-  WalkIndex mapped = Unwrap(MapMutated(LegacyBytes()));
-  ExpectBitIdentical(mapped);
-  EXPECT_TRUE(mapped.mapped());
-  EXPECT_GT(mapped.OwnedBytes(), 0u);  // the recomputed live lengths
+TEST_F(WalkIndexCorruptionTest, ScanSamplerByteAsksForRebuild) {
+  // A v3 file whose sampler byte is 1 was drawn by the retired linear-
+  // scan sampler; this build cannot reproduce its walks.
+  std::vector<char> bytes = bytes_;
+  bytes[kSamplerOffset] = 1;
+  ExpectRebuildRequested(bytes, "linear-scan sampler");
+  // Any other non-zero value is not a sampler this format ever named.
+  bytes[kSamplerOffset] = 2;
+  ExpectStatus(LoadMutated(bytes), StatusCode::kIOError,
+               "corrupt walk-index header");
+}
+
+TEST_F(WalkIndexCorruptionTest, SaveWritesZeroSamplerByte) {
+  EXPECT_EQ(bytes_[kSamplerOffset], 0);
+  WalkIndexOptions opt;
+  opt.num_walks = 4;
+  opt.walk_length = 3;
+  opt.weighted = true;
+  WalkIndex weighted = WalkIndex::Build(world_.graph, opt);
+  ASSERT_TRUE(weighted.Save(path_).ok());
+  std::ifstream in(path_, std::ios::binary);
+  std::vector<char> saved((std::istreambuf_iterator<char>(in)),
+                          std::istreambuf_iterator<char>());
+  ASSERT_GE(saved.size(), kHeaderSize);
+  EXPECT_EQ(saved[kWeightedOffset], 1);
+  EXPECT_EQ(saved[kSamplerOffset], 0);
 }
 
 TEST_F(WalkIndexCorruptionTest, MapAndLoadAreBitIdentical) {

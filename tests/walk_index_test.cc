@@ -152,27 +152,6 @@ TEST(WalkIndexIo, LoadRecomputesLiveLengths) {
   std::remove(path.c_str());
 }
 
-TEST(WalkIndexIo, SamplerKindRoundTripsThroughArtifact) {
-  // The header's sampler byte records which RNG-stream recipe the walks
-  // were built with; Load and Map must both surface it so callers can
-  // reason about seed compatibility. Exercise the non-default value.
-  auto w = MakeSmallWorld();
-  WalkIndexOptions opt;
-  opt.num_walks = 10;
-  opt.walk_length = 6;
-  opt.weighted = true;
-  opt.sampler = SamplerKind::kScan;
-  WalkIndex original = WalkIndex::Build(w.graph, opt);
-  std::string path = ::testing::TempDir() + "semsim_walks_sampler.bin";
-  ASSERT_TRUE(original.Save(path).ok());
-  WalkIndex loaded = Unwrap(WalkIndex::Load(path, w.graph.num_nodes()));
-  EXPECT_EQ(loaded.options().sampler, SamplerKind::kScan);
-  EXPECT_TRUE(loaded.options().weighted);
-  WalkIndex mapped = Unwrap(WalkIndex::Map(path, w.graph.num_nodes()));
-  EXPECT_EQ(mapped.options().sampler, SamplerKind::kScan);
-  std::remove(path.c_str());
-}
-
 TEST(WalkIndexIo, RejectsLegacyFormatWithClearMessage) {
   // A version-1 file: the old magic followed by the old (version-less)
   // header layout. Must fail as FailedPrecondition telling the user to
