@@ -135,18 +135,20 @@ void RunBatch(const Dataset& dataset, const LinMeasure& lin,
               "requested --threads=%d -> resolved %d\n",
               index.num_walks(), index.walk_length(), pairs.size(),
               requested_threads, resolved);
-  TablePrinter table({"threads", "pass", "wall ms", "queries/s",
-                      "norm cache hit%", "sem cache hit%"});
+  TablePrinter table(
+      {"threads", "pass", "wall ms", "queries/s", "norm cache hit%"});
   std::vector<double> reference;
   double base_ms = 0;
   for (int threads : counts) {
-    BatchQueryEngineOptions opt;
-    opt.num_threads = threads;
+    EngineSnapshotOptions opt;
     opt.query.mc = SemSimMcOptions{0.6, 0.05};
-    BatchQueryEngine engine = bench::Unwrap(
-        BatchQueryEngine::Create(&dataset.graph, &lin, &index, opt));
+    BatchQueryEngine engine = bench::Unwrap(BatchQueryEngine::CreateFromSnapshot(
+        bench::Unwrap(EngineSnapshot::Create(Unowned(&dataset.graph),
+                                             Unowned(&lin), Unowned(&index),
+                                             opt, 0)),
+        threads));
     if (threads == counts.front()) {
-      doc.Add("engine_kernel_name", engine.kernel_name())
+      doc.Add("engine_kernel_name", engine.snapshot()->kernel_name())
           .Add("engine_memory_bytes", engine.MemoryBytes());
     }
     for (const char* pass : {"cold", "warm"}) {
@@ -155,24 +157,16 @@ void RunBatch(const Dataset& dataset, const LinMeasure& lin,
       double wall_ms = t.ElapsedMillis();
       McQueryStats& stats = results.stats;
       double qps = static_cast<double>(pairs.size()) / (wall_ms / 1e3);
-      double norm_rate = engine.normalizer_cache()->hit_rate();
-      // A devirtualized measure has no semantic cache to report on.
-      double sem_rate = engine.cached_semantic() != nullptr
-                            ? engine.cached_semantic()->cache().hit_rate()
-                            : 0.0;
+      double norm_rate = engine.snapshot()->normalizer_cache()->hit_rate();
       table.AddRow({std::to_string(threads), pass,
                     TablePrinter::Num(wall_ms, 2), TablePrinter::Num(qps, 0),
-                    TablePrinter::Num(100 * norm_rate, 1),
-                    engine.cached_semantic() != nullptr
-                        ? TablePrinter::Num(100 * sem_rate, 1)
-                        : std::string("n/a")});
+                    TablePrinter::Num(100 * norm_rate, 1)});
       doc.BeginRecord()
           .Field("threads", threads)
           .Field("pass", pass)
           .Field("wall_ms", wall_ms)
           .Field("queries_per_sec", qps)
           .Field("normalizer_cache_hit_rate", norm_rate)
-          .Field("semantic_cache_hit_rate", sem_rate)
           .Field("shared_cache_hits", stats.shared_cache_hits)
           .Field("normalizers_computed", stats.normalizers_computed)
           .Field("met_walks", static_cast<int64_t>(stats.met_walks))

@@ -75,11 +75,13 @@ int Run(int argc, char** argv) {
   WalkIndex index = WalkIndex::Build(
       dataset.graph, WalkIndexOptions{150, 10, 11, false});
 
-  BatchQueryEngineOptions eopt;
-  eopt.num_threads = threads;
+  EngineSnapshotOptions eopt;
   eopt.query.mc = SemSimMcOptions{0.6, 0.05};
-  BatchQueryEngine engine = bench::Unwrap(
-      BatchQueryEngine::Create(&dataset.graph, &lin, &index, eopt));
+  BatchQueryEngine engine = bench::Unwrap(BatchQueryEngine::CreateFromSnapshot(
+      bench::Unwrap(EngineSnapshot::Create(Unowned(&dataset.graph),
+                                           Unowned(&lin), Unowned(&index),
+                                           eopt, 0)),
+      threads));
 
   QueryServiceOptions sopt;
   sopt.queue_capacity = 4;

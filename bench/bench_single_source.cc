@@ -139,11 +139,15 @@ void Run(int requested_threads) {
   bool all_identical = true;
   for (int threads : resolved == 1 ? std::vector<int>{1}
                                    : std::vector<int>{1, resolved}) {
-    BatchQueryEngineOptions opt;
-    opt.num_threads = threads;
+    EngineSnapshotOptions opt;
     opt.query.mc = mc;
-    BatchQueryEngine engine = bench::Unwrap(
-        BatchQueryEngine::Create(&dataset.graph, &lin, &index, opt));
+    BatchQueryEngine engine = bench::Unwrap(BatchQueryEngine::CreateFromSnapshot(
+        bench::Unwrap(EngineSnapshot::Create(Unowned(&dataset.graph),
+                                             Unowned(&lin), Unowned(&index),
+                                             opt, 0)),
+        threads));
+    const ConcurrentPairCache& norm_cache =
+        *engine.snapshot()->normalizer_cache();
     for (const char* pass : {"cold", "warm"}) {
       Timer t;
       auto result = engine.SingleSourceBatch(queries);
@@ -158,7 +162,7 @@ void Run(int requested_threads) {
       batch_table.AddRow(
           {std::to_string(threads), pass, TablePrinter::Num(per_source, 2),
            TablePrinter::Num(kQueries / (wall_ms / 1e3), 1),
-           TablePrinter::Num(100 * engine.normalizer_cache()->hit_rate(), 1),
+           TablePrinter::Num(100 * norm_cache.hit_rate(), 1),
            TablePrinter::Int(static_cast<long long>(stats.shared_cache_hits)),
            TablePrinter::Num(100 * engine.scratch_pool().reuse_rate(), 1)});
       doc.BeginRecord()
@@ -167,13 +171,7 @@ void Run(int requested_threads) {
           .Field("wall_ms", wall_ms)
           .Field("ms_per_source", per_source)
           .Field("sources_per_sec", kQueries / (wall_ms / 1e3))
-          .Field("normalizer_cache_hit_rate",
-                 engine.normalizer_cache()->hit_rate())
-          // nullptr when the flat kernel devirtualized the measure.
-          .Field("semantic_cache_hit_rate",
-                 engine.cached_semantic() != nullptr
-                     ? engine.cached_semantic()->cache().hit_rate()
-                     : 0.0)
+          .Field("normalizer_cache_hit_rate", norm_cache.hit_rate())
           .Field("shared_cache_hits", stats.shared_cache_hits)
           .Field("normalizers_computed", stats.normalizers_computed)
           // Per-worker arena recycling across SingleSourceBatch chunks;

@@ -125,11 +125,15 @@ void Run(int requested_threads) {
   bool batch_matches = true;
   for (int threads : resolved == 1 ? std::vector<int>{1}
                                    : std::vector<int>{1, resolved}) {
-    BatchQueryEngineOptions opt;
-    opt.num_threads = threads;
+    EngineSnapshotOptions opt;
     opt.query.mc = mc;
-    BatchQueryEngine engine = bench::Unwrap(
-        BatchQueryEngine::Create(&dataset.graph, &lin, &index, opt));
+    BatchQueryEngine engine = bench::Unwrap(BatchQueryEngine::CreateFromSnapshot(
+        bench::Unwrap(EngineSnapshot::Create(Unowned(&dataset.graph),
+                                             Unowned(&lin), Unowned(&index),
+                                             opt, 0)),
+        threads));
+    const ConcurrentPairCache& norm_cache =
+        *engine.snapshot()->normalizer_cache();
     for (const char* pass : {"cold", "warm"}) {
       Timer t;
       auto result = engine.TopKBatch(queries, kK);
@@ -151,17 +155,11 @@ void Run(int requested_threads) {
           .Field("pass", pass)
           .Field("wall_ms", wall_ms)
           .Field("ms_per_query", wall_ms / kQueries)
-          .Field("normalizer_cache_hit_rate",
-                 engine.normalizer_cache()->hit_rate())
-          // nullptr when the flat kernel devirtualized the measure.
-          .Field("semantic_cache_hit_rate",
-                 engine.cached_semantic() != nullptr
-                     ? engine.cached_semantic()->cache().hit_rate()
-                     : 0.0)
+          .Field("normalizer_cache_hit_rate", norm_cache.hit_rate())
           .Field("shared_cache_hits", stats.shared_cache_hits);
       std::printf("threads=%d %s: %.2f ms/query (norm cache hit %.1f%%)\n",
                   threads, pass, wall_ms / kQueries,
-                  100 * engine.normalizer_cache()->hit_rate());
+                  100 * norm_cache.hit_rate());
     }
   }
   std::printf("batch top-k identical to inverted single-source: %s\n",

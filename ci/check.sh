@@ -4,7 +4,7 @@
 #   asan  — AddressSanitizer over the flat-kernel paths (transition
 #           table, flat semantic table, walk-index compact layout).
 #   tsan  — ThreadSanitizer over the concurrency surface (pool,
-#           concurrent caches, batch query engine, metrics registry)
+#           concurrent pair cache, batch query engine, metrics registry)
 #           plus the flat-kernel equivalence test, which drives
 #           multi-thread engines over the shared read-only flat tables.
 #   bench — smoke-run of the query bench on the small dataset, gated by

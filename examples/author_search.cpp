@@ -10,7 +10,8 @@
 #include <string>
 #include <vector>
 
-#include "core/semsim_engine.h"
+#include "core/engine_snapshot.h"
+#include "core/topk.h"
 #include "datasets/aminer_gen.h"
 #include "taxonomy/semantic_measure.h"
 
@@ -34,11 +35,16 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(gen.seed));
 
   LinMeasure lin(&dataset.context);
-  SemSimEngineOptions options;  // paper defaults: n_w=150, t=15, c=0.6
+  EngineSnapshotOptions options;  // paper defaults: c=0.6
   options.query.mc.theta = 0.05;
-  Result<SemSimEngine> engine_result =
-      SemSimEngine::Create(&g, &lin, options);
-  SemSimEngine& engine = engine_result.value();
+  options.normalizer_cache_capacity = 0;
+  // WalkIndexOptions{}: the paper's n_w=150, t=15.
+  EngineSnapshotPtr snap = EngineSnapshot::Build(Unowned(&g), Unowned(&lin),
+                                                 WalkIndexOptions{}, options, 0)
+                               .value();
+  auto top_k = [&](NodeId query, size_t k, const std::vector<NodeId>& pool) {
+    return McTopK(snap->estimator(), query, k, options.query.mc, &pool);
+  };
 
   // Candidate pool: author nodes only.
   std::vector<NodeId> authors;
@@ -50,7 +56,7 @@ int main(int argc, char** argv) {
   for (NodeId query : {authors[3], authors[42 % authors.size()]}) {
     std::printf("authors most similar to %s:\n",
                 std::string(g.node_name(query)).c_str());
-    for (const Scored& s : engine.TopK(query, 5, &authors)) {
+    for (const Scored& s : top_k(query, 5, authors)) {
       std::printf("  %-14s %.5f\n", std::string(g.node_name(s.node)).c_str(),
                   s.score);
     }
@@ -62,7 +68,7 @@ int main(int argc, char** argv) {
               "of its original):\n");
   int found = 0;
   for (const auto& [original, clone] : dataset.duplicate_pairs) {
-    auto top = engine.TopK(original, 10, &authors);
+    auto top = top_k(original, 10, authors);
     int rank = -1;
     for (size_t i = 0; i < top.size(); ++i) {
       if (top[i].node == clone) {

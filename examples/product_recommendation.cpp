@@ -12,7 +12,7 @@
 #include <vector>
 
 #include "core/iterative.h"
-#include "core/semsim_engine.h"
+#include "core/engine_snapshot.h"
 #include "core/topk.h"
 #include "datasets/amazon_gen.h"
 #include "taxonomy/semantic_measure.h"
@@ -61,11 +61,16 @@ int main(int argc, char** argv) {
 
   // SemSim recommendations through the MC engine.
   LinMeasure lin(&dataset.context);
-  SemSimEngineOptions options;
+  EngineSnapshotOptions options;
   options.query.mc.theta = 0.05;
-  SemSimEngine engine = SemSimEngine::Create(&g, &lin, options).value();
+  options.normalizer_cache_capacity = 0;
+  EngineSnapshotPtr snap = EngineSnapshot::Build(Unowned(&g), Unowned(&lin),
+                                                 WalkIndexOptions{}, options, 0)
+                               .value();
+  const std::vector<Scored> semsim_top =
+      McTopK(snap->estimator(), seed_item, 5, options.query.mc, &items);
   std::printf("SemSim recommendations:\n");
-  for (const Scored& s : engine.TopK(seed_item, 5, &items)) {
+  for (const Scored& s : semsim_top) {
     std::printf("  %-34s %.5f\n", Describe(dataset, s.node).c_str(), s.score);
   }
 
@@ -84,7 +89,7 @@ int main(int argc, char** argv) {
   };
   std::printf("\navg semantic similarity of recommendations: SemSim %.3f "
               "vs SimRank %.3f\n",
-              coherence(engine.TopK(seed_item, 5, &items)),
+              coherence(semsim_top),
               coherence(MatrixTopK(simrank, seed_item, 5, &items)));
   return 0;
 }

@@ -4,8 +4,8 @@
 // (iterative form, c = 0.8, k = 3 like the paper), shows that SimRank —
 // seeing only structure — considers Bo more similar to Aditi while SemSim
 // recovers the intended answer (John), and then answers the same query
-// through the high-level SemSimEngine (walk index + Importance-Sampling
-// estimator with pruning).
+// through an EngineSnapshot (walk index + Importance-Sampling estimator
+// with pruning).
 //
 // Build & run:  cmake -B build -G Ninja && cmake --build build &&
 //               ./build/examples/quickstart
@@ -14,7 +14,8 @@
 
 #include "common/table_printer.h"
 #include "core/iterative.h"
-#include "core/semsim_engine.h"
+#include "core/engine_snapshot.h"
+#include "core/topk.h"
 #include "datasets/figure1.h"
 #include "taxonomy/semantic_measure.h"
 
@@ -65,18 +66,24 @@ int main() {
               semsim.at(john, aditi) > semsim.at(bo, aditi) ? "John" : "Bo");
 
   // --- The same query through the scalable MC engine. ---
-  SemSimEngineOptions options;
-  options.walks.num_walks = 2000;  // tiny graph: cheap, low-variance
-  options.walks.walk_length = 15;
+  WalkIndexOptions walks;
+  walks.num_walks = 2000;  // tiny graph: cheap, low-variance
+  walks.walk_length = 15;
+  EngineSnapshotOptions options;
   options.query.mc.decay = 0.8;
   options.query.mc.theta = 0.0;
-  SemSimEngine engine = SemSimEngine::Create(&g, &lin, options).value();
+  options.normalizer_cache_capacity = 0;  // one caller: no shared cache
+  EngineSnapshotPtr snap =
+      EngineSnapshot::Build(Unowned(&g), Unowned(&lin), walks, options, 0)
+          .value();
+  const SemSimMcEstimator& estimator = snap->estimator();
+  const SemSimMcOptions& mc = options.query.mc;
   std::printf("MC engine estimates: sim(John, Aditi) = %.4f, "
               "sim(Bo, Aditi) = %.4f\n",
-              engine.Similarity(john, aditi), engine.Similarity(bo, aditi));
+              estimator.Query(john, aditi, mc), estimator.Query(bo, aditi, mc));
 
   std::printf("\nTop-3 nodes most similar to Aditi (SemSim engine):\n");
-  for (const Scored& s : engine.TopK(aditi, 3)) {
+  for (const Scored& s : McTopK(estimator, aditi, 3, mc)) {
     std::printf("  %-24s %.4f\n",
                 std::string(g.node_name(s.node)).c_str(), s.score);
   }

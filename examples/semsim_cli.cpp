@@ -9,7 +9,7 @@
 //       paper's defaults, or the exact iterative solver with --exact.
 //
 //   semsim_cli topk <dir> <node> <k>
-//       Top-k similar nodes via the single-source engine.
+//       Top-k similar nodes via the inverted single-source index.
 //
 //   semsim_cli stats <dir>
 //       Dataset summary: sizes, labels, taxonomy, ground-truth counts.
@@ -27,7 +27,8 @@
 #include <string>
 
 #include "core/iterative.h"
-#include "core/semsim_engine.h"
+#include "core/engine_snapshot.h"
+#include "core/query_scratch.h"
 #include "common/table_printer.h"
 #include "eval/baseline_suite.h"
 #include "eval/tasks.h"
@@ -121,13 +122,15 @@ int CmdQuery(int argc, char** argv) {
     std::printf("SemSim (exact)   = %.6f\nSimRank (exact)  = %.6f\n",
                 semsim->at(*a, *b), simrank->at(*a, *b));
   } else {
-    SemSimEngineOptions opt;
-    Result<SemSimEngine> engine =
-        SemSimEngine::Create(&dataset->graph, &lin, opt);
-    if (!engine.ok()) return Fail(engine.status());
+    WalkIndexOptions walks;
+    EngineSnapshotOptions opt;
+    opt.normalizer_cache_capacity = 0;
+    Result<EngineSnapshotPtr> snap = EngineSnapshot::Build(
+        Unowned(&dataset->graph), Unowned(&lin), walks, opt, 0);
+    if (!snap.ok()) return Fail(snap.status());
     std::printf("SemSim (MC, n_w=%d, t=%d, theta=%.2f) = %.6f\n",
-                opt.walks.num_walks, opt.walks.walk_length, opt.query.mc.theta,
-                engine->Similarity(*a, *b));
+                walks.num_walks, walks.walk_length, opt.query.mc.theta,
+                (*snap)->estimator().Query(*a, *b, opt.query.mc));
   }
   return 0;
 }
@@ -140,15 +143,18 @@ int CmdTopK(int argc, char** argv) {
   if (!query.ok()) return Fail(query.status());
   size_t k = static_cast<size_t>(std::atoi(argv[4]));
   LinMeasure lin(&dataset->context);
-  SemSimEngineOptions opt;
-  opt.single_source = true;
+  EngineSnapshotOptions opt;
+  opt.normalizer_cache_capacity = 0;
   // No pruning for interactive top-k: on taxonomies with low absolute Lin
   // scores the default θ would zero out every candidate.
   opt.query.mc.theta = 0.0;
-  Result<SemSimEngine> engine =
-      SemSimEngine::Create(&dataset->graph, &lin, opt);
-  if (!engine.ok()) return Fail(engine.status());
-  for (const Scored& s : engine->TopK(*query, k)) {
+  Result<EngineSnapshotPtr> snap = EngineSnapshot::Build(
+      Unowned(&dataset->graph), Unowned(&lin), WalkIndexOptions{}, opt, 0);
+  if (!snap.ok()) return Fail(snap.status());
+  const EngineSnapshot& engine = **snap;
+  QueryScratch scratch;
+  for (const Scored& s : engine.InvertedIndex().TopKFrom(
+           *query, k, engine.estimator(), opt.query.mc, scratch)) {
     if (s.score <= 0) break;
     std::printf("%-30s %.6f\n",
                 std::string(dataset->graph.node_name(s.node)).c_str(),

@@ -50,11 +50,15 @@ int main() {
   WalkIndex index =
       WalkIndex::Build(dataset.graph, WalkIndexOptions{150, 10, 11, false});
 
-  BatchQueryEngineOptions eopt;
-  eopt.num_threads = 2;
-  eopt.query.mc = SemSimMcOptions{0.6, 0.05};
+  EngineSnapshotOptions snap_opt;
+  snap_opt.query.mc = SemSimMcOptions{0.6, 0.05};
   BatchQueryEngine engine =
-      BatchQueryEngine::Create(&dataset.graph, &lin, &index, eopt).value();
+      BatchQueryEngine::CreateFromSnapshot(
+          EngineSnapshot::Create(Unowned(&dataset.graph), Unowned(&lin),
+                                 Unowned(&index), snap_opt, 0)
+              .value(),
+          /*num_threads=*/2)
+          .value();
 
   // A pessimistic cost prior makes step 3's degradation deterministic in
   // a demo; production leaves the default and lets the service learn

@@ -8,43 +8,16 @@
 
 namespace semsim {
 
-Result<BatchQueryEngine> BatchQueryEngine::Create(
-    const Hin* graph, const SemanticMeasure* semantic, const WalkIndex* index,
-    const BatchQueryEngineOptions& options,
-    const PairNormalizerCache* static_cache) {
-  if (graph == nullptr || semantic == nullptr || index == nullptr) {
-    return Status::InvalidArgument(
-        "graph, semantic measure, and walk index are required");
-  }
-  SEMSIM_TRACE_SPAN("semsim_batch_engine_create");
-  EngineSnapshotOptions snap_options;
-  snap_options.query = options.query;
-  snap_options.normalizer_cache_capacity = options.normalizer_cache_capacity;
-  snap_options.semantic_cache_capacity = options.semantic_cache_capacity;
-  SEMSIM_ASSIGN_OR_RETURN(
-      EngineSnapshotPtr snapshot,
-      EngineSnapshot::Create(Unowned(graph), Unowned(semantic), Unowned(index),
-                             snap_options, /*version=*/0, static_cache));
-  SEMSIM_ASSIGN_OR_RETURN(
-      BatchQueryEngine engine,
-      CreateFromSnapshot(std::move(snapshot), options.num_threads));
-  return engine;
-}
-
 Result<BatchQueryEngine> BatchQueryEngine::CreateFromSnapshot(
     EngineSnapshotPtr snapshot, int num_threads) {
   if (snapshot == nullptr) {
     return Status::InvalidArgument("snapshot is required");
   }
+  SEMSIM_TRACE_SPAN("semsim_batch_engine_create");
   BatchQueryEngine engine;
-  engine.options_.query = snapshot->options().query;
-  engine.options_.normalizer_cache_capacity =
-      snapshot->options().normalizer_cache_capacity;
-  engine.options_.semantic_cache_capacity =
-      snapshot->options().semantic_cache_capacity;
-  engine.options_.num_threads = ThreadPool::ResolveThreadCount(num_threads);
   engine.snapshot_ = std::move(snapshot);
-  engine.pool_ = std::make_unique<ThreadPool>(engine.options_.num_threads);
+  engine.pool_ = std::make_unique<ThreadPool>(
+      ThreadPool::ResolveThreadCount(num_threads));
   engine.scratch_pool_ = std::make_unique<ScratchPool>();
   return engine;
 }
@@ -124,9 +97,9 @@ BatchResult<std::vector<Scored>> BatchQueryEngine::TopKBatch(
 }
 
 size_t BatchQueryEngine::MemoryBytes() const {
-  // The engine never owned the walk index (it is borrowed into the
-  // snapshot), so its footprint reports the derived artifacts only —
-  // the same accounting the pre-snapshot engine used.
+  // The walk index belongs to the snapshot's producer (and is shared by
+  // every snapshot chained off it), so the engine reports the derived
+  // artifacts and its own arenas only.
   return snapshot_->MemoryBytes() - snapshot_->walk_index().MemoryBytes() +
          scratch_pool_->MemoryBytes();
 }

@@ -11,7 +11,6 @@
 
 #include "common/metrics.h"
 #include "graph/types.h"
-#include "taxonomy/semantic_measure.h"
 
 namespace semsim {
 
@@ -19,8 +18,7 @@ namespace semsim {
 /// pairs to doubles — the cross-query state behind the batch engine.
 /// SLING and ProbeSim both show that single-source/top-k SimRank
 /// throughput comes from shared, reusable per-pair state; this is that
-/// state for SemSim's two expensive pair functions (SO normalizers and
-/// sem(·,·) values).
+/// state for SemSim's expensive pair function, the SO normalizer.
 ///
 /// Layout: keys are canonicalized (min, max) and packed into one
 /// uint64; shards are selected by key hash, each shard an
@@ -242,41 +240,6 @@ class ConcurrentPairCache {
   Counter* metric_misses_ = nullptr;
   Counter* metric_evictions_ = nullptr;
   Counter* metric_rejected_ = nullptr;
-};
-
-/// Memoizing decorator over any SemanticMeasure: serves sem(u,v) from a
-/// ConcurrentPairCache, computing through the wrapped measure on miss.
-/// Normalizer's d² loop asks for the same (in-neighbor, in-neighbor)
-/// pairs across every query that walks near them — across queries those
-/// repeats are where the Lin/LCA time goes. Self-pairs short-circuit to
-/// 1 (constraint (2)) without touching the cache. Because the wrapped
-/// measure is deterministic, memoized answers are bit-identical to
-/// direct ones, preserving the batch engine's determinism contract.
-class CachedSemanticMeasure : public SemanticMeasure {
- public:
-  /// `base` must outlive the decorator.
-  explicit CachedSemanticMeasure(const SemanticMeasure* base,
-                                 size_t capacity = 1 << 20)
-      : base_(base), cache_(capacity) {}
-
-  double Sim(NodeId u, NodeId v) const override {
-    if (u == v) return 1.0;
-    double value;
-    if (cache_.Lookup(u, v, &value)) return value;
-    value = base_->Sim(u, v);
-    cache_.Insert(u, v, value);
-    return value;
-  }
-
-  std::string_view name() const override { return base_->name(); }
-
-  const ConcurrentPairCache& cache() const { return cache_; }
-  ConcurrentPairCache& cache() { return cache_; }
-  const SemanticMeasure& base() const { return *base_; }
-
- private:
-  const SemanticMeasure* base_;
-  mutable ConcurrentPairCache cache_;
 };
 
 }  // namespace semsim

@@ -39,15 +39,14 @@ Result<EngineSnapshotPtr> EngineSnapshot::Create(
     std::shared_ptr<const SemanticMeasure> semantic,
     std::shared_ptr<const WalkIndex> walk_index,
     const EngineSnapshotOptions& options, uint64_t version,
-    const PairNormalizerCache* static_cache, const ThreadPool* build_pool) {
+    const ThreadPool* build_pool) {
   if (graph == nullptr || semantic == nullptr || walk_index == nullptr) {
     return Status::InvalidArgument(
         "graph, semantic measure, and walk index are required");
   }
-  if (options.normalizer_cache_capacity < 0 ||
-      options.semantic_cache_capacity < 0) {
+  if (options.normalizer_cache_capacity < 0) {
     return Status::InvalidArgument(
-        "cache capacities must be >= 0 (0 disables the cache)");
+        "normalizer_cache_capacity must be >= 0 (0 disables the cache)");
   }
   SEMSIM_RETURN_NOT_OK(ValidateMcOptions(options.query.mc));
   SEMSIM_TRACE_SPAN("semsim_snapshot_create");
@@ -58,37 +57,25 @@ Result<EngineSnapshotPtr> EngineSnapshot::Create(
   snap->options_ = options;
   snap->version_ = version;
   // Flat semantic table (DESIGN.md §7): only exists when the measure is
-  // one of the flattenable built-ins. When it is, the devirtualized
-  // kernel replaces every sem(·,·) call, so the memoizing
-  // CachedSemanticMeasure wrapper would only add shard locks in front
-  // of a few array reads — skip building it entirely. The transition
-  // table is built by the estimator below.
+  // one of the flattenable built-ins, whose sem(·,·) calls the
+  // devirtualized kernel then replaces; any other measure is called
+  // directly. The transition table is built by the estimator below.
   kernels::SemInfo info = kernels::ClassifyMeasure(snap->semantic_.get());
   if (info.kind != kernels::SemKind::kVirtual) {
     snap->flat_semantic_ = std::make_unique<FlatSemanticTable>(
         FlatSemanticTable::Build(*info.context));
     snap->sem_devirtualized_ = true;
   }
-  if (static_cache != nullptr) {
-    snap->static_cache_ = static_cache;
-  } else if (options.cache_min_sem >= 0) {
+  if (options.cache_min_sem >= 0) {
     // The PairGraph is only a build-time scaffold; the cache is
     // self-contained afterwards.
     PairGraph pair_graph(snap->graph_.get(), snap->semantic_.get());
-    snap->owned_static_cache_ = std::make_unique<PairNormalizerCache>(
+    snap->static_cache_ = std::make_unique<PairNormalizerCache>(
         PairNormalizerCache::Build(pair_graph, options.cache_min_sem));
-    snap->static_cache_ = snap->owned_static_cache_.get();
-  }
-  const SemanticMeasure* measure = snap->semantic_.get();
-  if (options.semantic_cache_capacity > 0 && !snap->sem_devirtualized_) {
-    snap->cached_semantic_ = std::make_unique<CachedSemanticMeasure>(
-        measure, static_cast<size_t>(options.semantic_cache_capacity));
-    snap->cached_semantic_->cache().BindMetrics("semantic");
-    measure = snap->cached_semantic_.get();
   }
   snap->estimator_ = std::make_unique<SemSimMcEstimator>(
-      snap->graph_.get(), measure, snap->walk_index_.get(),
-      snap->static_cache_);
+      snap->graph_.get(), snap->semantic_.get(), snap->walk_index_.get(),
+      snap->static_cache_.get());
   bool engaged = snap->estimator_->AttachFlatKernel(snap->flat_semantic_.get());
   SEMSIM_CHECK(engaged == snap->sem_devirtualized_);
   if (options.normalizer_cache_capacity > 0) {
@@ -110,13 +97,12 @@ Result<EngineSnapshotPtr> EngineSnapshot::Build(
     std::shared_ptr<const Hin> graph,
     std::shared_ptr<const SemanticMeasure> semantic,
     const WalkIndexOptions& walks, const EngineSnapshotOptions& options,
-    uint64_t version, const PairNormalizerCache* static_cache,
-    const ThreadPool* build_pool) {
+    uint64_t version, const ThreadPool* build_pool) {
   if (graph == nullptr) return Status::InvalidArgument("null graph");
   auto index =
       std::make_shared<const WalkIndex>(WalkIndex::Build(*graph, walks));
   return Create(std::move(graph), std::move(semantic), std::move(index),
-                options, version, static_cache, build_pool);
+                options, version, build_pool);
 }
 
 Result<EngineSnapshotPtr> EngineSnapshot::MapArtifact(
@@ -130,7 +116,7 @@ Result<EngineSnapshotPtr> EngineSnapshot::MapArtifact(
       WalkIndex::Map(path, graph->num_nodes(), map_options));
   auto index = std::make_shared<const WalkIndex>(std::move(mapped));
   return Create(std::move(graph), std::move(semantic), std::move(index),
-                options, version, /*static_cache=*/nullptr, build_pool);
+                options, version, build_pool);
 }
 
 void EngineSnapshot::ComputeFingerprint(EngineSnapshot& snap) {
@@ -202,9 +188,8 @@ size_t EngineSnapshot::MemoryBytes() const {
   total += estimator_->transition_table().MemoryBytes();
   if (flat_semantic_) total += flat_semantic_->MemoryBytes();
   if (sampler_) total += sampler_->TableBytes();
-  if (owned_static_cache_) total += owned_static_cache_->MemoryBytes();
+  if (static_cache_) total += static_cache_->MemoryBytes();
   if (normalizer_cache_) total += normalizer_cache_->MemoryBytes();
-  if (cached_semantic_) total += cached_semantic_->cache().MemoryBytes();
   const SingleSourceIndex* inverted =
       inverted_published_.load(std::memory_order_acquire);
   if (inverted != nullptr) total += inverted->MemoryBytes();

@@ -27,20 +27,18 @@ class EngineSnapshot;
 using EngineSnapshotPtr = std::shared_ptr<const EngineSnapshot>;
 
 /// Wraps a caller-owned pointer in a non-owning shared_ptr (no-op
-/// deleter), so legacy borrow-the-artifact call sites can feed the
-/// snapshot factories without transferring ownership. The pointee must
-/// outlive every snapshot built from it — exactly the lifetime contract
-/// those call sites already honored.
+/// deleter), so a caller that keeps its graph, measure or walk index on
+/// the stack can feed the snapshot factories without transferring
+/// ownership. The pointee must outlive every snapshot built from it.
 template <typename T>
 std::shared_ptr<const T> Unowned(const T* ptr) {
   return std::shared_ptr<const T>(ptr, [](const T*) {});
 }
 
-/// What one snapshot derives from its graph + measure + walk index.
-/// The QueryOptions / cache-capacity surface mirrors
-/// BatchQueryEngineOptions; cache_min_sem / eager_single_source mirror
-/// SemSimEngineOptions — the snapshot is the common substrate both
-/// engines now share.
+/// What one snapshot derives from its graph + measure + walk index —
+/// the one option surface for building the artifact bundle; the thread
+/// count of an executor over it is BatchQueryEngine::CreateFromSnapshot's
+/// only other setting.
 struct EngineSnapshotOptions {
   /// Estimator parameters applied to every query served from this
   /// snapshot.
@@ -48,12 +46,9 @@ struct EngineSnapshotOptions {
   /// Slot budget of the cross-query SO-normalizer cache. 0 disables it;
   /// negative values are rejected.
   int64_t normalizer_cache_capacity = 1 << 20;
-  /// Slot budget of the memoizing sem(·,·) cache. 0 disables it; not
-  /// built when the flat kernel devirtualizes the measure.
-  int64_t semantic_cache_capacity = 1 << 20;
   /// When >= 0, build the SLING-style static normalizer cache for pairs
   /// with sem >= this value (the paper uses 0.1). Negative skips the
-  /// build; an externally supplied static cache overrides this.
+  /// build.
   double cache_min_sem = -1.0;
   /// Build the inverted single-source index at snapshot creation
   /// instead of lazily on the first single-source/top-k request.
@@ -62,17 +57,19 @@ struct EngineSnapshotOptions {
 
 /// One immutable, versioned bundle of every artifact a query needs: the
 /// HIN, the semantic measure, the walk index (owned or mapped), the flat
-/// kernel tables, the alias sampler, the SLING caches, and the
-/// estimator bound over them (DESIGN.md §14).
+/// kernel tables, the alias sampler, the SLING and normalizer caches,
+/// and the estimator bound over them (DESIGN.md §14). It is the only
+/// way to build that bundle; BatchQueryEngine::CreateFromSnapshot binds
+/// an executor over it.
 ///
 /// Ownership model: a snapshot is created once, read forever, destroyed
 /// when its last reader releases it — it is only ever handled through
 /// EngineSnapshotPtr. The graph / measure / walk index are held as
 /// shared_ptr so snapshots can chain through dynamic updates (the new
 /// snapshot keeps the artifacts of the old one alive exactly as long as
-/// needed); Unowned() adapts legacy borrowed pointers.
+/// needed); Unowned() adapts borrowed pointers.
 ///
-/// The only mutable state is (a) the two concurrent caches, whose
+/// The only mutable state is (a) the concurrent normalizer cache, whose
 /// entries are bit-exact functions of their keys (cache history never
 /// changes results), and (b) the lazily built inverted single-source
 /// index, published through an atomic pointer after a mutex-guarded
@@ -90,17 +87,16 @@ struct EngineSnapshotOptions {
 class EngineSnapshot {
  public:
   /// Derives a snapshot from existing artifacts. All three shared
-  /// pointers must be non-null; negative cache capacities and invalid
-  /// MC options are rejected. `static_cache` (optional, borrowed — must
-  /// outlive the snapshot) overrides cache_min_sem. `build_pool`
-  /// (optional, borrowed only during the call) parallelizes the alias
-  /// sampler and eager single-source builds.
+  /// pointers must be non-null; a negative normalizer cache capacity and
+  /// invalid MC options (ValidateMcOptions: decay in (0,1), θ ≤ 1 - decay
+  /// per Lemma 4.7, walk_budget ≥ 0) are rejected with InvalidArgument.
+  /// `build_pool` (optional, borrowed only during the call) parallelizes
+  /// the alias sampler and eager single-source builds.
   static Result<EngineSnapshotPtr> Create(
       std::shared_ptr<const Hin> graph,
       std::shared_ptr<const SemanticMeasure> semantic,
       std::shared_ptr<const WalkIndex> walk_index,
       const EngineSnapshotOptions& options, uint64_t version,
-      const PairNormalizerCache* static_cache = nullptr,
       const ThreadPool* build_pool = nullptr);
 
   /// Samples a fresh walk index with `walks`, then Create().
@@ -108,8 +104,7 @@ class EngineSnapshot {
       std::shared_ptr<const Hin> graph,
       std::shared_ptr<const SemanticMeasure> semantic,
       const WalkIndexOptions& walks, const EngineSnapshotOptions& options,
-      uint64_t version, const PairNormalizerCache* static_cache = nullptr,
-      const ThreadPool* build_pool = nullptr);
+      uint64_t version, const ThreadPool* build_pool = nullptr);
 
   /// Zero-copy path: WalkIndex::Map()s the v2 artifact at `path`, then
   /// Create(). The cold-start story of DESIGN.md §10, now ending in a
@@ -163,16 +158,14 @@ class EngineSnapshot {
   /// this snapshot reuse it instead of rebuilding).
   const NodeSamplerIndex* sampler() const { return sampler_.get(); }
 
-  /// The SLING-style static cache consulted by the estimator (owned or
-  /// borrowed); nullptr when neither cache_min_sem nor an external
-  /// cache was supplied.
-  const PairNormalizerCache* static_cache() const { return static_cache_; }
-  /// Cross-query concurrent caches; nullptr when disabled.
+  /// The SLING-style static cache consulted by the estimator; nullptr
+  /// when cache_min_sem is negative.
+  const PairNormalizerCache* static_cache() const {
+    return static_cache_.get();
+  }
+  /// Cross-query concurrent normalizer cache; nullptr when disabled.
   const ConcurrentPairCache* normalizer_cache() const {
     return normalizer_cache_.get();
-  }
-  const CachedSemanticMeasure* cached_semantic() const {
-    return cached_semantic_.get();
   }
 
   /// The inverted single-source index, built on first use (idempotent;
@@ -203,10 +196,8 @@ class EngineSnapshot {
 
   std::unique_ptr<FlatSemanticTable> flat_semantic_;
   std::unique_ptr<NodeSamplerIndex> sampler_;
-  std::unique_ptr<PairNormalizerCache> owned_static_cache_;
-  const PairNormalizerCache* static_cache_ = nullptr;
+  std::unique_ptr<PairNormalizerCache> static_cache_;
   std::unique_ptr<ConcurrentPairCache> normalizer_cache_;
-  std::unique_ptr<CachedSemanticMeasure> cached_semantic_;
   std::unique_ptr<SemSimMcEstimator> estimator_;
 
   // Lazy inverted index: build under the mutex, read through the

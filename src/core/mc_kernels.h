@@ -3,7 +3,6 @@
 
 #include <string_view>
 
-#include "core/concurrent_cache.h"
 #include "graph/transition_table.h"
 #include "graph/types.h"
 #include "taxonomy/flat_semantic_table.h"
@@ -24,7 +23,7 @@ namespace kernels {
 
 /// Semantic policy for the templated estimator loops: the virtual
 /// fallback — every sem(u,v) is a virtual call. Any SemanticMeasure
-/// (custom, cached, JiangConrath, ...) runs through this, and it is the
+/// (custom, JiangConrath, ...) runs through this, and it is the
 /// oracle the devirtualized Flat*Kernel policies are tested against.
 struct VirtualSem {
   const SemanticMeasure* m;
@@ -43,13 +42,8 @@ struct SemInfo {
 };
 
 /// Detects whether `measure` is one of the four flattenable built-in
-/// measures, unwrapping a CachedSemanticMeasure decorator first (the
-/// flat kernels are cheaper than the cache's sharded lookup, so the
-/// cache layer is bypassed entirely when devirtualizing).
+/// measures.
 inline SemInfo ClassifyMeasure(const SemanticMeasure* measure) {
-  if (auto* cached = dynamic_cast<const CachedSemanticMeasure*>(measure)) {
-    measure = &cached->base();
-  }
   if (auto* m = dynamic_cast<const LinMeasure*>(measure)) {
     return {SemKind::kLin, m->context()};
   }

@@ -56,16 +56,14 @@ inline int EffectiveWalkBudget(const SemSimMcOptions& options,
              : index_walks;
 }
 
-/// Domain check shared by SemSimEngine::Create, BatchQueryEngine::Create
-/// and the differential verification harness: decay must lie in (0,1)
-/// and θ ≤ 1 - decay (Lemma 4.7). Returns InvalidArgument naming the
-/// violated constraint.
+/// Domain check shared by EngineSnapshot::Create and the differential
+/// verification harness: decay must lie in (0,1) and θ ≤ 1 - decay
+/// (Lemma 4.7). Returns InvalidArgument naming the violated constraint.
 Status ValidateMcOptions(const SemSimMcOptions& options);
 
-/// The query-time surface shared by SemSimEngine and BatchQueryEngine:
-/// the estimator parameters applied to every query. Both engines embed
-/// one of these as `.query`, so the two option structs cannot drift
-/// apart.
+/// The query-time surface of an EngineSnapshot: the estimator
+/// parameters applied to every query served from it
+/// (EngineSnapshotOptions::query).
 struct QueryOptions {
   /// Always kFlat, the only kernel (DESIGN.md §7). Kept only because the
   /// serving benchmark assigns it; the next change to that benchmark

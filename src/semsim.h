@@ -44,7 +44,6 @@
 #include "core/mc_simrank.h"          // IWYU pragma: export
 #include "core/pair_graph.h"          // IWYU pragma: export
 #include "core/reduced_pair_graph.h"  // IWYU pragma: export
-#include "core/semsim_engine.h"       // IWYU pragma: export
 #include "core/single_source.h"       // IWYU pragma: export
 #include "core/sling_cache.h"         // IWYU pragma: export
 #include "core/topk.h"                // IWYU pragma: export

@@ -41,14 +41,22 @@ size_t ItemCount(const QueryRequest& request) {
 }
 
 /// InvalidArgument unless every node id of `request` is below
-/// `num_nodes`, the request names at least one item, and a top-k
-/// request asks for k ≥ 1.
+/// `num_nodes`, the request names at least one item, a top-k request
+/// asks for k ≥ 1, and a single-source request's dense rows fit in
+/// kMaxSingleSourceCells.
 Status ValidateRequest(const QueryRequest& request, size_t num_nodes) {
   if (ItemCount(request) == 0) {
     return Status::InvalidArgument("request names no pairs or sources");
   }
   if (request.kind == QueryRequestKind::kTopK && request.k == 0) {
     return Status::InvalidArgument("top-k request needs k >= 1");
+  }
+  // Divided rather than multiplied, so the product cannot overflow.
+  if (request.kind == QueryRequestKind::kSingleSource && num_nodes > 0 &&
+      request.sources.size() > kMaxSingleSourceCells / num_nodes) {
+    return Status::InvalidArgument(
+        "single-source request asks for more than kMaxSingleSourceCells "
+        "score cells (sources x num_nodes)");
   }
   auto in_range = [num_nodes](NodeId id) { return id < num_nodes; };
   if (request.kind == QueryRequestKind::kPairs) {

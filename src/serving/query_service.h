@@ -23,6 +23,11 @@ enum class QueryRequestKind {
   kTopK,          // top-`k` per node in `sources`
 };
 
+/// Cap on the dense score cells (sources × num_nodes) one kSingleSource
+/// request may ask for: 2^26 doubles, 512 MiB of rows. A larger request
+/// fails with InvalidArgument before any row is allocated.
+inline constexpr size_t kMaxSingleSourceCells = size_t{1} << 26;
+
 /// One unit of work submitted to the service. Exactly one of
 /// pairs/sources is consulted, per `kind`.
 struct QueryRequest {
@@ -113,9 +118,9 @@ struct QueryServiceOptions {
 /// bit-identical to the direct call with the same walk_budget override.
 class QueryService {
  public:
-  /// Validating factory (the construction surface mirrors
-  /// BatchQueryEngine::Create / SemSimEngine::Create). `engine` must be
-  /// non-null and outlive the service. Every request runs against the
+  /// Validating factory. `engine` (from
+  /// BatchQueryEngine::CreateFromSnapshot) must be non-null and outlive
+  /// the service. Every request runs against the
   /// engine's own snapshot.
   static Result<QueryService> Create(const BatchQueryEngine* engine,
                                      const QueryServiceOptions& options = {});

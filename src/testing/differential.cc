@@ -521,12 +521,16 @@ class InstanceRunner {
 
   // ---- H-I: the batch engine ----------------------------------------------
 
+  // Each engine gets its own snapshot, so the two never share cache
+  // history.
   Result<BatchQueryEngine> MakeEngine(int threads) const {
-    BatchQueryEngineOptions opt;
-    opt.num_threads = threads;
+    EngineSnapshotOptions opt;
     opt.query.mc = cfg_.mc;
-    return BatchQueryEngine::Create(hin_.get(), measure_.get(), walks_.get(),
-                                    opt);
+    SEMSIM_ASSIGN_OR_RETURN(
+        EngineSnapshotPtr snap,
+        EngineSnapshot::Create(Unowned(hin_.get()), Unowned(measure_.get()),
+                               Unowned(walks_.get()), opt, /*version=*/0));
+    return BatchQueryEngine::CreateFromSnapshot(std::move(snap), threads);
   }
 
   void CheckEngines() {
@@ -548,8 +552,8 @@ class InstanceRunner {
       CheckBit("engine-batch-vs-serial",
                "QueryBatch[" + std::to_string(i) + "] vs estimator().Query",
                reference[i],
-               eng1_->estimator().Query(pairs_[i].first, pairs_[i].second,
-                                        cfg_.mc));
+               eng1_->snapshot()->estimator().Query(
+                   pairs_[i].first, pairs_[i].second, cfg_.mc));
     }
 
     // I: thread counts and cache history never change batch results.
@@ -600,7 +604,8 @@ class InstanceRunner {
                   src_tag + ": scores[" + std::to_string(v) +
                       "] vs per-pair Query",
                   rows_1[i][v],
-                  eng1_->estimator().Query(u, v, cfg_.mc), 1e-10);
+                  eng1_->snapshot()->estimator().Query(u, v, cfg_.mc),
+                  1e-10);
       }
     }
 

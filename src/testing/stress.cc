@@ -358,13 +358,19 @@ class StressRunner {
 
     walks_ = std::make_unique<WalkIndex>(WalkIndex::Build(*hin_, cfg_.walks));
 
-    BatchQueryEngineOptions engine_opt;
-    engine_opt.num_threads = cfg_.engine_threads;
-    Result<BatchQueryEngine> engine = BatchQueryEngine::Create(
-        hin_.get(), measure_.get(), walks_.get(), engine_opt);
-    if (!engine.ok()) {
+    Result<EngineSnapshotPtr> snap = EngineSnapshot::Create(
+        Unowned(hin_.get()), Unowned(measure_.get()), Unowned(walks_.get()),
+        EngineSnapshotOptions{}, /*version=*/0);
+    if (!snap.ok()) {
       AddViolation("setup",
-                   "BatchQueryEngine::Create: " + engine.status().ToString());
+                   "EngineSnapshot::Create: " + snap.status().ToString());
+      return false;
+    }
+    Result<BatchQueryEngine> engine =
+        BatchQueryEngine::CreateFromSnapshot(snap.value(), cfg_.engine_threads);
+    if (!engine.ok()) {
+      AddViolation("setup", "BatchQueryEngine::CreateFromSnapshot: " +
+                                engine.status().ToString());
       return false;
     }
     engine_ = std::make_unique<BatchQueryEngine>(std::move(engine).value());
@@ -817,7 +823,8 @@ class StressRunner {
         continue;
       }
       const int full = EffectiveWalkBudget(
-          eng->query_options().mc, eng->snapshot()->walk_index().num_walks());
+          eng->snapshot()->options().query.mc,
+          eng->snapshot()->walk_index().num_walks());
 
       ++report_.checks;
       if (resp.effective_walk_budget < 1 || resp.effective_walk_budget > full ||
@@ -830,7 +837,7 @@ class StressRunner {
         continue;
       }
 
-      SemSimMcOptions mc = eng->query_options().mc;
+      SemSimMcOptions mc = eng->snapshot()->options().query.mc;
       mc.walk_budget = resp.effective_walk_budget;
       switch (req.kind) {
         case QueryRequestKind::kPairs: {
@@ -916,7 +923,7 @@ class StressRunner {
   void CheckBand(const BatchQueryEngine& eng, const std::string& tag,
                  const QueryResponse& resp, const QueryRequest& req,
                  int full) {
-    SemSimMcOptions mc_full = eng.query_options().mc;
+    SemSimMcOptions mc_full = eng.snapshot()->options().query.mc;
     mc_full.walk_budget = full;
     std::vector<double> full_vals =
         eng.QueryBatch(req.pairs, mc_full).values;

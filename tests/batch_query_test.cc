@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <string>
 #include <vector>
 
 #include "common/metrics.h"
@@ -42,6 +41,18 @@ struct Fixture {
         index(WalkIndex::Build(dataset.graph,
                                WalkIndexOptions{num_walks, walk_length, 11,
                                                 false})) {}
+
+  // An engine over a fresh snapshot of the fixture's artifacts, so every
+  // engine starts with cold caches of its own.
+  BatchQueryEngine Engine(int threads,
+                          const SemSimMcOptions& mc = QueryOptions().mc) const {
+    EngineSnapshotOptions opt;
+    opt.query.mc = mc;
+    return Unwrap(BatchQueryEngine::CreateFromSnapshot(
+        Unwrap(EngineSnapshot::Create(Unowned(&dataset.graph), Unowned(&lin),
+                                      Unowned(&index), opt, /*version=*/0)),
+        threads));
+  }
 };
 
 Fixture Figure1Fixture() { return Fixture(Unwrap(MakeFigure1Dataset())); }
@@ -65,11 +76,7 @@ void ExpectBatchDeterministic(const Fixture& f, const SemSimMcOptions& mc) {
     expected.push_back(plain.Query(p.first, p.second, mc));
   }
   for (int threads : {1, 2, 8}) {
-    BatchQueryEngineOptions opt;
-    opt.num_threads = threads;
-    opt.query.mc = mc;
-    BatchQueryEngine engine =
-      Unwrap(BatchQueryEngine::Create(&f.dataset.graph, &f.lin, &f.index, opt));
+    BatchQueryEngine engine = f.Engine(threads, mc);
     // Two rounds: the second runs against a warm cross-query cache.
     for (int round = 0; round < 2; ++round) {
       std::vector<double> got = engine.QueryBatch(pairs).values;
@@ -135,11 +142,7 @@ TEST(BatchQuery, ReusedChunkContextMatchesPerPairQueries) {
 TEST(BatchQuery, SingleSourceBatchMatchesSerialSweeps) {
   Fixture f = AminerFixture();
   SemSimMcOptions mc{0.6, 0.05};
-  BatchQueryEngineOptions opt;
-  opt.num_threads = 4;
-  opt.query.mc = mc;
-  BatchQueryEngine engine =
-      Unwrap(BatchQueryEngine::Create(&f.dataset.graph, &f.lin, &f.index, opt));
+  BatchQueryEngine engine = f.Engine(4, mc);
 
   SemSimMcEstimator plain(&f.dataset.graph, &f.lin, &f.index);
   SingleSourceIndex inverted =
@@ -162,11 +165,7 @@ TEST(BatchQuery, SingleSourceBatchMatchesSerialSweeps) {
 TEST(BatchQuery, TopKBatchMatchesSerialTopK) {
   Fixture f = Figure1Fixture();
   SemSimMcOptions mc{0.6, 0.0};
-  BatchQueryEngineOptions opt;
-  opt.num_threads = 8;
-  opt.query.mc = mc;
-  BatchQueryEngine engine =
-      Unwrap(BatchQueryEngine::Create(&f.dataset.graph, &f.lin, &f.index, opt));
+  BatchQueryEngine engine = f.Engine(8, mc);
 
   SemSimMcEstimator plain(&f.dataset.graph, &f.lin, &f.index);
   SingleSourceIndex inverted =
@@ -192,11 +191,7 @@ TEST(BatchQuery, TopKBatchMatchesSerialTopK) {
 
 TEST(BatchQuery, SharedCacheHitsAccumulateAcrossRepeatedSingleSource) {
   Fixture f = AminerFixture();
-  BatchQueryEngineOptions opt;
-  opt.num_threads = 2;
-  opt.query.mc = SemSimMcOptions{0.6, 0.05};
-  BatchQueryEngine engine =
-      Unwrap(BatchQueryEngine::Create(&f.dataset.graph, &f.lin, &f.index, opt));
+  BatchQueryEngine engine = f.Engine(2, SemSimMcOptions{0.6, 0.05});
 
   std::vector<NodeId> sources = {1, 2, 5};
   McQueryStats first = engine.SingleSourceBatch(sources).stats;
@@ -206,97 +201,21 @@ TEST(BatchQuery, SharedCacheHitsAccumulateAcrossRepeatedSingleSource) {
   McQueryStats second = engine.SingleSourceBatch(sources).stats;
   EXPECT_GT(second.shared_cache_hits, 0);
   EXPECT_LT(second.normalizers_computed, first.normalizers_computed);
-  EXPECT_GT(engine.normalizer_cache()->hits(), 0u);
+  EXPECT_GT(engine.snapshot()->normalizer_cache()->hits(), 0u);
 }
 
 TEST(BatchQuery, EngineReportsResolvedThreadCount) {
   Fixture f = Figure1Fixture();
-  BatchQueryEngineOptions opt;
-  opt.num_threads = 0;  // auto
-  BatchQueryEngine engine =
-      Unwrap(BatchQueryEngine::Create(&f.dataset.graph, &f.lin, &f.index, opt));
+  BatchQueryEngine engine = f.Engine(/*threads=*/0);  // auto
   EXPECT_EQ(engine.num_threads(), ThreadPool::ResolveThreadCount(0));
-  // Create resolves the count into the engine's own options too.
-  EXPECT_EQ(engine.options().num_threads, engine.num_threads());
-  opt.num_threads = 3;
-  BatchQueryEngine fixed =
-      Unwrap(BatchQueryEngine::Create(&f.dataset.graph, &f.lin, &f.index, opt));
+  BatchQueryEngine fixed = f.Engine(3);
   EXPECT_EQ(fixed.num_threads(), 3);
 }
 
-// Asserts that Create fails with InvalidArgument and that the message
-// contains `needle`, so callers get an actionable diagnostic rather
-// than a bare error code.
-void ExpectCreateRejects(const Hin* graph, const SemanticMeasure* semantic,
-                         const WalkIndex* index,
-                         const BatchQueryEngineOptions& opt,
-                         const std::string& needle) {
-  auto r = BatchQueryEngine::Create(graph, semantic, index, opt);
-  ASSERT_FALSE(r.ok()) << "expected rejection mentioning '" << needle << "'";
+TEST(BatchQuery, CreateFromSnapshotRejectsNullSnapshot) {
+  auto r = BatchQueryEngine::CreateFromSnapshot(nullptr, 1);
+  ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(r.status().ToString().find(needle), std::string::npos)
-      << "status was: " << r.status().ToString();
-}
-
-TEST(BatchQuery, CreateRejectsEachNullDependencyIndividually) {
-  Fixture f = Figure1Fixture();
-  BatchQueryEngineOptions opt;
-  ExpectCreateRejects(nullptr, &f.lin, &f.index, opt, "required");
-  ExpectCreateRejects(&f.dataset.graph, nullptr, &f.index, opt, "required");
-  ExpectCreateRejects(&f.dataset.graph, &f.lin, nullptr, opt, "required");
-}
-
-TEST(BatchQuery, CreateRejectsNegativeNormalizerCacheCapacity) {
-  Fixture f = Figure1Fixture();
-  BatchQueryEngineOptions opt;
-  opt.normalizer_cache_capacity = -1;
-  ExpectCreateRejects(&f.dataset.graph, &f.lin, &f.index, opt,
-                      "cache capacities must be >= 0");
-}
-
-TEST(BatchQuery, CreateRejectsNegativeSemanticCacheCapacity) {
-  Fixture f = Figure1Fixture();
-  BatchQueryEngineOptions opt;
-  opt.semantic_cache_capacity = -7;
-  ExpectCreateRejects(&f.dataset.graph, &f.lin, &f.index, opt,
-                      "cache capacities must be >= 0");
-}
-
-TEST(BatchQuery, CreateRejectsEachBadDecayIndividually) {
-  Fixture f = Figure1Fixture();
-  for (double decay : {0.0, 1.0, 1.2, -0.3}) {
-    BatchQueryEngineOptions opt;
-    opt.query.mc = SemSimMcOptions{decay, 0.0};
-    ExpectCreateRejects(&f.dataset.graph, &f.lin, &f.index, opt,
-                        "decay must lie in (0,1)");
-  }
-}
-
-TEST(BatchQuery, CreateRejectsThetaAboveLemmaBound) {
-  Fixture f = Figure1Fixture();
-  BatchQueryEngineOptions opt;
-  opt.query.mc = SemSimMcOptions{0.6, 0.5};  // violates θ <= 1-c
-  ExpectCreateRejects(&f.dataset.graph, &f.lin, &f.index, opt, "Lemma 4.7");
-  // The boundary itself is legal.
-  opt.query.mc = SemSimMcOptions{0.6, 0.4};
-  EXPECT_TRUE(
-      BatchQueryEngine::Create(&f.dataset.graph, &f.lin, &f.index, opt).ok());
-}
-
-TEST(BatchQuery, CreateAcceptsValidOptionsAfterAllRejections) {
-  Fixture f = Figure1Fixture();
-  BatchQueryEngineOptions opt;
-  opt.query.mc = SemSimMcOptions{0.6, 0.05};
-  EXPECT_TRUE(
-      BatchQueryEngine::Create(&f.dataset.graph, &f.lin, &f.index, opt).ok());
-}
-
-TEST(BatchQuery, CreateRejectsNegativeWalkBudget) {
-  Fixture f = Figure1Fixture();
-  BatchQueryEngineOptions opt;
-  opt.query.mc.walk_budget = -1;
-  ExpectCreateRejects(&f.dataset.graph, &f.lin, &f.index, opt,
-                      "walk_budget must be >= 0");
 }
 
 // A second engine bound over the first engine's snapshot shares every
@@ -306,11 +225,7 @@ TEST(BatchQuery, CreateRejectsNegativeWalkBudget) {
 // only stats surface now.)
 TEST(BatchQuery, EngineFromSharedSnapshotIsBitIdentical) {
   Fixture f = AminerFixture();
-  BatchQueryEngineOptions opt;
-  opt.num_threads = 2;
-  opt.query.mc = SemSimMcOptions{0.6, 0.05};
-  BatchQueryEngine engine =
-      Unwrap(BatchQueryEngine::Create(&f.dataset.graph, &f.lin, &f.index, opt));
+  BatchQueryEngine engine = f.Engine(2, SemSimMcOptions{0.6, 0.05});
   std::vector<NodePair> pairs = MakePairs(f.dataset.graph.num_nodes(), 80);
   std::vector<NodeId> sources = {0, 3, 7};
 
@@ -347,16 +262,12 @@ TEST(BatchQuery, EngineFromSharedSnapshotIsBitIdentical) {
 // both bit-exact no-ops relative to the engine's own options.
 TEST(BatchQuery, FullWalkBudgetAndUnfiredTokenAreBitExactNoOps) {
   Fixture f = AminerFixture();
-  BatchQueryEngineOptions opt;
-  opt.num_threads = 2;
-  opt.query.mc = SemSimMcOptions{0.6, 0.05};
-  BatchQueryEngine engine =
-      Unwrap(BatchQueryEngine::Create(&f.dataset.graph, &f.lin, &f.index, opt));
+  BatchQueryEngine engine = f.Engine(2, SemSimMcOptions{0.6, 0.05});
   std::vector<NodePair> pairs = MakePairs(f.dataset.graph.num_nodes(), 120);
   std::vector<double> want = engine.QueryBatch(pairs).values;
 
   CancelToken token;  // never fired
-  SemSimMcOptions mc = opt.query.mc;
+  SemSimMcOptions mc = engine.snapshot()->options().query.mc;
   mc.walk_budget = f.index.num_walks();
   mc.cancel = &token;
   EXPECT_EQ(engine.QueryBatch(pairs, mc).values, want);
@@ -373,12 +284,8 @@ TEST(BatchQuery, FullWalkBudgetAndUnfiredTokenAreBitExactNoOps) {
 // documented summation-order band; top-k is exactly the budgeted rows.
 TEST(BatchQuery, WalkBudgetConsistentAcrossPairSweepAndTopK) {
   Fixture f = AminerFixture();
-  BatchQueryEngineOptions opt;
-  opt.num_threads = 2;
-  opt.query.mc = SemSimMcOptions{0.6, 0.05};
-  BatchQueryEngine engine =
-      Unwrap(BatchQueryEngine::Create(&f.dataset.graph, &f.lin, &f.index, opt));
-  SemSimMcOptions budgeted = opt.query.mc;
+  BatchQueryEngine engine = f.Engine(2, SemSimMcOptions{0.6, 0.05});
+  SemSimMcOptions budgeted = engine.snapshot()->options().query.mc;
   budgeted.walk_budget = 10;
 
   std::vector<NodeId> sources = {0, 5, 9};
@@ -416,10 +323,7 @@ TEST(BatchQuery, WalkBudgetErrorBandWidensAsBudgetShrinks) {
 
 TEST(BatchQuery, NullStatsCallSitesStillPublishToRegistry) {
   Fixture f = Figure1Fixture();
-  BatchQueryEngineOptions opt;
-  opt.num_threads = 2;
-  BatchQueryEngine engine =
-      Unwrap(BatchQueryEngine::Create(&f.dataset.graph, &f.lin, &f.index, opt));
+  BatchQueryEngine engine = f.Engine(2);
   std::vector<NodePair> pairs = MakePairs(f.dataset.graph.num_nodes(), 50);
 
   Counter* met = MetricsRegistry::Global().GetCounter(

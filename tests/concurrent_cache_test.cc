@@ -6,7 +6,6 @@
 #include <thread>
 #include <vector>
 
-#include "tests/test_util.h"
 
 namespace semsim {
 namespace {
@@ -225,48 +224,6 @@ TEST(ConcurrentPairCache, ConcurrentOverlappingStressMixedCosts) {
   OverlappingStress(512, [](NodeId u, NodeId v) {
     return static_cast<uint8_t>((u * 7 + v * 13) % 11);
   });
-}
-
-TEST(CachedSemanticMeasure, MatchesWrappedMeasureBitwise) {
-  auto w = testutil::MakeSmallWorld();
-  LinMeasure lin(&w.context);
-  CachedSemanticMeasure cached(&lin, 1 << 12);
-  size_t n = w.graph.num_nodes();
-  // Two passes: cold (fills) and warm (serves) — both must equal the
-  // wrapped measure exactly, and the name must pass through.
-  for (int pass = 0; pass < 2; ++pass) {
-    for (NodeId u = 0; u < n; ++u) {
-      for (NodeId v = 0; v < n; ++v) {
-        ASSERT_EQ(cached.Sim(u, v), lin.Sim(u, v))
-            << "pass=" << pass << " u=" << u << " v=" << v;
-      }
-    }
-  }
-  EXPECT_EQ(cached.name(), lin.name());
-  EXPECT_GT(cached.cache().hits(), 0u);
-}
-
-TEST(CachedSemanticMeasure, ConcurrentReadersAgree) {
-  auto w = testutil::MakeSmallWorld();
-  LinMeasure lin(&w.context);
-  CachedSemanticMeasure cached(&lin, 1 << 12);
-  size_t n = w.graph.num_nodes();
-  constexpr int kThreads = 8;
-  std::vector<std::thread> threads;
-  std::vector<int> wrong(kThreads, 0);
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&, t] {
-      for (int round = 0; round < 200; ++round) {
-        for (NodeId u = 0; u < n; ++u) {
-          for (NodeId v = 0; v < n; ++v) {
-            if (cached.Sim(u, v) != lin.Sim(u, v)) ++wrong[t];
-          }
-        }
-      }
-    });
-  }
-  for (auto& th : threads) th.join();
-  for (int t = 0; t < kThreads; ++t) EXPECT_EQ(wrong[t], 0) << "thread " << t;
 }
 
 }  // namespace

@@ -56,27 +56,57 @@ TEST(EngineSnapshot, BuildDerivesArtifactsAndFingerprint) {
   EXPECT_NE(snap->fingerprint(), other->fingerprint());
 }
 
+// Asserts that Create fails with InvalidArgument and that the message
+// contains `needle`, so callers get an actionable diagnostic rather
+// than a bare error code.
+void ExpectCreateRejects(std::shared_ptr<const Hin> graph,
+                         std::shared_ptr<const SemanticMeasure> semantic,
+                         std::shared_ptr<const WalkIndex> walks,
+                         const EngineSnapshotOptions& opt,
+                         const std::string& needle) {
+  auto r = EngineSnapshot::Create(std::move(graph), std::move(semantic),
+                                  std::move(walks), opt, 0);
+  ASSERT_FALSE(r.ok()) << "expected rejection mentioning '" << needle << "'";
+  EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(r.status().ToString().find(needle), std::string::npos)
+      << "status was: " << r.status().ToString();
+}
+
 TEST(EngineSnapshot, RejectsNullArtifactsAndBadCapacities) {
   auto w = MakeSmallWorld();
   LinMeasure lin(&w.context);
+  auto graph = Unowned(&w.graph);
+  auto measure = Unowned<SemanticMeasure>(&lin);
   auto walks = std::make_shared<const WalkIndex>(
       WalkIndex::Build(w.graph, SmallWalks()));
-  EngineSnapshotOptions opt;
-  EXPECT_FALSE(EngineSnapshot::Create(nullptr, Unowned<SemanticMeasure>(&lin),
-                                      walks, opt, 0)
-                   .ok());
-  EXPECT_FALSE(
-      EngineSnapshot::Create(Unowned(&w.graph), nullptr, walks, opt, 0).ok());
-  EXPECT_FALSE(EngineSnapshot::Create(Unowned(&w.graph),
-                                      Unowned<SemanticMeasure>(&lin), nullptr,
-                                      opt, 0)
-                   .ok());
+  const EngineSnapshotOptions opt;
+  ExpectCreateRejects(nullptr, measure, walks, opt, "required");
+  ExpectCreateRejects(graph, nullptr, walks, opt, "required");
+  ExpectCreateRejects(graph, measure, nullptr, opt, "required");
+
   EngineSnapshotOptions bad = opt;
   bad.normalizer_cache_capacity = -1;
-  EXPECT_FALSE(EngineSnapshot::Create(Unowned(&w.graph),
-                                      Unowned<SemanticMeasure>(&lin), walks,
-                                      bad, 0)
-                   .ok());
+  ExpectCreateRejects(graph, measure, walks, bad,
+                      "normalizer_cache_capacity must be >= 0");
+
+  for (double decay : {0.0, 1.0, 1.2, -0.3}) {
+    bad = opt;
+    bad.query.mc = SemSimMcOptions{decay, 0.0};
+    ExpectCreateRejects(graph, measure, walks, bad, "decay must lie in (0,1)");
+  }
+
+  bad = opt;
+  bad.query.mc = SemSimMcOptions{0.6, 0.5};  // violates θ <= 1-c
+  ExpectCreateRejects(graph, measure, walks, bad, "Lemma 4.7");
+  bad.query.mc = SemSimMcOptions{0.6, 0.4};  // the boundary itself is legal
+  EXPECT_TRUE(EngineSnapshot::Create(graph, measure, walks, bad, 0).ok());
+
+  bad = opt;
+  bad.query.mc.walk_budget = -1;
+  ExpectCreateRejects(graph, measure, walks, bad, "walk_budget must be >= 0");
+
+  // Valid options still succeed after every rejection.
+  EXPECT_TRUE(EngineSnapshot::Create(graph, measure, walks, opt, 0).ok());
 }
 
 TEST(EngineSnapshot, InvertedIndexIsLazyIdempotentAndEagerOnRequest) {

@@ -311,8 +311,10 @@ TEST_F(FailPointTest, SiteQuerySchedulerDelayIsHitPerRequest) {
   wopt.num_walks = 8;
   wopt.walk_length = 4;
   WalkIndex walks = WalkIndex::Build(w.graph, wopt);
-  BatchQueryEngine engine =
-      Unwrap(BatchQueryEngine::Create(&w.graph, &measure, &walks));
+  BatchQueryEngine engine = Unwrap(BatchQueryEngine::CreateFromSnapshot(
+      Unwrap(EngineSnapshot::Create(Unowned(&w.graph), Unowned(&measure),
+                                    Unowned(&walks), EngineSnapshotOptions{},
+                                    /*version=*/0))));
   QueryService service = Unwrap(QueryService::Create(&engine));
 
   FailPoints::Global().ArmDelay("query_service/scheduler",

@@ -88,7 +88,7 @@ TEST(FlatSemanticTable, KernelsMatchVirtualMeasures) {
   }
 }
 
-TEST(MeasureClassification, DetectsFlattenableMeasuresThroughCache) {
+TEST(MeasureClassification, DetectsFlattenableMeasures) {
   Dataset d = Figure1();
   LinMeasure lin(&d.context);
   ResnikMeasure resnik(&d.context);
@@ -105,9 +105,6 @@ TEST(MeasureClassification, DetectsFlattenableMeasuresThroughCache) {
   EXPECT_EQ(kernels::ClassifyMeasure(&constant).kind,
             kernels::SemKind::kVirtual);
   EXPECT_EQ(kernels::ClassifyMeasure(&lin).context, &d.context);
-  // The decorator is transparent to classification.
-  CachedSemanticMeasure cached(&lin, 1 << 10);
-  EXPECT_EQ(kernels::ClassifyMeasure(&cached).kind, kernels::SemKind::kLin);
 }
 
 // ---------------------------------------------------------------------------
@@ -212,10 +209,20 @@ TEST(FlatKernelEstimator, JiangConrathStaysVirtual) {
 
 // ---------------------------------------------------------------------------
 // Layer 3: engine-level bit-equality — a BatchQueryEngine (devirtualized
-// semantics, shared caches) returns at 1, 2 and 8 threads exactly what a
+// semantics, shared normalizer cache) returns at 1, 2 and 8 threads exactly what a
 // bare estimator with virtual semantics returns serially, across
 // repeated rounds (cache history must not matter).
 // ---------------------------------------------------------------------------
+
+// An engine over a snapshot with the default options.
+BatchQueryEngine EngineOver(const Dataset& d, const SemanticMeasure& measure,
+                            const WalkIndex& index, int threads) {
+  return Unwrap(BatchQueryEngine::CreateFromSnapshot(
+      Unwrap(EngineSnapshot::Create(Unowned(&d.graph), Unowned(&measure),
+                                    Unowned(&index), EngineSnapshotOptions{},
+                                    /*version=*/0)),
+      threads));
+}
 
 TEST(FlatKernelEngine, BatchesMatchVirtualEstimatorAcrossThreads) {
   for (const Dataset& d : {Figure1(), Aminer()}) {
@@ -229,7 +236,7 @@ TEST(FlatKernelEngine, BatchesMatchVirtualEstimatorAcrossThreads) {
       sources.push_back(u);
     }
 
-    SemSimMcOptions mc = BatchQueryEngineOptions().query.mc;
+    SemSimMcOptions mc = QueryOptions().mc;
     SemSimMcEstimator virt(&d.graph, &lin, &index);
     SingleSourceIndex inverted =
         SingleSourceIndex::Build(index, d.graph.num_nodes());
@@ -247,15 +254,11 @@ TEST(FlatKernelEngine, BatchesMatchVirtualEstimatorAcrossThreads) {
     }
 
     for (int threads : {1, 2, 8}) {
-      BatchQueryEngineOptions opt;
-      opt.num_threads = threads;
-      BatchQueryEngine engine = testutil::Unwrap(
-          BatchQueryEngine::Create(&d.graph, &lin, &index, opt));
-      EXPECT_EQ(engine.kernel_name(), "flat+flat-lin");
-      ASSERT_NE(engine.transition_table(), nullptr);
-      ASSERT_NE(engine.flat_semantic_table(), nullptr);
-      // Devirtualized semantics: no memoizing wrapper is built.
-      EXPECT_EQ(engine.cached_semantic(), nullptr);
+      BatchQueryEngine engine = EngineOver(d, lin, index, threads);
+      const EngineSnapshot& snap = *engine.snapshot();
+      EXPECT_EQ(snap.kernel_name(), "flat+flat-lin");
+      ASSERT_NE(snap.transition_table(), nullptr);
+      ASSERT_NE(snap.flat_semantic_table(), nullptr);
 
       for (int round = 0; round < 2; ++round) {
         std::vector<double> got = engine.QueryBatch(pairs).values;
@@ -290,20 +293,18 @@ TEST(FlatKernelEngine, ConstantMeasureFallsBackToVirtual) {
   ConstantMeasure constant;
   WalkIndex index = WalkIndex::Build(d.graph,
                                      WalkIndexOptions{30, 8, 13, false});
-  BatchQueryEngineOptions opt;
-  opt.num_threads = 2;
-  BatchQueryEngine engine = testutil::Unwrap(
-      BatchQueryEngine::Create(&d.graph, &constant, &index, opt));
-  EXPECT_EQ(engine.kernel_name(), "flat+virtual");
-  EXPECT_EQ(engine.flat_semantic_table(), nullptr);
-  ASSERT_NE(engine.transition_table(), nullptr);
+  BatchQueryEngine engine = EngineOver(d, constant, index, 2);
+  const EngineSnapshot& snap = *engine.snapshot();
+  EXPECT_EQ(snap.kernel_name(), "flat+virtual");
+  EXPECT_EQ(snap.flat_semantic_table(), nullptr);
+  ASSERT_NE(snap.transition_table(), nullptr);
 
   SemSimMcEstimator virt(&d.graph, &constant, &index);
   std::vector<NodePair> pairs = MakePairs(d.graph.num_nodes(), 120);
   std::vector<double> got = engine.QueryBatch(pairs).values;
   for (size_t i = 0; i < got.size(); ++i) {
     ASSERT_EQ(got[i], virt.Query(pairs[i].first, pairs[i].second,
-                                 opt.query.mc));
+                                 snap.options().query.mc));
   }
 }
 

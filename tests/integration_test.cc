@@ -6,7 +6,8 @@
 #include "baselines/similarity_fn.h"
 #include "common/stats.h"
 #include "core/iterative.h"
-#include "core/semsim_engine.h"
+#include "core/engine_snapshot.h"
+#include "core/topk.h"
 #include "datasets/aminer_gen.h"
 #include "datasets/amazon_gen.h"
 #include "datasets/wikipedia_gen.h"
@@ -127,11 +128,12 @@ TEST(Integration, EngineTopKReturnsSemanticallyRelevantNodes) {
   opt.seed = 61;
   Dataset d = Unwrap(GenerateAmazon(opt));
   LinMeasure lin(&d.context);
-  SemSimEngineOptions eopt;
-  eopt.walks.num_walks = 150;
-  eopt.walks.walk_length = 15;
+  EngineSnapshotOptions eopt;
   eopt.query.mc = {0.6, 0.05};
-  SemSimEngine engine = Unwrap(SemSimEngine::Create(&d.graph, &lin, eopt));
+  eopt.normalizer_cache_capacity = 0;
+  EngineSnapshotPtr snap = Unwrap(EngineSnapshot::Build(
+      Unowned(&d.graph), Unowned(&lin), WalkIndexOptions{150, 15, 42, false},
+      eopt, 0));
 
   // Query a random item; its top-10 must contain same-category items
   // (category proximity drives both structure and semantics here).
@@ -144,7 +146,7 @@ TEST(Integration, EngineTopKReturnsSemanticallyRelevantNodes) {
     }
   }
   ASSERT_NE(query, kInvalidNode);
-  auto top = engine.TopK(query, 10);
+  auto top = McTopK(snap->estimator(), query, 10, eopt.query.mc);
   ASSERT_FALSE(top.empty());
   EXPECT_GT(top[0].score, 0.0);
   const Taxonomy& tax = d.context.taxonomy();

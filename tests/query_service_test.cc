@@ -54,11 +54,12 @@ struct Fixture {
         engine(MakeEngine(threads)) {}
 
   BatchQueryEngine MakeEngine(int threads) {
-    BatchQueryEngineOptions opt;
-    opt.num_threads = threads;
+    EngineSnapshotOptions opt;
     opt.query.mc = SemSimMcOptions{0.6, 0.05};
-    return Unwrap(
-        BatchQueryEngine::Create(&dataset.graph, &lin, &index, opt));
+    return Unwrap(BatchQueryEngine::CreateFromSnapshot(
+        Unwrap(EngineSnapshot::Create(Unowned(&dataset.graph), Unowned(&lin),
+                                      Unowned(&index), opt, /*version=*/0)),
+        threads));
   }
 };
 
@@ -338,6 +339,12 @@ TEST(QueryService, MalformedRequestsFailWithInvalidArgument) {
   topk_bad_source.kind = QueryRequestKind::kTopK;
   topk_bad_source.sources = {1u << 28};
   bad.push_back(topk_bad_source);
+  // Valid ids, but the dense rows would need more than
+  // kMaxSingleSourceCells doubles: rejected before any row is allocated.
+  QueryRequest too_many_cells;
+  too_many_cells.kind = QueryRequestKind::kSingleSource;
+  too_many_cells.sources.assign(kMaxSingleSourceCells / n + 1, 0);
+  bad.push_back(too_many_cells);
 
   for (size_t i = 0; i < bad.size(); ++i) {
     QueryResponse resp = service.Submit(bad[i]).Get();
@@ -382,7 +389,7 @@ TEST(QueryService, DegradedRunShrinksBudgetAndStaysDeterministic) {
   EXPECT_EQ(resp.effective_walk_budget, sopt.min_walk_budget);
   EXPECT_EQ(resp.full_walk_budget, f.index.num_walks());
 
-  SemSimMcOptions budgeted = f.engine.query_options().mc;
+  SemSimMcOptions budgeted = f.engine.snapshot()->options().query.mc;
   budgeted.walk_budget = sopt.min_walk_budget;
   EXPECT_EQ(resp.scores, f.engine.QueryBatch(req.pairs, budgeted).values);
 

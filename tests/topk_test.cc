@@ -3,7 +3,8 @@
 #include <gtest/gtest.h>
 
 #include "core/iterative.h"
-#include "core/semsim_engine.h"
+#include "core/engine_snapshot.h"
+#include "core/query_scratch.h"
 #include "taxonomy/semantic_measure.h"
 #include "tests/test_util.h"
 
@@ -74,103 +75,99 @@ TEST(McTopK, AgreesWithExhaustiveEstimatorRanking) {
   }
 }
 
-TEST(SemSimEngine, EndToEndQueries) {
+// The migrated call sites of the library: a snapshot built over
+// borrowed artifacts with the concurrent normalizer cache off, queried
+// through its estimator (pairs, filtered top-k) or its inverted index
+// (single-source top-k).
+EngineSnapshotPtr BuildSnapshot(const testutil::SmallWorld& w,
+                                const SemanticMeasure& measure,
+                                const WalkIndexOptions& walks,
+                                EngineSnapshotOptions opt) {
+  opt.normalizer_cache_capacity = 0;
+  return Unwrap(EngineSnapshot::Build(Unowned(&w.graph), Unowned(&measure),
+                                      walks, opt, 0));
+}
+
+TEST(SnapshotQueries, EndToEndQueries) {
   auto w = MakeSmallWorld();
   LinMeasure lin(&w.context);
-  SemSimEngineOptions opt;
-  opt.walks.num_walks = 300;
-  opt.walks.walk_length = 12;
-  opt.query.mc.decay = 0.6;
-  opt.query.mc.theta = 0.05;
-  SemSimEngine engine = Unwrap(SemSimEngine::Create(&w.graph, &lin, opt));
+  EngineSnapshotOptions opt;
+  opt.query.mc = {0.6, 0.05};
+  EngineSnapshotPtr snap =
+      BuildSnapshot(w, lin, WalkIndexOptions{300, 12, 42, false}, opt);
+  const SemSimMcEstimator& est = snap->estimator();
 
-  EXPECT_DOUBLE_EQ(engine.Similarity(w.a0, w.a0), 1.0);
-  double by_id = engine.Similarity(w.a0, w.a1);
-  double by_name = Unwrap(engine.SimilarityByName("a0", "a1"));
-  EXPECT_DOUBLE_EQ(by_id, by_name);
-  EXPECT_FALSE(engine.SimilarityByName("a0", "ghost").ok());
-
-  auto top = engine.TopK(w.a0, 2);
+  EXPECT_DOUBLE_EQ(est.Query(w.a0, w.a0, opt.query.mc), 1.0);
+  EXPECT_GT(est.Query(w.a0, w.a1, opt.query.mc), 0.0);
+  auto top = McTopK(est, w.a0, 2, opt.query.mc);
   EXPECT_EQ(top.size(), 2u);
-  EXPECT_GT(engine.MemoryBytes(), 0u);
+  EXPECT_GT(snap->MemoryBytes(), 0u);
 }
 
-TEST(SemSimEngine, ValidatesOptions) {
+TEST(SnapshotQueries, InvertedTopKFromMatchesPairwiseMcTopK) {
   auto w = MakeSmallWorld();
   LinMeasure lin(&w.context);
-  SemSimEngineOptions opt;
-  opt.query.mc.decay = 0.6;
-  opt.query.mc.theta = 0.5;  // violates θ <= 1-c (Lemma 4.7)
-  EXPECT_FALSE(SemSimEngine::Create(&w.graph, &lin, opt).ok());
-  opt.query.mc.theta = 0.05;
-  EXPECT_FALSE(SemSimEngine::Create(nullptr, &lin, opt).ok());
-  EXPECT_FALSE(SemSimEngine::Create(&w.graph, nullptr, opt).ok());
-  opt.query.mc.decay = 1.2;
-  EXPECT_FALSE(SemSimEngine::Create(&w.graph, &lin, opt).ok());
-}
-
-TEST(SemSimEngine, SingleSourceEngineMatchesPairwiseTopK) {
-  auto w = MakeSmallWorld();
-  LinMeasure lin(&w.context);
-  SemSimEngineOptions opt;
-  opt.walks.num_walks = 150;
-  opt.walks.walk_length = 10;
+  EngineSnapshotOptions opt;
   opt.query.mc = {0.6, 0.0};
-  SemSimEngine plain = Unwrap(SemSimEngine::Create(&w.graph, &lin, opt));
-  opt.single_source = true;
-  SemSimEngine fast = Unwrap(SemSimEngine::Create(&w.graph, &lin, opt));
+  EngineSnapshotPtr snap =
+      BuildSnapshot(w, lin, WalkIndexOptions{150, 10, 42, false}, opt);
+  const size_t plain_bytes = snap->MemoryBytes();
+  const SingleSourceIndex& inverted = snap->InvertedIndex();
+  QueryScratch scratch;
 
   for (NodeId u = 0; u < w.graph.num_nodes(); ++u) {
-    auto a = plain.TopK(u, 4);
-    auto b = fast.TopK(u, 4);
+    auto a = McTopK(snap->estimator(), u, 4, opt.query.mc);
+    auto b = inverted.TopKFrom(u, 4, snap->estimator(), opt.query.mc, scratch);
     ASSERT_EQ(a.size(), b.size());
     for (size_t i = 0; i < a.size(); ++i) {
       EXPECT_EQ(a[i].node, b[i].node) << "u=" << u << " rank " << i;
       EXPECT_NEAR(a[i].score, b[i].score, 1e-10);
     }
   }
-  // AllScores is only available on the single-source engine.
-  EXPECT_FALSE(plain.AllScores(w.a0).ok());
-  auto scores = Unwrap(fast.AllScores(w.a0));
-  EXPECT_EQ(scores.size(), w.graph.num_nodes());
-  EXPECT_DOUBLE_EQ(scores[w.a0], 1.0);
-  EXPECT_GT(fast.MemoryBytes(), plain.MemoryBytes());
+  EXPECT_GT(snap->MemoryBytes(), plain_bytes);
 }
 
-TEST(SemSimEngine, SingleSourceRespectsCandidateFilter) {
+TEST(SnapshotQueries, InvertedSweepRespectsCandidateFilter) {
   auto w = MakeSmallWorld();
   LinMeasure lin(&w.context);
-  SemSimEngineOptions opt;
-  opt.walks.num_walks = 100;
-  opt.walks.walk_length = 8;
+  EngineSnapshotOptions opt;
   opt.query.mc = {0.6, 0.0};
-  opt.single_source = true;
-  SemSimEngine engine = Unwrap(SemSimEngine::Create(&w.graph, &lin, opt));
+  opt.eager_single_source = true;
+  EngineSnapshotPtr snap =
+      BuildSnapshot(w, lin, WalkIndexOptions{100, 8, 42, false}, opt);
+  QueryScratch scratch;
+  std::vector<double> scores;
+  snap->InvertedIndex().SemSimFromInto(w.a0, snap->estimator(), opt.query.mc,
+                                       scratch, scores);
   std::vector<NodeId> candidates = {w.a1, w.b0};
-  auto top = engine.TopK(w.a0, 10, &candidates);
+  auto top = CallbackTopK(w.graph.num_nodes(), w.a0, 10, &candidates,
+                          [&](NodeId v) { return scores[v]; });
   ASSERT_EQ(top.size(), 2u);
   for (const Scored& s : top) {
     EXPECT_TRUE(s.node == w.a1 || s.node == w.b0);
   }
 }
 
-TEST(SemSimEngine, CacheBackedEngineMatchesPlain) {
+TEST(SnapshotQueries, StaticCacheSnapshotMatchesPlain) {
   auto w = MakeSmallWorld();
   LinMeasure lin(&w.context);
-  SemSimEngineOptions opt;
-  opt.walks.num_walks = 200;
-  opt.walks.walk_length = 10;
-  SemSimEngine plain = Unwrap(SemSimEngine::Create(&w.graph, &lin, opt));
+  const WalkIndexOptions walks{200, 10, 42, false};
+  EngineSnapshotOptions opt;
+  opt.cache_min_sem = -1.0;
+  EngineSnapshotPtr plain = BuildSnapshot(w, lin, walks, opt);
   opt.cache_min_sem = 0.0;
-  SemSimEngine cached = Unwrap(SemSimEngine::Create(&w.graph, &lin, opt));
+  EngineSnapshotPtr cached = BuildSnapshot(w, lin, walks, opt);
+  ASSERT_EQ(plain->static_cache(), nullptr);
+  ASSERT_NE(cached->static_cache(), nullptr);
+  const SemSimMcOptions& mc = opt.query.mc;
   for (NodeId u = 0; u < w.graph.num_nodes(); ++u) {
     for (NodeId v = 0; v < u; ++v) {
-      double a = plain.Similarity(u, v);
-      double b = cached.Similarity(u, v);
+      double a = plain->estimator().Query(u, v, mc);
+      double b = cached->estimator().Query(u, v, mc);
       EXPECT_NEAR(a, b, 1e-12 + 1e-9 * std::abs(a));
     }
   }
-  EXPECT_GT(cached.MemoryBytes(), plain.MemoryBytes());
+  EXPECT_GT(cached->MemoryBytes(), plain->MemoryBytes());
 }
 
 }  // namespace
