@@ -154,8 +154,11 @@ void Run(int requested_threads) {
       double wall_ms = t.ElapsedMillis();
       auto& batch = result.values;
       McQueryStats& stats = result.stats;
+      // Serial reference: the snapshot's own estimator, so both sides
+      // run the same semantic kernel and normalizer path.
       for (size_t q = 0; q < queries.size(); ++q) {
-        inverted.SemSimFromInto(queries[q], estimator, mc, scratch, row);
+        inverted.SemSimFromInto(queries[q], engine.snapshot()->estimator(),
+                                mc, scratch, row);
         if (batch[q] != row) all_identical = false;
       }
       double per_source = wall_ms / kQueries;

@@ -140,8 +140,11 @@ void Run(int requested_threads) {
       double wall_ms = t.ElapsedMillis();
       auto& batch = result.values;
       McQueryStats& stats = result.stats;
+      // Serial reference: the snapshot's own estimator, so both sides
+      // run the same semantic kernel and normalizer path.
       for (size_t q = 0; q < queries.size(); ++q) {
-        auto serial = inverted.TopKFrom(queries[q], kK, estimator, mc, scratch);
+        auto serial = inverted.TopKFrom(
+            queries[q], kK, engine.snapshot()->estimator(), mc, scratch);
         if (batch[q].size() != serial.size()) batch_matches = false;
         for (size_t i = 0; i < serial.size() && batch_matches; ++i) {
           if (batch[q][i].node != serial[i].node ||

@@ -2,7 +2,8 @@
 # Repo verification: the tier-1 build-and-test pass, then sanitizer
 # builds of the query-kernel and concurrency surfaces:
 #   asan  — AddressSanitizer over the flat-kernel paths (transition
-#           table, flat semantic table, walk-index compact layout).
+#           table, flat semantic table, grouped normalizers, walk-index
+#           compact layout).
 #   tsan  — ThreadSanitizer over the concurrency surface (pool,
 #           concurrent pair cache, batch query engine, metrics registry)
 #           plus the flat-kernel equivalence test, which drives
@@ -86,12 +87,12 @@ asan() {
   cmake -B build-asan -S . -DCMAKE_BUILD_TYPE=Debug \
     -DSEMSIM_SANITIZE=address
   cmake --build build-asan -j "${JOBS}" \
-    --target flat_kernel_test transition_table_test walk_index_test \
-    dynamic_walk_index_test batch_query_test \
+    --target flat_kernel_test normalizer_groups_test transition_table_test \
+    walk_index_test dynamic_walk_index_test batch_query_test \
     walk_index_corruption_test mapped_file_test differential_test \
     rng_test node_sampler_test
   ctest --test-dir build-asan --output-on-failure \
-    -R 'flat_kernel_test|transition_table_test|walk_index_test|batch_query_test|walk_index_corruption_test|mapped_file_test|differential_test|rng_test|node_sampler_test'
+    -R 'flat_kernel_test|normalizer_groups_test|transition_table_test|walk_index_test|batch_query_test|walk_index_corruption_test|mapped_file_test|differential_test|rng_test|node_sampler_test'
 }
 
 tsan() {

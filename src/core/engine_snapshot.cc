@@ -186,6 +186,7 @@ const SingleSourceIndex& EngineSnapshot::InvertedIndex(
 size_t EngineSnapshot::MemoryBytes() const {
   size_t total = walk_index_->MemoryBytes();
   total += estimator_->transition_table().MemoryBytes();
+  total += estimator_->normalizer_groups().MemoryBytes();
   if (flat_semantic_) total += flat_semantic_->MemoryBytes();
   if (sampler_) total += sampler_->TableBytes();
   if (static_cache_) total += static_cache_->MemoryBytes();

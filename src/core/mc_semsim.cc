@@ -3,6 +3,7 @@
 #include <bit>
 #include <cmath>
 #include <mutex>
+#include <type_traits>
 #include <vector>
 
 #include "common/logging.h"
@@ -96,9 +97,9 @@ SemSimMcEstimator::SemSimMcEstimator(const Hin* graph,
 // semantic policy (VirtualSem or one of the Flat*Kernel structs), all
 // stepping through the one TransitionTable; Dispatch selects the
 // instantiation matching the attached semantic table. Every policy
-// computes the same arithmetic in the same order, so all instantiations
-// return bit-identical values — the flat ones just drop the virtual
-// calls.
+// returns bit-identical sem(·,·) values; the flat ones drop the virtual
+// calls and sum SO normalizers over taxonomy groups (NormalizerGroups),
+// which changes a normalizer only in its last bits.
 // ---------------------------------------------------------------------------
 
 template <typename F>
@@ -121,6 +122,7 @@ auto SemSimMcEstimator::Dispatch(F&& f) const {
 bool SemSimMcEstimator::AttachFlatKernel(const FlatSemanticTable* semantics) {
   flat_sem_ = nullptr;
   sem_kind_ = kernels::SemKind::kVirtual;
+  groups_ = NormalizerGroups();
   if (semantics != nullptr) {
     kernels::SemInfo info = kernels::ClassifyMeasure(semantic_);
     if (info.kind != kernels::SemKind::kVirtual) {
@@ -129,6 +131,11 @@ bool SemSimMcEstimator::AttachFlatKernel(const FlatSemanticTable* semantics) {
       SEMSIM_CHECK(semantics->source() == info.context);
       flat_sem_ = semantics;
       sem_kind_ = info.kind;
+      Dispatch([&](const auto& sem) {
+        groups_ = NormalizerGroups::Build(
+            *graph_, *semantics,
+            [&](NodeId a, NodeId b) { return sem.Sim(a, b); });
+      });
     }
   }
   return sem_kind_ != kernels::SemKind::kVirtual;
@@ -197,23 +204,31 @@ double SemSimMcEstimator::NormalizerT(const Sem& sem, NodeId u, NodeId v,
   NodeId hi = u <= v ? v : u;
   auto in_lo = graph_->InNeighbors(lo);
   auto in_hi = graph_->InNeighbors(hi);
-  const uint64_t work = static_cast<uint64_t>(in_lo.size()) * in_hi.size();
+  const uint64_t d2 = static_cast<uint64_t>(in_lo.size()) * in_hi.size();
+  double norm = 0;
+  uint64_t work = d2;
+  if constexpr (std::is_same_v<Sem, kernels::VirtualSem>) {
+    // Any measure: the d² loop of the definition.
+    for (const Neighbor& a : in_lo) {
+      for (const Neighbor& b : in_hi) {
+        norm += a.weight * b.weight * sem.Sim(a.node, b.node);
+      }
+    }
+  } else {
+    // LCA-based measures: the same sum over taxonomy groups.
+    norm = groups_.Sum(sem, lo, hi);
+    work = groups_.Work(lo, hi);
+  }
   if (stats) {
     ++stats->normalizers_computed;
     stats->normalizer_work += static_cast<int64_t>(work);
   }
-  double norm = 0;
-  for (const Neighbor& a : in_lo) {
-    for (const Neighbor& b : in_hi) {
-      norm += a.weight * b.weight * sem.Sim(a.node, b.node);
-    }
-  }
   context->Insert(u, v, norm);
   if (shared_cache_ != nullptr) {
-    // Cost class ⌊log2(d_lo·d_hi)⌋: a hub pair's d² loop outranks the
-    // cheap pairs that would otherwise displace it from the shared cache.
+    // Cost class ⌊log2(d_lo·d_hi)⌋: a hub pair outranks the cheap pairs
+    // that would otherwise displace it from the shared cache.
     const uint8_t cost =
-        work == 0 ? 0 : static_cast<uint8_t>(std::bit_width(work) - 1);
+        d2 == 0 ? 0 : static_cast<uint8_t>(std::bit_width(d2) - 1);
     shared_cache_->Insert(u, v, norm, cost);
   }
   return norm;
@@ -318,7 +333,8 @@ double SemSimMcEstimator::QueryT(const Sem& sem, NodeId u, NodeId v,
     if (stats) ++stats->met_walks;
     total += CoupledWalkScoreT(sem, u, v, w, meet, options, context, stats);
   }
-  return sem_uv * total / static_cast<double>(budget);
+  return ProjectOntoSemBound(sem_uv * total / static_cast<double>(budget),
+                             sem_uv);
 }
 
 double SemSimMcEstimator::Query(NodeId u, NodeId v,

@@ -10,6 +10,7 @@
 #include "common/thread_pool.h"
 #include "core/concurrent_cache.h"
 #include "core/mc_kernels.h"
+#include "core/normalizer_groups.h"
 #include "core/sling_cache.h"
 #include "core/walk_index.h"
 #include "graph/hin.h"
@@ -86,15 +87,16 @@ struct McQueryStats {
   /// Number of queries answered 0 by the sem(u,v) <= θ test — the
   /// summable form of `sem_pruned` (which saturates under Merge).
   int64_t sem_pruned_queries = 0;
-  /// Number of d²-cost normalizer (SO) computations performed.
+  /// Number of SO normalizer computations performed (cache misses).
   int64_t normalizers_computed = 0;
   /// Normalizer lookups answered by the SLING-style cache.
   int64_t normalizer_cache_hits = 0;
   /// Normalizer lookups answered by the cross-query concurrent cache.
   int64_t shared_cache_hits = 0;
-  /// Σ |In(lo)|·|In(hi)| over the normalizers computed: the d² work
-  /// behind `normalizers_computed`, which counts a hub pair and a leaf
-  /// pair alike.
+  /// The work behind `normalizers_computed`, which counts a hub pair
+  /// and a leaf pair alike: g_lo·g_hi group pairs plus both correction
+  /// lists on the grouped path (NormalizerGroups::Work), |In(lo)|·|In(hi)|
+  /// on the d² path.
   int64_t normalizer_work = 0;
 
   /// Accumulates `other` into this record (counter sums; sem_pruned
@@ -128,12 +130,30 @@ struct BatchResult {
 /// (legacy) `stats = nullptr` call sites that used to drop the counts.
 void PublishQueryStats(const McQueryStats& stats);
 
+/// Projects an estimate onto [0, sem(u,v)]: sim(u,v) ≤ sem(u,v)
+/// (Prop. 2.5), so the projection can only move an estimate toward the
+/// true value. Applied to every estimate the estimator and the
+/// single-source sweep return.
+inline double ProjectOntoSemBound(double estimate, double sem_uv) {
+  return estimate < 0 ? 0.0 : (estimate > sem_uv ? sem_uv : estimate);
+}
+
 /// Single-pair SemSim estimator implementing the paper's Algorithm 1:
 /// walks are drawn once from the proposal distribution Q (the WalkIndex),
 /// and Importance Sampling reweights each coupled walk by P(w)/Q(w) under
 /// the semantic-aware distribution P, yielding an unbiased estimate of
-/// sem(u,v)·E_P[c^τ] (Eq. 4). Average query time O(n_w·t·d²); with the
-/// pruning rules the observed time is on par with SimRank (Sec. 5.2).
+/// sem(u,v)·E_P[c^τ] (Eq. 4), projected onto [0, sem(u,v)].
+///
+/// Cost: every IS step divides by the SO normalizer of its pair. The
+/// paper's bound is O(n_w·t·d²), d² for the Σ_{a∈In(u), b∈In(v)} loop,
+/// and that loop is what a custom or JiangConrath measure still runs.
+/// With a flat kernel attached (Lin, Resnik, Wu–Palmer, Path) the
+/// normalizer is summed over taxonomy groups instead
+/// (NormalizerGroups): O(g_u·g_v + d_u + d_v) per step, with g the
+/// number of groups in an in-neighbourhood (2 for each of the 12
+/// largest hubs of the AMiner-10k and Amazon-3k serving graphs). With
+/// the pruning rules the observed time is on par with SimRank
+/// (Sec. 5.2).
 class SemSimMcEstimator {
  public:
   /// All pointers must outlive the estimator; `cache` is optional
@@ -156,14 +176,22 @@ class SemSimMcEstimator {
   /// Devirtualizes sem(u,v) through `semantics` when the bound measure
   /// is one of the four flattenable built-ins (DESIGN.md §7);
   /// `semantics` must then have been built from that measure's
-  /// SemanticContext (checked). Results are bit-identical to the virtual
-  /// path on every query. The table must outlive the estimator. Returns
-  /// true when the measure was devirtualized (false = virtual fallback:
-  /// `semantics` is nullptr, or the measure is JiangConrath or custom).
+  /// SemanticContext (checked), and the estimator builds its
+  /// NormalizerGroups over it, O(|V| + |E| + |C| log |C|). sem(u,v) is
+  /// bit-identical to the virtual path; SO normalizers are summed over
+  /// taxonomy groups, so estimates agree with the virtual path up to
+  /// summation order (≤ 1e-9 relative). The table must outlive the
+  /// estimator. Returns true when the measure was devirtualized (false =
+  /// virtual fallback: `semantics` is nullptr, or the measure is
+  /// JiangConrath or custom).
   bool AttachFlatKernel(const FlatSemanticTable* semantics);
 
   /// The in-edge transition table every step reads.
   const TransitionTable& transition_table() const { return transitions_; }
+
+  /// The grouped-normalizer tables; empty unless a flat kernel is
+  /// attached.
+  const NormalizerGroups& normalizer_groups() const { return groups_; }
 
   /// Name of the active semantic kernel: "virtual", or
   /// "flat-lin" / "flat-resnik" / "flat-wupalmer" / "flat-path".
@@ -173,8 +201,10 @@ class SemSimMcEstimator {
   /// semantic().Sim(u, v), minus the virtual dispatch when flat.
   double SemValue(NodeId u, NodeId v) const;
 
-  /// Estimates sim(u, v). Unbiased for θ = 0 (Prop. 4.4); with θ > 0 the
-  /// additional one-sided error is bounded by θ (Prop. 4.6). Stage
+  /// Estimates sim(u, v). Unbiased for θ = 0 (Prop. 4.4) before the
+  /// projection onto [0, sem(u,v)], which only moves an estimate toward
+  /// the true value; with θ > 0 the additional one-sided error is
+  /// bounded by θ (Prop. 4.6). Stage
   /// counts are always published to the global MetricsRegistry
   /// (`semsim_query_*`); the `stats` out-param is the legacy per-call
   /// view and may stay nullptr.
@@ -198,7 +228,7 @@ class SemSimMcEstimator {
   /// Per-query memo of SO normalizers computed along coupled-walk
   /// prefixes, keyed by the ordered pair (u, v). Sharing one context
   /// across many queries with the same source node (single-source /
-  /// top-k workloads) removes most of the d²-cost recomputation.
+  /// top-k workloads) removes most of the normalizer recomputation.
   ///
   /// A flat open-addressed table (linear probing) whose slots carry a
   /// uint32 epoch stamp: a slot is live iff its stamp equals the current
@@ -305,9 +335,11 @@ class SemSimMcEstimator {
   const WalkIndex& index() const { return *index_; }
 
  private:
-  /// SO(u,v): the d²-cost semantic-aware normalizer. Served from the
-  /// SLING-style cache when available, else from the context memo (walk
-  /// prefixes overlap heavily within one source), else computed.
+  /// SO(u,v): the semantic-aware normalizer. Served from the SLING-style
+  /// cache when available, else from the context memo (walk prefixes
+  /// overlap heavily within one source), else from the shared cache,
+  /// else computed: over taxonomy groups for a flat kernel, by the d²
+  /// loop for VirtualSem.
   double Normalizer(NodeId u, NodeId v, QueryContext* context,
                     McQueryStats* stats) const;
 
@@ -339,6 +371,8 @@ class SemSimMcEstimator {
   // virtual SemanticMeasure path.
   const FlatSemanticTable* flat_sem_ = nullptr;
   kernels::SemKind sem_kind_ = kernels::SemKind::kVirtual;
+  // Grouped SO normalizers over flat_sem_ (empty when virtual).
+  NormalizerGroups groups_;
 };
 
 /// Sampling parameters guaranteeing a target accuracy (Prop. 4.2): with

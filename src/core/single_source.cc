@@ -240,7 +240,7 @@ void SingleSourceIndex::SemSimFromInto(NodeId u,
   size_t processed = 0;
   for (const WalkMeeting& m : scratch.meetings) {
     // Mid-sweep cancellation poll: cheap relative to the per-meeting
-    // IS reweighting (each CoupledWalkScore pays d²-cost normalizers).
+    // IS reweighting (each CoupledWalkScore pays SO normalizers).
     if (cancel != nullptr && (processed++ & 255) == 0 &&
         cancel->ShouldStop()) {
       break;
@@ -263,14 +263,17 @@ void SingleSourceIndex::SemSimFromInto(NodeId u,
     scratch.scores[v] += estimator.CoupledWalkScore(
         u, v, m.walk, m.step, options, &scratch.context, &local);
   }
-  // Copy out with the final sem·(1/n_w) scaling, then restore the
-  // all-zero invariant of scratch.scores by re-zeroing exactly the
-  // entries this query's meetings touched.
+  // Copy out with the final sem·(1/n_w) scaling, projected onto
+  // [0, sem(u,v)] as Query does, then restore the all-zero invariant of
+  // scratch.scores by re-zeroing exactly the entries this query's
+  // meetings touched.
   double inv = 1.0 / static_cast<double>(budget);
   out.resize(num_nodes_);
   for (NodeId v = 0; v < num_nodes_; ++v) {
     double s = scratch.scores[v];
-    out[v] = s > 0 ? s * scratch.sem_val[v] * inv : s;
+    out[v] = s > 0 ? ProjectOntoSemBound(s * scratch.sem_val[v] * inv,
+                                         scratch.sem_val[v])
+                   : s;
   }
   out[u] = 1.0;
   for (const WalkMeeting& m : scratch.meetings) scratch.scores[m.node] = 0.0;

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <vector>
 
 #include "common/metrics.h"
@@ -10,6 +11,7 @@
 #include "core/walk_index.h"
 #include "datasets/aminer_gen.h"
 #include "datasets/figure1.h"
+#include "taxonomy/flat_semantic_table.h"
 #include "taxonomy/semantic_measure.h"
 #include "tests/test_util.h"
 
@@ -34,13 +36,24 @@ struct Fixture {
   Dataset dataset;
   LinMeasure lin;
   WalkIndex index;
+  FlatSemanticTable flat_sem;
 
   explicit Fixture(Dataset d, int num_walks = 60, int walk_length = 10)
       : dataset(std::move(d)),
         lin(&dataset.context),
         index(WalkIndex::Build(dataset.graph,
                                WalkIndexOptions{num_walks, walk_length, 11,
-                                                false})) {}
+                                                false})),
+        flat_sem(FlatSemanticTable::Build(dataset.context)) {}
+
+  // A cacheless serial estimator with the semantic kernel an engine
+  // snapshot attaches (flat Lin, grouped normalizers).
+  std::unique_ptr<SemSimMcEstimator> Plain() const {
+    auto plain = std::make_unique<SemSimMcEstimator>(&dataset.graph, &lin,
+                                                     &index);
+    EXPECT_TRUE(plain->AttachFlatKernel(&flat_sem));
+    return plain;
+  }
 
   // An engine over a fresh snapshot of the fixture's artifacts, so every
   // engine starts with cold caches of its own.
@@ -70,10 +83,10 @@ void ExpectBatchDeterministic(const Fixture& f, const SemSimMcOptions& mc) {
   // Engine results must be bit-identical for 1, 2, and 8 threads — and
   // identical to the cacheless serial estimator, so neither the pool
   // partitioning nor cross-query cache history may perturb a single ulp.
-  SemSimMcEstimator plain(&f.dataset.graph, &f.lin, &f.index);
+  std::unique_ptr<SemSimMcEstimator> plain = f.Plain();
   std::vector<double> expected;
   for (const NodePair& p : pairs) {
-    expected.push_back(plain.Query(p.first, p.second, mc));
+    expected.push_back(plain->Query(p.first, p.second, mc));
   }
   for (int threads : {1, 2, 8}) {
     BatchQueryEngine engine = f.Engine(threads, mc);
@@ -144,7 +157,7 @@ TEST(BatchQuery, SingleSourceBatchMatchesSerialSweeps) {
   SemSimMcOptions mc{0.6, 0.05};
   BatchQueryEngine engine = f.Engine(4, mc);
 
-  SemSimMcEstimator plain(&f.dataset.graph, &f.lin, &f.index);
+  std::unique_ptr<SemSimMcEstimator> plain = f.Plain();
   SingleSourceIndex inverted =
       SingleSourceIndex::Build(f.index, f.dataset.graph.num_nodes());
 
@@ -154,7 +167,7 @@ TEST(BatchQuery, SingleSourceBatchMatchesSerialSweeps) {
   QueryScratch scratch;
   std::vector<double> serial;
   for (size_t i = 0; i < sources.size(); ++i) {
-    inverted.SemSimFromInto(sources[i], plain, mc, scratch, serial);
+    inverted.SemSimFromInto(sources[i], *plain, mc, scratch, serial);
     ASSERT_EQ(batch[i].size(), serial.size());
     for (size_t v = 0; v < serial.size(); ++v) {
       ASSERT_EQ(batch[i][v], serial[v]) << "source=" << sources[i];
@@ -167,7 +180,7 @@ TEST(BatchQuery, TopKBatchMatchesSerialTopK) {
   SemSimMcOptions mc{0.6, 0.0};
   BatchQueryEngine engine = f.Engine(8, mc);
 
-  SemSimMcEstimator plain(&f.dataset.graph, &f.lin, &f.index);
+  std::unique_ptr<SemSimMcEstimator> plain = f.Plain();
   SingleSourceIndex inverted =
       SingleSourceIndex::Build(f.index, f.dataset.graph.num_nodes());
 
@@ -180,7 +193,7 @@ TEST(BatchQuery, TopKBatchMatchesSerialTopK) {
   QueryScratch scratch;
   for (size_t i = 0; i < sources.size(); ++i) {
     std::vector<Scored> serial =
-        inverted.TopKFrom(sources[i], 3, plain, mc, scratch);
+        inverted.TopKFrom(sources[i], 3, *plain, mc, scratch);
     ASSERT_EQ(batch[i].size(), serial.size());
     for (size_t j = 0; j < serial.size(); ++j) {
       EXPECT_EQ(batch[i][j].node, serial[j].node);

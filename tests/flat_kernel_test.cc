@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <memory>
 #include <vector>
 
@@ -28,6 +29,12 @@ Dataset Aminer() {
   opt.seed = 7;
   return Unwrap(GenerateAminer(opt));
 }
+
+// The tolerance a flat estimate keeps against the virtual d² oracle:
+// grouped SO normalizers (NormalizerGroups) sum the same terms in another
+// order, so estimates agree up to roundoff, not bit for bit. Compared at
+// θ = 0, where an ulp cannot flip a prune decision.
+double OracleTolerance(double want) { return 1e-12 + 1e-9 * std::abs(want); }
 
 std::vector<NodePair> MakePairs(size_t num_nodes, size_t count) {
   std::vector<NodePair> pairs;
@@ -108,8 +115,10 @@ TEST(MeasureClassification, DetectsFlattenableMeasures) {
 }
 
 // ---------------------------------------------------------------------------
-// Layer 2: estimator-level bit-equality — single-pair, single-source and
-// top-k answers are identical with devirtualized and virtual semantics.
+// Layer 2: estimator-level agreement — single-pair, single-source and
+// top-k answers with devirtualized semantics match the virtual d² oracle
+// within OracleTolerance at θ = 0; with pruning, they stay within the
+// Prop. 4.6 band (θ) of the unpruned oracle.
 // ---------------------------------------------------------------------------
 
 template <typename Measure>
@@ -127,61 +136,71 @@ void CheckEstimatorEquivalence(const Dataset& d, const char* flat_name) {
   EXPECT_EQ(flat.transition_table().num_nodes(), d.graph.num_nodes());
 
   std::vector<NodePair> pairs = MakePairs(d.graph.num_nodes(), 150);
-  for (double theta : {0.0, 0.05}) {
-    SemSimMcOptions opt{0.6, theta};
-    for (const NodePair& p : pairs) {
-      ASSERT_EQ(flat.Query(p.first, p.second, opt),
-                virt.Query(p.first, p.second, opt))
-          << "pair (" << p.first << "," << p.second << ") theta " << theta;
-      ASSERT_EQ(flat.SemValue(p.first, p.second),
-                measure.Sim(p.first, p.second));
-    }
+  const SemSimMcOptions unpruned{0.6, 0.0};
+  const SemSimMcOptions pruned{0.6, 0.05};
+  for (const NodePair& p : pairs) {
+    const double want = virt.Query(p.first, p.second, unpruned);
+    ASSERT_NEAR(flat.Query(p.first, p.second, unpruned), want,
+                OracleTolerance(want))
+        << "pair (" << p.first << "," << p.second << ") theta 0";
+    ASSERT_NEAR(flat.Query(p.first, p.second, pruned), want,
+                pruned.theta + OracleTolerance(want))
+        << "pair (" << p.first << "," << p.second << ") theta 0.05";
+    ASSERT_EQ(flat.SemValue(p.first, p.second),
+              measure.Sim(p.first, p.second));
   }
 
   SingleSourceIndex inverted =
       SingleSourceIndex::Build(index, d.graph.num_nodes());
-  SemSimMcOptions opt{0.6, 0.05};
   QueryScratch flat_scratch, virt_scratch;
   std::vector<double> sf, sv;
   for (NodeId u = 0; u < d.graph.num_nodes();
        u += 1 + d.graph.num_nodes() / 8) {
-    inverted.SemSimFromInto(u, flat, opt, flat_scratch, sf);
-    inverted.SemSimFromInto(u, virt, opt, virt_scratch, sv);
+    inverted.SemSimFromInto(u, flat, unpruned, flat_scratch, sf);
+    inverted.SemSimFromInto(u, virt, unpruned, virt_scratch, sv);
     ASSERT_EQ(sf.size(), sv.size());
-    for (size_t v = 0; v < sf.size(); ++v) ASSERT_EQ(sf[v], sv[v]);
-    std::vector<Scored> tf = inverted.TopKFrom(u, 10, flat, opt, flat_scratch);
-    std::vector<Scored> tv = inverted.TopKFrom(u, 10, virt, opt, virt_scratch);
+    for (size_t v = 0; v < sf.size(); ++v) {
+      ASSERT_NEAR(sf[v], sv[v], OracleTolerance(sv[v])) << "node " << v;
+    }
+    std::vector<Scored> tf =
+        inverted.TopKFrom(u, 10, flat, unpruned, flat_scratch);
+    std::vector<Scored> tv =
+        inverted.TopKFrom(u, 10, virt, unpruned, virt_scratch);
     ASSERT_EQ(tf.size(), tv.size());
     for (size_t i = 0; i < tf.size(); ++i) {
-      ASSERT_EQ(tf[i].node, tv[i].node);
-      ASSERT_EQ(tf[i].score, tv[i].score);
+      ASSERT_NEAR(tf[i].score, tv[i].score, OracleTolerance(tv[i].score));
+      // Ranks may only swap between nodes the oracle scores as a tie.
+      if (tf[i].node != tv[i].node) {
+        ASSERT_NEAR(sv[tf[i].node], sv[tv[i].node],
+                    OracleTolerance(sv[tv[i].node]))
+            << "rank " << i;
+      }
     }
   }
 
-  // Re-attaching nothing restores the virtual path (still bit-identical,
-  // of course).
+  // Re-attaching nothing restores the virtual path, bit for bit.
   EXPECT_FALSE(flat.AttachFlatKernel(nullptr));
   EXPECT_EQ(flat.sem_kernel_name(), "virtual");
-  ASSERT_EQ(flat.Query(pairs[0].first, pairs[0].second, opt),
-            virt.Query(pairs[0].first, pairs[0].second, opt));
+  ASSERT_EQ(flat.Query(pairs[0].first, pairs[0].second, pruned),
+            virt.Query(pairs[0].first, pairs[0].second, pruned));
 }
 
-TEST(FlatKernelEstimator, LinBitIdentical) {
+TEST(FlatKernelEstimator, LinMatchesVirtualOracle) {
   CheckEstimatorEquivalence<LinMeasure>(Figure1(), "flat-lin");
   CheckEstimatorEquivalence<LinMeasure>(Aminer(), "flat-lin");
 }
 
-TEST(FlatKernelEstimator, ResnikBitIdentical) {
+TEST(FlatKernelEstimator, ResnikMatchesVirtualOracle) {
   CheckEstimatorEquivalence<ResnikMeasure>(Figure1(), "flat-resnik");
   CheckEstimatorEquivalence<ResnikMeasure>(Aminer(), "flat-resnik");
 }
 
-TEST(FlatKernelEstimator, WuPalmerBitIdentical) {
+TEST(FlatKernelEstimator, WuPalmerMatchesVirtualOracle) {
   CheckEstimatorEquivalence<WuPalmerMeasure>(Figure1(), "flat-wupalmer");
   CheckEstimatorEquivalence<WuPalmerMeasure>(Aminer(), "flat-wupalmer");
 }
 
-TEST(FlatKernelEstimator, PathBitIdentical) {
+TEST(FlatKernelEstimator, PathMatchesVirtualOracle) {
   CheckEstimatorEquivalence<PathMeasure>(Figure1(), "flat-path");
   CheckEstimatorEquivalence<PathMeasure>(Aminer(), "flat-path");
 }
@@ -208,18 +227,23 @@ TEST(FlatKernelEstimator, JiangConrathStaysVirtual) {
 }
 
 // ---------------------------------------------------------------------------
-// Layer 3: engine-level bit-equality — a BatchQueryEngine (devirtualized
-// semantics, shared normalizer cache) returns at 1, 2 and 8 threads exactly what a
-// bare estimator with virtual semantics returns serially, across
-// repeated rounds (cache history must not matter).
+// Layer 3: engine-level agreement — a BatchQueryEngine (devirtualized
+// semantics, grouped normalizers, shared normalizer cache) returns the
+// same bits at 1, 2 and 8 threads across repeated rounds (cache history
+// must not matter), and those answers match a bare estimator with
+// virtual semantics within OracleTolerance.
 // ---------------------------------------------------------------------------
 
-// An engine over a snapshot with the default options.
+// An engine over a snapshot with the default options and estimator
+// parameters `mc`.
 BatchQueryEngine EngineOver(const Dataset& d, const SemanticMeasure& measure,
-                            const WalkIndex& index, int threads) {
+                            const WalkIndex& index, int threads,
+                            const SemSimMcOptions& mc = QueryOptions().mc) {
+  EngineSnapshotOptions opt;
+  opt.query.mc = mc;
   return Unwrap(BatchQueryEngine::CreateFromSnapshot(
       Unwrap(EngineSnapshot::Create(Unowned(&d.graph), Unowned(&measure),
-                                    Unowned(&index), EngineSnapshotOptions{},
+                                    Unowned(&index), opt,
                                     /*version=*/0)),
       threads));
 }
@@ -236,7 +260,7 @@ TEST(FlatKernelEngine, BatchesMatchVirtualEstimatorAcrossThreads) {
       sources.push_back(u);
     }
 
-    SemSimMcOptions mc = QueryOptions().mc;
+    SemSimMcOptions mc{0.6, 0.0};
     SemSimMcEstimator virt(&d.graph, &lin, &index);
     SingleSourceIndex inverted =
         SingleSourceIndex::Build(index, d.graph.num_nodes());
@@ -245,16 +269,19 @@ TEST(FlatKernelEngine, BatchesMatchVirtualEstimatorAcrossThreads) {
       want.push_back(virt.Query(p.first, p.second, mc));
     }
     std::vector<std::vector<double>> want_sources;
-    std::vector<std::vector<Scored>> want_topk;
     QueryScratch scratch;
     for (NodeId u : sources) {
       want_sources.emplace_back();
       inverted.SemSimFromInto(u, virt, mc, scratch, want_sources.back());
-      want_topk.push_back(inverted.TopKFrom(u, 10, virt, mc, scratch));
     }
 
+    // The 1-thread engine's first round is the bit-exact reference of
+    // every other thread count and round.
+    std::vector<double> ref;
+    std::vector<std::vector<double>> ref_sources;
+    std::vector<std::vector<Scored>> ref_topk;
     for (int threads : {1, 2, 8}) {
-      BatchQueryEngine engine = EngineOver(d, lin, index, threads);
+      BatchQueryEngine engine = EngineOver(d, lin, index, threads, mc);
       const EngineSnapshot& snap = *engine.snapshot();
       EXPECT_EQ(snap.kernel_name(), "flat+flat-lin");
       ASSERT_NE(snap.transition_table(), nullptr);
@@ -262,26 +289,37 @@ TEST(FlatKernelEngine, BatchesMatchVirtualEstimatorAcrossThreads) {
 
       for (int round = 0; round < 2; ++round) {
         std::vector<double> got = engine.QueryBatch(pairs).values;
-        ASSERT_EQ(got.size(), want.size());
-        for (size_t i = 0; i < got.size(); ++i) {
-          ASSERT_EQ(got[i], want[i])
-              << "pair " << i << " threads " << threads << " round "
-              << round;
+        if (ref.empty()) {
+          ASSERT_EQ(got.size(), want.size());
+          for (size_t i = 0; i < got.size(); ++i) {
+            ASSERT_NEAR(got[i], want[i], OracleTolerance(want[i]))
+                << "pair " << i;
+          }
+          ref = got;
         }
+        ASSERT_EQ(got, ref) << "threads " << threads << " round " << round;
       }
       auto got_sources = engine.SingleSourceBatch(sources).values;
-      ASSERT_EQ(got_sources.size(), want_sources.size());
-      for (size_t i = 0; i < got_sources.size(); ++i) {
-        for (size_t v = 0; v < got_sources[i].size(); ++v) {
-          ASSERT_EQ(got_sources[i][v], want_sources[i][v]);
+      if (ref_sources.empty()) {
+        ASSERT_EQ(got_sources.size(), want_sources.size());
+        for (size_t i = 0; i < got_sources.size(); ++i) {
+          ASSERT_EQ(got_sources[i].size(), want_sources[i].size());
+          for (size_t v = 0; v < got_sources[i].size(); ++v) {
+            ASSERT_NEAR(got_sources[i][v], want_sources[i][v],
+                        OracleTolerance(want_sources[i][v]));
+          }
         }
+        ref_sources = got_sources;
       }
+      ASSERT_EQ(got_sources, ref_sources) << "threads " << threads;
       auto got_topk = engine.TopKBatch(sources, 10).values;
+      if (ref_topk.empty()) ref_topk = got_topk;
+      ASSERT_EQ(got_topk.size(), ref_topk.size());
       for (size_t i = 0; i < got_topk.size(); ++i) {
-        ASSERT_EQ(got_topk[i].size(), want_topk[i].size());
+        ASSERT_EQ(got_topk[i].size(), ref_topk[i].size());
         for (size_t j = 0; j < got_topk[i].size(); ++j) {
-          ASSERT_EQ(got_topk[i][j].node, want_topk[i][j].node);
-          ASSERT_EQ(got_topk[i][j].score, want_topk[i][j].score);
+          ASSERT_EQ(got_topk[i][j].node, ref_topk[i][j].node);
+          ASSERT_EQ(got_topk[i][j].score, ref_topk[i][j].score);
         }
       }
     }

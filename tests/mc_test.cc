@@ -3,9 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <string>
+#include <vector>
 
+#include "core/engine_snapshot.h"
 #include "core/iterative.h"
 #include "core/mc_simrank.h"
+#include "core/single_source.h"
 #include "core/walk_index.h"
 #include "taxonomy/semantic_measure.h"
 #include "tests/test_util.h"
@@ -159,6 +163,85 @@ TEST(SemSimMcIs, CacheGivesIdenticalScores) {
       EXPECT_NEAR(a, b, 1e-12 + 1e-9 * std::abs(a));
     }
   }
+}
+
+// Pairs (u_i, v_i) whose in-neighbourhoods share one heavy node x among
+// nine light private ones that no walk continues from. Under a uniform
+// proposal a walk pair meets at x with probability 1/100, but P/Q there
+// is ~100, so with 100 walks any pair that meets twice scores above
+// sem(u_i, v_i) = 0.5 before the Prop. 2.5 projection.
+TEST(SemSimMcIs, EstimatesProjectOntoSemBound) {
+  TaxonomyBuilder tb;
+  ConceptId root = tb.AddConcept("R");
+  ConceptId p = tb.AddConcept("P", root);
+  ConceptId a1 = tb.AddConcept("A1", p);
+  ConceptId a2 = tb.AddConcept("A2", p);
+  Taxonomy taxonomy = Unwrap(std::move(tb).Build());
+  std::vector<double> ic(taxonomy.num_concepts(), 0.1);
+  ic[p] = 0.4;
+  ic[a1] = 0.8;
+  ic[a2] = 0.8;
+
+  constexpr int kPairs = 40;
+  HinBuilder b;
+  std::vector<ConceptId> node_concept;
+  auto add = [&](const std::string& name, ConceptId c) {
+    node_concept.push_back(c);
+    return b.AddNode(name, "t");
+  };
+  NodeId x = add("x", p);
+  std::vector<NodePair> pairs;
+  for (int i = 0; i < kPairs; ++i) {
+    NodeId u = add("u" + std::to_string(i), a1);
+    NodeId v = add("v" + std::to_string(i), a2);
+    for (NodeId target : {u, v}) {
+      ASSERT_TRUE(b.AddEdge(x, target, "e", 100.0).ok());
+      for (int j = 0; j < 9; ++j) {
+        NodeId leaf = add("l" + std::to_string(target) + "_" +
+                              std::to_string(j),
+                          p);
+        ASSERT_TRUE(b.AddEdge(leaf, target, "e", 0.01).ok());
+      }
+    }
+    pairs.push_back({u, v});
+  }
+  Hin g = Unwrap(std::move(b).Build());
+  SemanticContext ctx = Unwrap(SemanticContext::FromTaxonomyWithIc(
+      std::move(taxonomy), std::move(node_concept), std::move(ic)));
+  LinMeasure lin(&ctx);
+  WalkIndexOptions wopt;
+  wopt.num_walks = 100;
+  wopt.walk_length = 4;
+  wopt.seed = 3;
+  wopt.weighted = false;
+  WalkIndex index = WalkIndex::Build(g, wopt);
+
+  EngineSnapshotPtr snap = Unwrap(EngineSnapshot::Create(
+      Unowned(&g), Unowned(&lin), Unowned(&index), EngineSnapshotOptions{},
+      /*version=*/0));
+  SemSimMcEstimator virt(&g, &lin, &index);
+  SemSimMcOptions mc{0.6, 0.0};
+  QueryScratch scratch;
+  std::vector<double> row;
+  int at_bound = 0;
+  for (const NodePair& pair : pairs) {
+    const double sem = lin.Sim(pair.first, pair.second);
+    ASSERT_EQ(sem, 0.5);
+    for (const SemSimMcEstimator* est :
+         {static_cast<const SemSimMcEstimator*>(&virt), &snap->estimator()}) {
+      const double score = est->Query(pair.first, pair.second, mc);
+      EXPECT_GE(score, 0.0);
+      EXPECT_LE(score, sem) << "pair (" << pair.first << "," << pair.second
+                            << ") " << est->sem_kernel_name();
+      if (score == sem) ++at_bound;
+      snap->InvertedIndex().SemSimFromInto(pair.first, *est, mc, scratch,
+                                           row);
+      EXPECT_LE(row[pair.second], sem) << "single-source from "
+                                       << pair.first;
+    }
+  }
+  // The projection was exercised, not just vacuously satisfied.
+  EXPECT_GT(at_bound, 0);
 }
 
 TEST(NaiveSemSimMc, MatchesIterativeGroundTruth) {
