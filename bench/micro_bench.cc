@@ -1,7 +1,8 @@
 // Micro-benchmarks (google-benchmark) for the core primitives: LCA and
 // Lin queries, walk-index sampling, the d²-cost SO normalizer, the IS
 // single-pair estimator with/without pruning and cache, the SimRank MC
-// query, and one iteration of the exact fixed-point sweep.
+// query, one iteration of the exact fixed-point sweep, and the shared
+// normalizer cache's probe at one and three threads.
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
@@ -9,6 +10,7 @@
 #include <vector>
 
 #include "bench/bench_util.h"
+#include "core/concurrent_cache.h"
 #include "core/iterative.h"
 #include "core/mc_semsim.h"
 #include "core/mc_simrank.h"
@@ -208,6 +210,31 @@ void BM_PairGraphTransitions(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_PairGraphTransitions);
+
+// ConcurrentPairCache::Lookup on one cache shared by every benchmark
+// thread, sized like the serving snapshot's normalizer cache. Arg 0
+// probes the 64k pairs that were inserted (hit-heavy), Arg 1 probes 64k
+// pairs that never were (miss-heavy: each probe scans to an empty slot
+// or the window's end). Per-probe time that grows from one thread to
+// three is contention on the probe itself.
+void BM_ConcurrentCacheLookup(benchmark::State& state) {
+  constexpr NodeId kPairs = 1 << 16;
+  static ConcurrentPairCache* cache = [] {
+    auto* c = new ConcurrentPairCache(1 << 18);
+    for (NodeId i = 0; i < kPairs; ++i) c->Insert(i, i + 1, i * 0.5);
+    return c;
+  }();
+  const NodeId offset = state.range(0) == 0 ? 0 : 2 * kPairs;
+  NodeId i = static_cast<NodeId>(state.thread_index()) * 7919u % kPairs;
+  double value = 0;
+  for (auto _ : state) {
+    const NodeId u = offset + i;
+    benchmark::DoNotOptimize(cache->Lookup(u, u + 1, &value));
+    i = (i + 1) & (kPairs - 1);
+  }
+  state.SetLabel(state.range(0) == 0 ? "hit-heavy" : "miss-heavy");
+}
+BENCHMARK(BM_ConcurrentCacheLookup)->Arg(0)->Arg(1)->Threads(1)->Threads(3);
 
 }  // namespace
 }  // namespace semsim

@@ -5,9 +5,10 @@
 #           table, flat semantic table, grouped normalizers, walk-index
 #           compact layout).
 #   tsan  — ThreadSanitizer over the concurrency surface (pool,
-#           concurrent pair cache, batch query engine, metrics registry)
-#           plus the flat-kernel equivalence test, which drives
-#           multi-thread engines over the shared read-only flat tables.
+#           concurrent pair cache, batch query engine, metrics registry,
+#           query service, snapshot swaps) plus the flat-kernel
+#           equivalence test, which drives multi-thread engines over the
+#           shared read-only flat tables.
 #   bench — smoke-run of the query bench on the small dataset, gated by
 #           ci/compare_bench.py (batch results bit-identical between 1
 #           and N threads).
@@ -110,14 +111,17 @@ tsan() {
   # multi-producer contention and Close wakeups, promise/future handoff,
   # and shared-token cancellation; failpoint_test arms registry sites
   # concurrently with evaluation; stress_test replays one seed per
-  # stress scenario in-process.
+  # stress scenario in-process; snapshot_manager_test swaps snapshots
+  # while queries run. concurrent_cache_test includes the torn-read
+  # stress of the lock-free probe. The same list is the `tsan` test
+  # preset's filter in CMakePresets.json.
   cmake --build build-tsan -j "${JOBS}" \
     --target parallel_test batch_query_test concurrent_cache_test \
     flat_kernel_test metrics_test single_source_test node_sampler_test \
     query_service_test admission_queue_test future_test cancel_test \
-    failpoint_test stress_test
+    failpoint_test stress_test snapshot_manager_test
   ctest --test-dir build-tsan --output-on-failure \
-    -R 'parallel_test|batch_query_test|concurrent_cache_test|flat_kernel_test|metrics_test|single_source_test|node_sampler_test|query_service_test|admission_queue_test|future_test|cancel_test|failpoint_test|stress_test'
+    -R 'parallel_test|batch_query_test|concurrent_cache_test|flat_kernel_test|metrics_test|single_source_test|node_sampler_test|query_service_test|admission_queue_test|future_test|cancel_test|failpoint_test|stress_test|snapshot_manager_test'
 }
 
 bench_smoke() {

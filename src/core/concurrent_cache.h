@@ -3,7 +3,9 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cstdint>
+#include <memory>
 #include <mutex>
 #include <string>
 #include <string_view>
@@ -22,17 +24,27 @@ namespace semsim {
 ///
 /// Layout: keys are canonicalized (min, max) and packed into one
 /// uint64; shards are selected by key hash, each shard an
-/// open-addressing table (linear probing, bounded probe window) under
-/// its own mutex, so contention is striped and no rehash ever happens.
-/// Capacity is fixed at construction. Every entry carries a one-byte
-/// cost class (what recomputing it would cost, on a log scale) in an
-/// array beside the slots. When every slot of a probe window is taken,
-/// the insert displaces the cheapest entry of the window (the first of
-/// them on ties), and an insert cheaper than every entry there is
-/// dropped — so a stream of cheap pairs cannot flush the expensive
-/// ones. With the default cost 0 this is plain "displace the window's
-/// first entry". Values must be deterministic functions of the key — a
-/// displaced or dropped entry is recomputed bit-identically later,
+/// open-addressing table (linear probing, bounded probe window), so no
+/// rehash ever happens. Capacity is fixed at construction.
+///
+/// Reads take no lock and write no shared memory (DESIGN.md §5). Each
+/// shard carries a sequence number that is even while the shard is
+/// stable; writers serialize on the shard mutex and make the sequence
+/// odd around every slot write. Lookup reads the sequence, the probe
+/// window and the sequence again, and a probe that overlapped a writer
+/// counts as a miss. The hit/miss/eviction/rejection counters are
+/// per-thread sharded `Counter`s, so a probe touches no cache line that
+/// another thread writes unless a writer is working on the same shard.
+///
+/// Every entry carries a one-byte cost class (what recomputing it would
+/// cost, on a log scale) in an array beside the slots. When every slot
+/// of a probe window is taken, the insert displaces the cheapest entry
+/// of the window (the first of them on ties), and an insert cheaper
+/// than every entry there is dropped — so a stream of cheap pairs
+/// cannot flush the expensive ones. With the default cost 0 this is
+/// plain "displace the window's first entry". Values must be
+/// deterministic functions of the key — a displaced or dropped entry,
+/// or a probe torn by a writer, is recomputed bit-identically later,
 /// which is what keeps batch results independent of thread count and
 /// cache history.
 class ConcurrentPairCache {
@@ -51,33 +63,42 @@ class ConcurrentPairCache {
     num_shards = RoundUpPow2(num_shards);
     size_t per_shard = RoundUpPow2((capacity + num_shards - 1) / num_shards);
     if (per_shard < kProbeWindow) per_shard = kProbeWindow;
-    shards_ = std::vector<Shard>(num_shards);
-    for (Shard& s : shards_) {
-      s.slots.assign(per_shard, Slot{kEmptyKey, 0.0});
-      s.costs.assign(per_shard, 0);
+    shards_ = std::make_unique<Shard[]>(num_shards);
+    for (size_t i = 0; i < num_shards; ++i) {
+      shards_[i].slots = std::vector<Slot>(per_shard);
+      shards_[i].costs.assign(per_shard, 0);
     }
     shard_mask_ = num_shards - 1;
     slot_mask_ = per_shard - 1;
   }
 
-  /// Returns true and sets *value when the pair is cached.
+  /// Returns true and sets *value when the pair is cached. Lock-free:
+  /// a probe that overlapped a writer on its shard reports a miss.
   bool Lookup(NodeId u, NodeId v, double* value) const {
     uint64_t key = PackKey(u, v);
     uint64_t h = Mix(key);
     const Shard& shard = shards_[h & shard_mask_];
     size_t base = (h >> kShardBits) & slot_mask_;
-    std::lock_guard<std::mutex> lock(shard.mu);
-    for (size_t i = 0; i < kProbeWindow; ++i) {
-      const Slot& slot = shard.slots[(base + i) & slot_mask_];
-      if (slot.key == key) {
-        *value = slot.value;
-        hits_.fetch_add(1, std::memory_order_relaxed);
-        if (metric_hits_ != nullptr) metric_hits_->Add(1);
-        return true;
+    const uint64_t seq = shard.seq.load(std::memory_order_acquire);
+    if ((seq & 1) == 0) {
+      for (size_t i = 0; i < kProbeWindow; ++i) {
+        const Slot& slot = shard.slots[(base + i) & slot_mask_];
+        const uint64_t k = slot.key.load(std::memory_order_acquire);
+        if (k == key) {
+          const uint64_t bits = slot.bits.load(std::memory_order_acquire);
+          // The acquire loads above keep this read after them: a window
+          // that saw any write of a concurrent writer also sees its odd
+          // sequence here.
+          if (shard.seq.load(std::memory_order_relaxed) != seq) break;
+          *value = std::bit_cast<double>(bits);
+          hits_.Add(1);
+          if (metric_hits_ != nullptr) metric_hits_->Add(1);
+          return true;
+        }
+        if (k == kEmptyKey) break;
       }
-      if (slot.key == kEmptyKey) break;
     }
-    misses_.fetch_add(1, std::memory_order_relaxed);
+    misses_.Add(1);
     if (metric_misses_ != nullptr) metric_misses_->Add(1);
     return false;
   }
@@ -96,13 +117,14 @@ class ConcurrentPairCache {
     bool displaced = true;
     for (size_t i = 0; i < kProbeWindow; ++i) {
       size_t at = (base + i) & slot_mask_;
-      Slot& slot = shard.slots[at];
-      if (slot.key == key) {
-        slot.value = value;
+      const uint64_t k =
+          shard.slots[at].key.load(std::memory_order_relaxed);
+      if (k == key) {
+        shard.Write(at, key, value);
         shard.costs[at] = cost;
         return;
       }
-      if (slot.key == kEmptyKey) {
+      if (k == kEmptyKey) {
         victim = at;
         ++shard.used;
         displaced = false;
@@ -112,21 +134,28 @@ class ConcurrentPairCache {
     }
     if (displaced) {
       if (cost < shard.costs[victim]) {
-        rejected_.fetch_add(1, std::memory_order_relaxed);
+        rejected_.Add(1);
         if (metric_rejected_ != nullptr) metric_rejected_->Add(1);
         return;
       }
-      evictions_.fetch_add(1, std::memory_order_relaxed);
+      evictions_.Add(1);
       if (metric_evictions_ != nullptr) metric_evictions_->Add(1);
     }
-    shard.slots[victim] = Slot{key, value};
+    shard.Write(victim, key, value);
     shard.costs[victim] = cost;
   }
 
   void Clear() {
-    for (Shard& s : shards_) {
+    for (size_t i = 0; i < num_shards(); ++i) {
+      Shard& s = shards_[i];
       std::lock_guard<std::mutex> lock(s.mu);
-      for (Slot& slot : s.slots) slot = Slot{kEmptyKey, 0.0};
+      const uint64_t seq = s.seq.load(std::memory_order_relaxed);
+      s.seq.store(seq + 1, std::memory_order_release);
+      for (Slot& slot : s.slots) {
+        slot.key.store(kEmptyKey, std::memory_order_release);
+        slot.bits.store(0, std::memory_order_release);
+      }
+      s.seq.store(seq + 2, std::memory_order_release);
       std::fill(s.costs.begin(), s.costs.end(), uint8_t{0});
       s.used = 0;
     }
@@ -136,46 +165,42 @@ class ConcurrentPairCache {
   /// Occupied slots (exact; takes every shard lock).
   size_t size() const {
     size_t total = 0;
-    for (const Shard& s : shards_) {
-      std::lock_guard<std::mutex> lock(s.mu);
-      total += s.used;
+    for (size_t i = 0; i < num_shards(); ++i) {
+      std::lock_guard<std::mutex> lock(shards_[i].mu);
+      total += shards_[i].used;
     }
     return total;
   }
 
-  size_t capacity() const { return shards_.size() * (slot_mask_ + 1); }
-  size_t num_shards() const { return shards_.size(); }
+  size_t capacity() const { return num_shards() * (slot_mask_ + 1); }
+  size_t num_shards() const { return shard_mask_ + 1; }
 
-  uint64_t hits() const { return hits_.load(std::memory_order_relaxed); }
-  uint64_t misses() const { return misses_.load(std::memory_order_relaxed); }
+  uint64_t hits() const { return hits_.Value(); }
+  uint64_t misses() const { return misses_.Value(); }
   /// Displacing inserts: the probe window was full so an older pair was
   /// overwritten. A high rate relative to misses means the capacity is
   /// too small for the working set.
-  uint64_t evictions() const {
-    return evictions_.load(std::memory_order_relaxed);
-  }
+  uint64_t evictions() const { return evictions_.Value(); }
   /// Dropped inserts: the probe window was full of costlier entries, so
   /// the pair was not cached. Counts the cheap traffic that cost-aware
   /// replacement kept from flushing expensive entries.
-  uint64_t rejected() const {
-    return rejected_.load(std::memory_order_relaxed);
-  }
+  uint64_t rejected() const { return rejected_.Value(); }
   double hit_rate() const {
     uint64_t h = hits(), m = misses();
     return h + m == 0 ? 0.0 : static_cast<double>(h) / (h + m);
   }
   void ResetCounters() {
-    hits_.store(0, std::memory_order_relaxed);
-    misses_.store(0, std::memory_order_relaxed);
-    evictions_.store(0, std::memory_order_relaxed);
-    rejected_.store(0, std::memory_order_relaxed);
+    hits_.Reset();
+    misses_.Reset();
+    evictions_.Reset();
+    rejected_.Reset();
   }
 
   /// Additionally routes this cache's traffic into the global
   /// MetricsRegistry as
   /// `semsim_cache_<name>_{hits,misses,evictions,rejected}_total`
   /// (shared with any other cache bound to the same name). Unbound caches
-  /// pay only the local atomics.
+  /// pay only the local counters.
   void BindMetrics(std::string_view name) {
     MetricsRegistry& registry = MetricsRegistry::Global();
     std::string base = "semsim_cache_" + std::string(name) + "_";
@@ -190,23 +215,35 @@ class ConcurrentPairCache {
   }
 
  private:
-  struct Slot {
-    uint64_t key;
-    double value;
-  };
-  struct Shard {
-    mutable std::mutex mu;
-    std::vector<Slot> slots;
-    std::vector<uint8_t> costs;  // cost class of slots[i]
-    size_t used = 0;
-
-    Shard() = default;
-    // vector<Shard> construction only; never copied while live.
-    Shard(const Shard& o) : slots(o.slots), costs(o.costs), used(o.used) {}
-  };
-
   // (kInvalidNode, kInvalidNode) cannot name a real pair.
   static constexpr uint64_t kEmptyKey = ~0ULL;
+
+  // 16 B like a plain {key, double}; the value is stored as its bits.
+  struct Slot {
+    std::atomic<uint64_t> key{kEmptyKey};
+    std::atomic<uint64_t> bits{0};
+  };
+  // One cache line per shard header, so a writer bumping one shard's
+  // sequence does not invalidate the line readers of its neighbour load.
+  struct alignas(64) Shard {
+    std::atomic<uint64_t> seq{0};  // odd while a writer is mid-write
+    mutable std::mutex mu;         // serializes writers
+    std::vector<Slot> slots;
+    std::vector<uint8_t> costs;  // cost class of slots[i]; under mu
+    size_t used = 0;             // under mu
+
+    // Under mu. Release stores throughout: a reader whose acquire load
+    // sees the new key or bits also sees the odd sequence after it.
+    void Write(size_t at, uint64_t key, double value) {
+      const uint64_t s = seq.load(std::memory_order_relaxed);
+      seq.store(s + 1, std::memory_order_release);
+      slots[at].key.store(key, std::memory_order_release);
+      slots[at].bits.store(std::bit_cast<uint64_t>(value),
+                           std::memory_order_release);
+      seq.store(s + 2, std::memory_order_release);
+    }
+  };
+
   static constexpr size_t kProbeWindow = 8;
   static constexpr int kShardBits = 16;  // hash bits consumed by sharding
 
@@ -229,13 +266,13 @@ class ConcurrentPairCache {
     return k ^ (k >> 31);
   }
 
-  std::vector<Shard> shards_;
+  std::unique_ptr<Shard[]> shards_;
   size_t shard_mask_ = 0;
   size_t slot_mask_ = 0;
-  mutable std::atomic<uint64_t> hits_{0};
-  mutable std::atomic<uint64_t> misses_{0};
-  std::atomic<uint64_t> evictions_{0};
-  std::atomic<uint64_t> rejected_{0};
+  mutable Counter hits_;
+  mutable Counter misses_;
+  Counter evictions_;
+  Counter rejected_;
   Counter* metric_hits_ = nullptr;
   Counter* metric_misses_ = nullptr;
   Counter* metric_evictions_ = nullptr;

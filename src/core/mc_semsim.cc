@@ -188,7 +188,7 @@ double SemSimMcEstimator::NormalizerT(const Sem& sem, NodeId u, NodeId v,
   if (shared_cache_ != nullptr) {
     // Cross-query state: another query (possibly on another thread) may
     // already have paid the d² loop for this pair. A hit is copied into
-    // the lock-free per-query memo so repeats stay off the shard locks.
+    // the per-query memo so repeats skip the shared probe.
     double cached;
     if (shared_cache_->Lookup(u, v, &cached)) {
       if (stats) ++stats->shared_cache_hits;
@@ -216,8 +216,7 @@ double SemSimMcEstimator::NormalizerT(const Sem& sem, NodeId u, NodeId v,
     }
   } else {
     // LCA-based measures: the same sum over taxonomy groups.
-    norm = groups_.Sum(sem, lo, hi);
-    work = groups_.Work(lo, hi);
+    norm = groups_.Sum(sem, lo, hi, &work);
   }
   if (stats) {
     ++stats->normalizers_computed;

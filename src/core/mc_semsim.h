@@ -94,9 +94,11 @@ struct McQueryStats {
   /// Normalizer lookups answered by the cross-query concurrent cache.
   int64_t shared_cache_hits = 0;
   /// The work behind `normalizers_computed`, which counts a hub pair
-  /// and a leaf pair alike: g_lo·g_hi group pairs plus both correction
-  /// lists on the grouped path (NormalizerGroups::Work), |In(lo)|·|In(hi)|
-  /// on the d² path.
+  /// and a leaf pair alike: on the grouped path g_lo·g_hi group pairs
+  /// plus the correction-list entries the same-concept merge actually
+  /// read — both lists in full when merged linearly, O(s·log(l/s)) when
+  /// the short list gallops through the long one
+  /// (NormalizerGroups::Work); |In(lo)|·|In(hi)| on the d² path.
   int64_t normalizer_work = 0;
 
   /// Accumulates `other` into this record (counter sums; sem_pruned

@@ -71,9 +71,11 @@ class NormalizerGroups {
       const std::function<double(NodeId, NodeId)>& sim);
 
   /// SO(lo, hi) under `sem`, the same measure Build was given. Agrees
-  /// with the d_lo·d_hi loop up to summation order.
+  /// with the d_lo·d_hi loop up to summation order. When `work` is not
+  /// null it receives Work(lo, hi).
   template <typename Sem>
-  double Sum(const Sem& sem, NodeId lo, NodeId hi) const {
+  double Sum(const Sem& sem, NodeId lo, NodeId hi,
+             uint64_t* work = nullptr) const {
     double norm = 0;
     for (const GroupWeight& a : Groups(lo)) {
       for (const GroupWeight& b : Groups(hi)) {
@@ -84,30 +86,24 @@ class NormalizerGroups {
         norm += a.weight * b.weight * s;
       }
     }
-    // Same-concept correction: a linear merge of the two sorted lists.
-    std::span<const ConceptWeight> x = Corrections(lo);
-    std::span<const ConceptWeight> y = Corrections(hi);
-    size_t i = 0;
-    size_t j = 0;
-    while (i < x.size() && j < y.size()) {
-      if (x[i].concept_id < y[j].concept_id) {
-        ++i;
-      } else if (y[j].concept_id < x[i].concept_id) {
-        ++j;
-      } else {
-        norm += x[i].weight * y[j].weight * (1.0 - self_sim_[x[i].group]);
-        ++i;
-        ++j;
-      }
+    const uint64_t probes = MergeCorrections(
+        Corrections(lo), Corrections(hi),
+        [&](const ConceptWeight& x, const ConceptWeight& y) {
+          norm += x.weight * y.weight * (1.0 - self_sim_[x.group]);
+        });
+    if (work != nullptr) {
+      *work = static_cast<uint64_t>(Groups(lo).size()) * Groups(hi).size() +
+              probes;
     }
     return norm;
   }
 
-  /// The work Sum(·, lo, hi) does: g_lo·g_hi group pairs plus the two
-  /// correction-list lengths.
+  /// The work Sum(·, lo, hi) does: g_lo·g_hi group pairs plus the
+  /// correction-list entries the same-concept merge reads.
   uint64_t Work(NodeId lo, NodeId hi) const {
     return static_cast<uint64_t>(Groups(lo).size()) * Groups(hi).size() +
-           Corrections(lo).size() + Corrections(hi).size();
+           MergeCorrections(Corrections(lo), Corrections(hi),
+                            [](const ConceptWeight&, const ConceptWeight&) {});
   }
 
   /// In(u) by group, in first-appearance order of the in-CSR.
@@ -122,6 +118,10 @@ class NormalizerGroups {
             correction_offsets_[u + 1] - correction_offsets_[u]};
   }
 
+  /// The node that stands for `group` in S(g,h).
+  NodeId representative(uint32_t group) const {
+    return representative_[group];
+  }
   /// The group of concept `c`; ~0 when no node maps to `c`.
   uint32_t group_of(ConceptId c) const { return concept_group_[c]; }
   /// S(g,g): sem of two members with distinct concepts, 1 for a group
@@ -139,6 +139,85 @@ class NormalizerGroups {
   }
 
  private:
+  /// Calls on_match(x_c, y_c) for every concept c on both sorted lists,
+  /// in ascending concept order, and returns the entries it read. When
+  /// one list is at least 8× longer than the other, each entry of the
+  /// short list gallops through the long one (O(s·log(l/s)) reads);
+  /// otherwise the lists are merged linearly.
+  template <typename OnMatch>
+  static uint64_t MergeCorrections(std::span<const ConceptWeight> x,
+                                   std::span<const ConceptWeight> y,
+                                   OnMatch&& on_match) {
+    uint64_t probes = 0;
+    if (x.size() >= kGallopRatio * y.size() ||
+        y.size() >= kGallopRatio * x.size()) {
+      const bool x_short = x.size() <= y.size();
+      std::span<const ConceptWeight> small = x_short ? x : y;
+      std::span<const ConceptWeight> large = x_short ? y : x;
+      size_t j = 0;
+      for (const ConceptWeight& e : small) {
+        j = Gallop(large, j, e.concept_id, &probes);
+        if (j == large.size()) break;
+        if (large[j].concept_id == e.concept_id) {
+          if (x_short) {
+            on_match(e, large[j]);
+          } else {
+            on_match(large[j], e);
+          }
+          ++j;
+        }
+      }
+      return probes;
+    }
+    size_t i = 0;
+    size_t j = 0;
+    while (i < x.size() && j < y.size()) {
+      ++probes;
+      if (x[i].concept_id < y[j].concept_id) {
+        ++i;
+      } else if (y[j].concept_id < x[i].concept_id) {
+        ++j;
+      } else {
+        on_match(x[i], y[j]);
+        ++i;
+        ++j;
+      }
+    }
+    return probes;
+  }
+
+  /// The first index k >= from with list[k].concept_id >= c (or
+  /// list.size()): probes from, from+1, from+3, from+7, ... until an
+  /// entry reaches c, then binary-searches the last bracket. Adds the
+  /// entries read to *probes.
+  static size_t Gallop(std::span<const ConceptWeight> list, size_t from,
+                       ConceptId c, uint64_t* probes) {
+    size_t lo = from;  // every entry in [from, lo) is below c
+    size_t hi = list.size();
+    for (size_t step = 1;; step *= 2) {
+      const size_t at = from + step - 1;
+      if (at >= list.size()) break;
+      ++*probes;
+      if (list[at].concept_id >= c) {
+        hi = at;
+        break;
+      }
+      lo = at + 1;
+    }
+    while (lo < hi) {
+      const size_t mid = lo + (hi - lo) / 2;
+      ++*probes;
+      if (list[mid].concept_id < c) {
+        lo = mid + 1;
+      } else {
+        hi = mid;
+      }
+    }
+    return lo;
+  }
+
+  static constexpr size_t kGallopRatio = 8;
+
   std::vector<size_t> group_offsets_;  // per node, into group_weights_
   std::vector<GroupWeight> group_weights_;
   std::vector<size_t> correction_offsets_;  // per node, into corrections_

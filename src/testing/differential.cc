@@ -21,6 +21,7 @@
 #include "core/topk.h"
 #include "graph/graph_io.h"
 #include "graph/node_sampler.h"
+#include "graph/transition_table.h"
 #include "taxonomy/flat_semantic_table.h"
 #include "taxonomy/taxonomy_io.h"
 #include "testing/stat_check.h"
@@ -159,6 +160,57 @@ double DifferentialBias(double decay, int walk_length, int oracle_iterations,
                         double theta) {
   int horizon = std::min(walk_length, oracle_iterations);
   return std::pow(decay, horizon) + theta;
+}
+
+std::vector<double> MaxWalkWeights(const Hin& graph,
+                                   const SemanticMeasure& measure,
+                                   double decay, int walk_length,
+                                   bool weighted_q) {
+  const size_t n = graph.num_nodes();
+  const TransitionTable table = TransitionTable::Build(graph);
+  // SO(x, y) over the collapsed in-edge groups.
+  std::vector<double> so(n * n, 0.0);
+  for (NodeId x = 0; x < n; ++x) {
+    for (NodeId y = 0; y < n; ++y) {
+      double sum = 0;
+      for (const TransitionTable::Group& g : table.InGroups(x)) {
+        for (const TransitionTable::Group& h : table.InGroups(y)) {
+          sum += g.total_weight * h.total_weight * measure.Sim(g.from, h.from);
+        }
+      }
+      so[x * n + y] = sum;
+    }
+  }
+  // best[x·n + y] after k rounds: the largest weight of a walk pair from
+  // (x, y), x ≠ y, that meets within k steps. One step (x,y) → (a,b)
+  // multiplies c·P/Q = c·sem(a,b)·W_xa·W_yb / (SO(x,y)·q_x(a)·q_y(b)).
+  std::vector<double> best(n * n, 0.0);
+  std::vector<double> next(n * n, 0.0);
+  for (int k = 0; k < walk_length; ++k) {
+    for (NodeId x = 0; x < n; ++x) {
+      for (NodeId y = 0; y < n; ++y) {
+        double top = 0;
+        const double norm = so[x * n + y];
+        if (x != y && norm > 0) {
+          for (const TransitionTable::Group& g : table.InGroups(x)) {
+            const double qg = weighted_q ? g.q_weighted : g.q_uniform;
+            for (const TransitionTable::Group& h : table.InGroups(y)) {
+              const double qh = weighted_q ? h.q_weighted : h.q_uniform;
+              const double tail =
+                  g.from == h.from ? 1.0 : best[g.from * n + h.from];
+              const double step = decay * measure.Sim(g.from, h.from) *
+                                  g.total_weight * h.total_weight /
+                                  (norm * qg * qh);
+              top = std::max(top, step * tail);
+            }
+          }
+        }
+        next[x * n + y] = top;
+      }
+    }
+    best.swap(next);
+  }
+  return best;
 }
 
 std::string ReproCommand(uint64_t seed) {
@@ -443,14 +495,18 @@ class InstanceRunner {
     SemSimMcOptions unpruned{cfg_.mc.decay, 0.0};
     double bias = DifferentialBias(cfg_.mc.decay, cfg_.walks.walk_length,
                                    cfg_.oracle_iterations, 0.0);
-    // A uniform proposal under heavy-tailed weights is the textbook IS
-    // pathology: the P/Q ratios are so skewed that n_w walks routinely
-    // miss the rare heavy samples, so both the estimate AND the
-    // empirical moments behind the CLT/Hoeffding bands undershoot — the
-    // band check itself is unsound there (the estimator stays unbiased,
-    // just impractically high-variance). Check F is skipped for that
-    // corner; the bit-identity checks D/E/G still cover it fully.
-    bool band_sound = !(cfg_.hin.heavy_tail_weights && !cfg_.walks.weighted);
+    // Under heavy-tailed weights the P/Q ratios are skewed — for either
+    // proposal, since Q never sees sem — so n_w walks can miss a rare
+    // heavy sample entirely, and both the estimate and the largest
+    // observed sample undershoot. Hoeffding's range is therefore the a
+    // priori bound sem(u,v)·MaxWalkWeights, never the observed maximum
+    // (DESIGN.md §9). Where that range is wide, F is wide too; the
+    // bit-identity checks D/E/G keep full strength there.
+    const std::vector<double> max_weight =
+        oracle_ ? MaxWalkWeights(*hin_, *measure_, cfg_.mc.decay,
+                                 cfg_.walks.walk_length, cfg_.walks.weighted)
+                : std::vector<double>();
+    const size_t n = hin_->num_nodes();
 
     for (const NodePair& p : pairs_) {
       if (suppressed_) return;
@@ -510,11 +566,20 @@ class InstanceRunner {
       }
 
       // F: unpruned MC within the Hoeffding/CLT band of the oracle.
-      if (oracle_ && band_sound && u != v) {
+      if (oracle_ && u != v) {
+        // The rounding slack covers the DP's other summation order.
+        const double range_bound =
+            virt.SemValue(u, v) * max_weight[u * n + v] * (1 + 1e-9) + 1e-12;
         double max_sample = 0.0;
         for (double s : samples) max_sample = std::max(max_sample, s);
+        if (max_sample > range_bound) {
+          AddViolation("mc-sample-range",
+                       "walk sample " + FormatDouble(max_sample) +
+                           " exceeds the a priori bound " +
+                           FormatDouble(range_bound) + " " + pair_tag);
+        }
         std::string msg = CheckWithinStatBand(
-            virt0, oracle_->at(u, v), samples, std::max(1.0, max_sample),
+            virt0, oracle_->at(u, v), samples, std::max(1.0, range_bound),
             opt_.delta, bias + 1e-12, "MC vs oracle " + pair_tag);
         ++report_.stat_checks;
         if (!msg.empty()) AddViolation("mc-vs-oracle", msg);

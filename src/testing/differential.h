@@ -98,6 +98,21 @@ std::string ReproCommand(uint64_t seed);
 double DifferentialBias(double decay, int walk_length, int oracle_iterations,
                         double theta);
 
+/// A priori upper bound on the importance weight of one coupled walk,
+/// for every pair: entry u·n + v is the largest Π_j c·P_j/Q_j that a
+/// walk pair from (u, v) meeting within `walk_length` steps can carry
+/// (CoupledWalkScore with θ = 0), 0 on the diagonal and where no
+/// meeting is reachable. A walk sample of check F is sem(u,v) times
+/// such a product, so sem(u,v) times this bound is the sample range
+/// Hoeffding's inequality needs; the largest *observed* sample is not,
+/// since n_w walks can miss a rare heavy ratio entirely (DESIGN.md §9).
+/// Computed by max-product dynamic programming over node pairs:
+/// O(walk_length · Σ_{x,y} g_x·g_y) for g_x the in-edge groups of x.
+std::vector<double> MaxWalkWeights(const Hin& graph,
+                                   const SemanticMeasure& measure,
+                                   double decay, int walk_length,
+                                   bool weighted_q);
+
 /// Generates the instance for `config` and replays the same query set
 /// through the exact iterative oracle (naive and partial-sums sweeps, 1
 /// and N threads), the MC estimator with virtual and devirtualized

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
 #include <thread>
 #include <vector>
@@ -224,6 +225,82 @@ TEST(ConcurrentPairCache, ConcurrentOverlappingStressMixedCosts) {
   OverlappingStress(512, [](NodeId u, NodeId v) {
     return static_cast<uint8_t>((u * 7 + v * 13) % 11);
   });
+}
+
+// Torn-read stress for the lock-free probe: one shard of one window, so
+// every insert lands in the slots every reader probes. Writers keep
+// displacing and refreshing 24 pairs through the 8 slots while readers
+// probe them; a probe that mixed the key of one write with the value of
+// another would return a value that is not PairValue(u, v). Run under
+// TSan in the sanitizer CI job.
+TEST(ConcurrentPairCache, TornReadsNeverReturnAWrongValue) {
+  ConcurrentPairCache cache(kOneWindow, /*num_shards=*/1);
+  ASSERT_EQ(cache.capacity(), kOneWindow);
+  constexpr int kWriters = 2;
+  constexpr int kReaders = 2;
+  constexpr int kLookupsPerReader = 100000;
+  constexpr NodeId kPairs = 3 * kOneWindow;
+  std::atomic<bool> done{false};
+  std::vector<std::thread> threads;
+  for (int w = 0; w < kWriters; ++w) {
+    threads.emplace_back([&, w] {
+      NodeId i = static_cast<NodeId>(w);
+      while (!done.load(std::memory_order_relaxed)) {
+        cache.Insert(i % kPairs, 100, PairValue(i % kPairs, 100));
+        i += 1 + static_cast<NodeId>(w);
+      }
+    });
+  }
+  std::vector<int> wrong(kReaders, 0);
+  std::vector<int> hits(kReaders, 0);
+  std::vector<std::thread> readers;
+  for (int r = 0; r < kReaders; ++r) {
+    readers.emplace_back([&, r] {
+      for (int n = 0; n < kLookupsPerReader; ++n) {
+        const NodeId u = static_cast<NodeId>((n * 7 + r) % kPairs);
+        double value = 0;
+        if (cache.Lookup(100, u, &value)) {
+          ++hits[r];
+          if (value != PairValue(u, 100)) ++wrong[r];
+        }
+      }
+    });
+  }
+  for (auto& th : readers) th.join();
+  done.store(true, std::memory_order_relaxed);
+  for (auto& th : threads) th.join();
+  for (int r = 0; r < kReaders; ++r) {
+    EXPECT_EQ(wrong[r], 0) << "reader " << r;
+    EXPECT_GT(hits[r], 0) << "reader " << r;
+  }
+  EXPECT_EQ(cache.size(), kOneWindow);
+}
+
+// The per-thread sharded counters lose no probe: every lookup, hit or
+// miss (torn ones included), is counted exactly once.
+TEST(ConcurrentPairCache, CountersAreExactUnderConcurrency) {
+  ConcurrentPairCache cache(1024, /*num_shards=*/4);
+  constexpr int kThreads = 4;
+  constexpr int kLookupsPerThread = 5000;
+  constexpr NodeId kUniverse = 48;
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (int n = 0; n < kLookupsPerThread; ++n) {
+        const NodeId u = static_cast<NodeId>((n + t) % kUniverse);
+        const NodeId v = static_cast<NodeId>((n / kUniverse) % kUniverse);
+        double value = 0;
+        if (!cache.Lookup(u, v, &value)) {
+          cache.Insert(u, v, PairValue(u, v));
+        }
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  EXPECT_EQ(cache.hits() + cache.misses(),
+            uint64_t{kThreads} * kLookupsPerThread);
+  EXPECT_GT(cache.hits(), 0u);
+  EXPECT_GT(cache.misses(), 0u);
 }
 
 }  // namespace

@@ -15,6 +15,7 @@
 
 #include "core/mc_semsim.h"
 #include "graph/graph_io.h"
+#include "taxonomy/semantic_measure.h"
 #include "taxonomy/taxonomy_io.h"
 #include "testing/random_hin.h"
 #include "testing/random_taxonomy.h"
@@ -397,6 +398,72 @@ TEST(Differential, SmallSweepPassesCleanly) {
   EXPECT_EQ(report.instances, 10);
   EXPECT_GT(report.bit_checks, 0);
   EXPECT_GT(report.stat_checks, 0);
+}
+
+// sem = 1 on the diagonal and `off` elsewhere.
+class ConstantMeasure : public SemanticMeasure {
+ public:
+  explicit ConstantMeasure(double off) : off_(off) {}
+  double Sim(NodeId a, NodeId b) const override { return a == b ? 1 : off_; }
+  std::string_view name() const override { return "constant"; }
+
+ private:
+  double off_;
+};
+
+TEST(Differential, MaxWalkWeightsOfAOneStepMeeting) {
+  // a -> u (2), b -> u (1), a -> v (3); a and b have no in-edges, so the
+  // only meeting from (u, v) is the step to (a, a).
+  HinBuilder hb;
+  NodeId a = hb.AddNode("a", "x");
+  NodeId b = hb.AddNode("b", "x");
+  NodeId u = hb.AddNode("u", "x");
+  NodeId v = hb.AddNode("v", "x");
+  ASSERT_TRUE(hb.AddEdge(a, u, "r", 2.0).ok());
+  ASSERT_TRUE(hb.AddEdge(b, u, "r", 1.0).ok());
+  ASSERT_TRUE(hb.AddEdge(a, v, "r", 3.0).ok());
+  Hin g = Unwrap(std::move(hb).Build());
+  ConstantMeasure sem(0.5);
+  // SO(u,v) = 2·3·1 + 1·3·0.5 = 7.5; the step to (a,a) has P = 6/7.5.
+  const size_t n = g.num_nodes();
+  std::vector<double> weighted =
+      testing::MaxWalkWeights(g, sem, 0.6, 5, /*weighted_q=*/true);
+  std::vector<double> uniform =
+      testing::MaxWalkWeights(g, sem, 0.6, 5, /*weighted_q=*/false);
+  // Weighted Q = (2/3)·(3/3); uniform Q = (1/2)·(1/1).
+  EXPECT_NEAR(weighted[u * n + v], 0.6 * 0.8 / (2.0 / 3.0), 1e-12);
+  EXPECT_NEAR(uniform[u * n + v], 0.6 * 0.8 / 0.5, 1e-12);
+  EXPECT_EQ(weighted[v * n + u], weighted[u * n + v]);
+  EXPECT_EQ(weighted[u * n + u], 0.0);
+  EXPECT_EQ(weighted[a * n + b], 0.0);  // no in-edges, no meeting
+}
+
+// Seed 1274: heavy-tailed log weights under a weighted proposal. Pair
+// (0, 2) meets mostly through an in-edge of weight 0.06 next to ones of
+// 11 and 3.8, which Q picks 0.4% of the time but P ~80%: its 216 walks
+// expect 0.85 such steps, and the estimate reads 0.005 against the
+// oracle's 0.31. The estimator is unbiased there (it converges as n_w
+// grows), so check F must size its Hoeffding band from the a priori
+// sample range (78 here), not from the largest sample it happened to
+// observe.
+TEST(Differential, HeavyTailWeightedProposalSeedPasses) {
+  testing::DifferentialConfig cfg = testing::MakeDifferentialConfig(1274);
+  ASSERT_TRUE(cfg.walks.weighted);
+  ASSERT_TRUE(cfg.hin.heavy_tail_weights);
+  testing::DifferentialReport report =
+      testing::RunDifferentialInstance(cfg, testing::DifferentialOptions{});
+  EXPECT_TRUE(report.ok()) << (report.violations.empty()
+                                   ? ""
+                                   : report.violations.front());
+  EXPECT_GT(report.stat_checks, 0);
+
+  Hin g = Unwrap(testing::GenerateRandomHin(cfg.hin));
+  SemanticContext ctx = Unwrap(testing::GenerateRandomContext(g, cfg.taxonomy));
+  ASSERT_EQ(cfg.measure, testing::MeasureKind::kWuPalmer);
+  WuPalmerMeasure sem(&ctx);
+  std::vector<double> bound = testing::MaxWalkWeights(
+      g, sem, cfg.mc.decay, cfg.walks.walk_length, cfg.walks.weighted);
+  EXPECT_GT(sem.Sim(0, 2) * bound[0 * g.num_nodes() + 2], 10.0);
 }
 
 TEST(Differential, SelfTestPerturbationProducesActionableViolation) {

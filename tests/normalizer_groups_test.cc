@@ -252,7 +252,8 @@ TEST(NormalizerGroups, HandmadeGroupStructure) {
   EXPECT_TRUE(groups.Corrections(h.z).empty());
   EXPECT_EQ(groups.Sum(lin, h.u, h.z), 0.0);
   EXPECT_EQ(groups.Sum(lin, h.z, h.z), 0.0);
-  EXPECT_EQ(groups.Work(h.u, h.z), groups.Corrections(h.u).size());
+  // z has no correction entries, so the merge reads none of u's.
+  EXPECT_EQ(groups.Work(h.u, h.z), 0u);
 }
 
 // Hub pairs and random pairs of a generated AMiner graph, where hubs
@@ -291,6 +292,103 @@ TEST(NormalizerGroups, GeneratedAminerHubsMatchD2Sum) {
   NormalizerGroups groups = BuildGroups<FlatLinKernel>(d.graph, table);
   const NodeId hub = by_degree[0];
   EXPECT_LT(groups.Groups(hub).size() * 10, d.graph.InDegree(hub));
+}
+
+// Reference for Sum(): the group double loop, then a linear merge of
+// both correction lists in full.
+template <typename Kernel>
+double LinearMergeSum(const NormalizerGroups& groups, const Kernel& kernel,
+                      NodeId lo, NodeId hi) {
+  double norm = 0;
+  for (const NormalizerGroups::GroupWeight& a : groups.Groups(lo)) {
+    for (const NormalizerGroups::GroupWeight& b : groups.Groups(hi)) {
+      const double s = a.group == b.group
+                           ? groups.self_sim(a.group)
+                           : kernel.Sim(groups.representative(a.group),
+                                        groups.representative(b.group));
+      norm += a.weight * b.weight * s;
+    }
+  }
+  auto x = groups.Corrections(lo);
+  auto y = groups.Corrections(hi);
+  size_t i = 0;
+  size_t j = 0;
+  while (i < x.size() && j < y.size()) {
+    if (x[i].concept_id < y[j].concept_id) {
+      ++i;
+    } else if (y[j].concept_id < x[i].concept_id) {
+      ++j;
+    } else {
+      norm += x[i].weight * y[j].weight * (1.0 - groups.self_sim(x[i].group));
+      ++i;
+      ++j;
+    }
+  }
+  return norm;
+}
+
+// Galloping the short correction list through a hub's long one adds the
+// same matches in the same order as the linear merge, so every
+// normalizer is bit-identical; hub×hub pairs keep the linear merge.
+TEST(NormalizerGroups, GallopingMergeIsBitIdenticalToLinearMerge) {
+  AminerOptions opt;
+  opt.num_authors = 600;
+  opt.seed = 1;
+  Dataset d = Unwrap(GenerateAminer(opt));
+  FlatSemanticTable table = FlatSemanticTable::Build(d.context);
+  NormalizerGroups groups = BuildGroups<FlatLinKernel>(d.graph, table);
+  FlatLinKernel lin{&table};
+  std::vector<NodeId> by_corrections(d.graph.num_nodes());
+  for (NodeId v = 0; v < d.graph.num_nodes(); ++v) by_corrections[v] = v;
+  std::sort(by_corrections.begin(), by_corrections.end(),
+            [&](NodeId a, NodeId b) {
+              const size_t ca = groups.Corrections(a).size();
+              const size_t cb = groups.Corrections(b).size();
+              return ca != cb ? ca > cb : a < b;
+            });
+  const std::vector<NodeId> hubs(by_corrections.begin(),
+                                 by_corrections.begin() + 4);
+  ASSERT_GT(groups.Corrections(hubs[3]).size(), 16u);
+  // Leaves with one to three correction entries: the galloping side.
+  std::vector<NodeId> leaves;
+  for (auto it = by_corrections.rbegin();
+       it != by_corrections.rend() && leaves.size() < 40; ++it) {
+    const size_t c = groups.Corrections(*it).size();
+    if (c >= 1 && c <= 3) leaves.push_back(*it);
+  }
+  ASSERT_FALSE(leaves.empty());
+
+  // Hub×leaf pairs that share a correction concept, so the galloping
+  // merge's match branch runs.
+  size_t shared = 0;
+  for (NodeId hub : hubs) {
+    const uint64_t hub_len = groups.Corrections(hub).size();
+    for (NodeId leaf : leaves) {
+      const NodeId lo = std::min(hub, leaf);
+      const NodeId hi = std::max(hub, leaf);
+      uint64_t work = 0;
+      const double got = groups.Sum(lin, lo, hi, &work);
+      EXPECT_EQ(got, LinearMergeSum(groups, lin, lo, hi))
+          << "hub " << hub << " leaf " << leaf;
+      EXPECT_EQ(work, groups.Work(lo, hi));
+      // Galloping reads far fewer entries than the hub's list.
+      const uint64_t group_pairs = static_cast<uint64_t>(
+          groups.Groups(lo).size() * groups.Groups(hi).size());
+      EXPECT_LT(work - group_pairs, hub_len) << "hub " << hub;
+      for (const auto& e : groups.Corrections(leaf)) {
+        for (const auto& f : groups.Corrections(hub)) {
+          shared += e.concept_id == f.concept_id;
+        }
+      }
+    }
+    for (NodeId other : hubs) {
+      const NodeId lo = std::min(hub, other);
+      const NodeId hi = std::max(hub, other);
+      EXPECT_EQ(groups.Sum(lin, lo, hi), LinearMergeSum(groups, lin, lo, hi))
+          << "hubs " << lo << "," << hi;
+    }
+  }
+  EXPECT_GT(shared, 0u);
 }
 
 }  // namespace
