@@ -1,12 +1,14 @@
 #ifndef SEMSIM_BENCH_BENCH_UTIL_H_
 #define SEMSIM_BENCH_BENCH_UTIL_H_
 
+#include <bit>
 #include <cinttypes>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -14,6 +16,8 @@
 #include "common/logging.h"
 #include "common/metrics.h"
 #include "common/result.h"
+#include "core/concurrent_cache.h"
+#include "core/pair_graph.h"
 #include "datasets/aminer_gen.h"
 #include "datasets/amazon_gen.h"
 #include "datasets/wikipedia_gen.h"
@@ -256,6 +260,43 @@ inline Dataset WordnetDefault(uint64_t seed = 4) {
   WordnetOptions opt;
   opt.seed = seed;
   return Unwrap(GenerateWordnet(opt));
+}
+
+/// The paper's SLING index (Sec. 5.2) as a pre-filled shared cache: a
+/// ConcurrentPairCache holding SO(lo, hi) = PairGraph::Normalizer(lo, hi)
+/// for every unordered pair with sem >= `min_sem`, and every singleton,
+/// whose normalizer is positive. It has bit_ceil(2 × qualifying pairs)
+/// slots; `*qualifying` (optional) receives that pair count.
+///
+/// Attach it with set_shared_cache to an estimator that has NO flat
+/// kernel attached. Its virtual d² loop and PairGraph::Normalizer both
+/// sum (w_a·w_b)·sem(a, b) over In(lo) outer and In(hi) inner, so the
+/// pre-filled values are bit-exact. A flat kernel's grouped sums differ
+/// in the last bits, which would break the cache's rule that a value is
+/// a bit-exact function of its key.
+inline std::unique_ptr<ConcurrentPairCache> PrefilledNormalizerCache(
+    const PairGraph& pair_graph, double min_sem,
+    size_t* qualifying = nullptr) {
+  const Hin& g = pair_graph.graph();
+  const SemanticMeasure* sem = pair_graph.semantic();
+  const NodeId n = static_cast<NodeId>(g.num_nodes());
+  struct Entry {
+    NodeId lo, hi;
+    double norm;
+  };
+  std::vector<Entry> entries;
+  for (NodeId lo = 0; lo < n; ++lo) {
+    for (NodeId hi = lo; hi < n; ++hi) {
+      if (lo != hi && sem != nullptr && sem->Sim(lo, hi) < min_sem) continue;
+      const double norm = pair_graph.Normalizer(lo, hi);
+      if (norm > 0) entries.push_back({lo, hi, norm});
+    }
+  }
+  auto cache =
+      std::make_unique<ConcurrentPairCache>(std::bit_ceil(2 * entries.size()));
+  for (const Entry& e : entries) cache->Insert(e.lo, e.hi, e.norm);
+  if (qualifying != nullptr) *qualifying = entries.size();
+  return cache;
 }
 
 /// Prints the standard bench banner (experiment id, dataset sizes, seed).

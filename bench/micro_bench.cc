@@ -6,6 +6,7 @@
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -15,7 +16,6 @@
 #include "core/mc_semsim.h"
 #include "core/mc_simrank.h"
 #include "core/pair_graph.h"
-#include "core/sling_cache.h"
 #include "core/walk_index.h"
 #include "graph/node_sampler.h"
 #include "taxonomy/semantic_measure.h"
@@ -126,7 +126,7 @@ struct EstimatorState {
   LinMeasure lin;
   WalkIndex index;
   PairGraph pair_graph;
-  PairNormalizerCache cache;
+  std::unique_ptr<ConcurrentPairCache> cache;
   SemSimMcEstimator plain;
   SemSimMcEstimator cached;
 
@@ -136,9 +136,13 @@ struct EstimatorState {
         index(WalkIndex::Build(dataset->graph,
                                WalkIndexOptions{150, 15, 42, false})),
         pair_graph(&dataset->graph, &lin),
-        cache(PairNormalizerCache::Build(pair_graph, 0.1)),
+        // Pre-filled shared cache; both estimators stay virtual, which
+        // keeps the pre-filled values bit-exact (bench_util.h).
+        cache(bench::PrefilledNormalizerCache(pair_graph, 0.1)),
         plain(&dataset->graph, &lin, &index),
-        cached(&dataset->graph, &lin, &index, &cache) {}
+        cached(&dataset->graph, &lin, &index) {
+    cached.set_shared_cache(cache.get());
+  }
 };
 
 EstimatorState& Estimators() {

@@ -71,7 +71,7 @@ REQUIRED_COUNTERS = [
     "semsim_pool_chunks_total",
     "semsim_cache_normalizer_hits_total",
     "semsim_cache_normalizer_misses_total",
-    "semsim_cache_normalizer_rejected_total",
+    "semsim_cache_normalizer_evictions_total",
     "semsim_query_normalizer_work_total",
 ]
 REQUIRED_HISTOGRAMS = [

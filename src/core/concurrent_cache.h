@@ -1,7 +1,6 @@
 #ifndef SEMSIM_CORE_CONCURRENT_CACHE_H_
 #define SEMSIM_CORE_CONCURRENT_CACHE_H_
 
-#include <algorithm>
 #include <atomic>
 #include <bit>
 #include <cstdint>
@@ -32,21 +31,16 @@ namespace semsim {
 /// stable; writers serialize on the shard mutex and make the sequence
 /// odd around every slot write. Lookup reads the sequence, the probe
 /// window and the sequence again, and a probe that overlapped a writer
-/// counts as a miss. The hit/miss/eviction/rejection counters are
+/// counts as a miss. The hit/miss/eviction counters are
 /// per-thread sharded `Counter`s, so a probe touches no cache line that
 /// another thread writes unless a writer is working on the same shard.
 ///
-/// Every entry carries a one-byte cost class (what recomputing it would
-/// cost, on a log scale) in an array beside the slots. When every slot
-/// of a probe window is taken, the insert displaces the cheapest entry
-/// of the window (the first of them on ties), and an insert cheaper
-/// than every entry there is dropped — so a stream of cheap pairs
-/// cannot flush the expensive ones. With the default cost 0 this is
-/// plain "displace the window's first entry". Values must be
-/// deterministic functions of the key — a displaced or dropped entry,
-/// or a probe torn by a writer, is recomputed bit-identically later,
-/// which is what keeps batch results independent of thread count and
-/// cache history.
+/// Replacement is positional: an insert takes the first empty slot of
+/// its probe window, and when the window is full it displaces the
+/// window's first entry. Values must be deterministic functions of the
+/// key — a displaced entry, or a probe torn by a writer, is recomputed
+/// bit-identically later, which is what keeps batch results independent
+/// of thread count and cache history.
 class ConcurrentPairCache {
  public:
   /// `capacity` is rounded up per shard to a power of two; total slot
@@ -66,7 +60,6 @@ class ConcurrentPairCache {
     shards_ = std::make_unique<Shard[]>(num_shards);
     for (size_t i = 0; i < num_shards; ++i) {
       shards_[i].slots = std::vector<Slot>(per_shard);
-      shards_[i].costs.assign(per_shard, 0);
     }
     shard_mask_ = num_shards - 1;
     slot_mask_ = per_shard - 1;
@@ -103,46 +96,31 @@ class ConcurrentPairCache {
     return false;
   }
 
-  /// Inserts (or refreshes) the pair with cost class `cost`. When the
-  /// probe window is full the cheapest entry no costlier than `cost` is
-  /// displaced (the first such slot on ties); when every entry there is
-  /// costlier, the insert is dropped and counted as rejected.
-  void Insert(NodeId u, NodeId v, double value, uint8_t cost = 0) {
+  /// Inserts (or refreshes) the pair. When the probe window is full its
+  /// first entry is displaced and counted as an eviction.
+  void Insert(NodeId u, NodeId v, double value) {
     uint64_t key = PackKey(u, v);
     uint64_t h = Mix(key);
     Shard& shard = shards_[h & shard_mask_];
     size_t base = (h >> kShardBits) & slot_mask_;
     std::lock_guard<std::mutex> lock(shard.mu);
-    size_t victim = base & slot_mask_;
-    bool displaced = true;
     for (size_t i = 0; i < kProbeWindow; ++i) {
       size_t at = (base + i) & slot_mask_;
       const uint64_t k =
           shard.slots[at].key.load(std::memory_order_relaxed);
       if (k == key) {
         shard.Write(at, key, value);
-        shard.costs[at] = cost;
         return;
       }
       if (k == kEmptyKey) {
-        victim = at;
         ++shard.used;
-        displaced = false;
-        break;
-      }
-      if (shard.costs[at] < shard.costs[victim]) victim = at;
-    }
-    if (displaced) {
-      if (cost < shard.costs[victim]) {
-        rejected_.Add(1);
-        if (metric_rejected_ != nullptr) metric_rejected_->Add(1);
+        shard.Write(at, key, value);
         return;
       }
-      evictions_.Add(1);
-      if (metric_evictions_ != nullptr) metric_evictions_->Add(1);
     }
-    shard.Write(victim, key, value);
-    shard.costs[victim] = cost;
+    evictions_.Add(1);
+    if (metric_evictions_ != nullptr) metric_evictions_->Add(1);
+    shard.Write(base, key, value);
   }
 
   void Clear() {
@@ -156,7 +134,6 @@ class ConcurrentPairCache {
         slot.bits.store(0, std::memory_order_release);
       }
       s.seq.store(seq + 2, std::memory_order_release);
-      std::fill(s.costs.begin(), s.costs.end(), uint8_t{0});
       s.used = 0;
     }
     ResetCounters();
@@ -181,10 +158,6 @@ class ConcurrentPairCache {
   /// overwritten. A high rate relative to misses means the capacity is
   /// too small for the working set.
   uint64_t evictions() const { return evictions_.Value(); }
-  /// Dropped inserts: the probe window was full of costlier entries, so
-  /// the pair was not cached. Counts the cheap traffic that cost-aware
-  /// replacement kept from flushing expensive entries.
-  uint64_t rejected() const { return rejected_.Value(); }
   double hit_rate() const {
     uint64_t h = hits(), m = misses();
     return h + m == 0 ? 0.0 : static_cast<double>(h) / (h + m);
@@ -193,12 +166,11 @@ class ConcurrentPairCache {
     hits_.Reset();
     misses_.Reset();
     evictions_.Reset();
-    rejected_.Reset();
   }
 
   /// Additionally routes this cache's traffic into the global
   /// MetricsRegistry as
-  /// `semsim_cache_<name>_{hits,misses,evictions,rejected}_total`
+  /// `semsim_cache_<name>_{hits,misses,evictions}_total`
   /// (shared with any other cache bound to the same name). Unbound caches
   /// pay only the local counters.
   void BindMetrics(std::string_view name) {
@@ -207,12 +179,9 @@ class ConcurrentPairCache {
     metric_hits_ = registry.GetCounter(base + "hits_total");
     metric_misses_ = registry.GetCounter(base + "misses_total");
     metric_evictions_ = registry.GetCounter(base + "evictions_total");
-    metric_rejected_ = registry.GetCounter(base + "rejected_total");
   }
 
-  size_t MemoryBytes() const {
-    return capacity() * (sizeof(Slot) + sizeof(uint8_t));
-  }
+  size_t MemoryBytes() const { return capacity() * sizeof(Slot); }
 
  private:
   // (kInvalidNode, kInvalidNode) cannot name a real pair.
@@ -229,8 +198,7 @@ class ConcurrentPairCache {
     std::atomic<uint64_t> seq{0};  // odd while a writer is mid-write
     mutable std::mutex mu;         // serializes writers
     std::vector<Slot> slots;
-    std::vector<uint8_t> costs;  // cost class of slots[i]; under mu
-    size_t used = 0;             // under mu
+    size_t used = 0;               // under mu
 
     // Under mu. Release stores throughout: a reader whose acquire load
     // sees the new key or bits also sees the odd sequence after it.
@@ -272,11 +240,9 @@ class ConcurrentPairCache {
   mutable Counter hits_;
   mutable Counter misses_;
   Counter evictions_;
-  Counter rejected_;
   Counter* metric_hits_ = nullptr;
   Counter* metric_misses_ = nullptr;
   Counter* metric_evictions_ = nullptr;
-  Counter* metric_rejected_ = nullptr;
 };
 
 }  // namespace semsim

@@ -7,7 +7,6 @@
 #include "common/logging.h"
 #include "common/metrics.h"
 #include "core/mc_kernels.h"
-#include "core/pair_graph.h"
 
 namespace semsim {
 
@@ -66,16 +65,8 @@ Result<EngineSnapshotPtr> EngineSnapshot::Create(
         FlatSemanticTable::Build(*info.context));
     snap->sem_devirtualized_ = true;
   }
-  if (options.cache_min_sem >= 0) {
-    // The PairGraph is only a build-time scaffold; the cache is
-    // self-contained afterwards.
-    PairGraph pair_graph(snap->graph_.get(), snap->semantic_.get());
-    snap->static_cache_ = std::make_unique<PairNormalizerCache>(
-        PairNormalizerCache::Build(pair_graph, options.cache_min_sem));
-  }
   snap->estimator_ = std::make_unique<SemSimMcEstimator>(
-      snap->graph_.get(), snap->semantic_.get(), snap->walk_index_.get(),
-      snap->static_cache_.get());
+      snap->graph_.get(), snap->semantic_.get(), snap->walk_index_.get());
   bool engaged = snap->estimator_->AttachFlatKernel(snap->flat_semantic_.get());
   SEMSIM_CHECK(engaged == snap->sem_devirtualized_);
   if (options.normalizer_cache_capacity > 0) {
@@ -125,7 +116,6 @@ void EngineSnapshot::ComputeFingerprint(EngineSnapshot& snap) {
   // defaults resolve at query time; decay/theta pin the estimate itself).
   fp = ChainValue(fp, snap.options_.query.mc.decay);
   fp = ChainValue(fp, snap.options_.query.mc.theta);
-  fp = ChainValue(fp, snap.options_.cache_min_sem);
   const uint64_t nodes = snap.graph_->num_nodes();
   const uint64_t edges = snap.graph_->num_edges();
   fp = ChainValue(fp, nodes);
@@ -157,10 +147,6 @@ void EngineSnapshot::ComputeFingerprint(EngineSnapshot& snap) {
   if (snap.sampler_ != nullptr) {
     fp = ChainValue(fp, snap.sampler_->Fingerprint());
   }
-  if (snap.static_cache_ != nullptr) {
-    const uint64_t cached_pairs = snap.static_cache_->size();
-    fp = ChainValue(fp, cached_pairs);
-  }
   snap.fingerprint_ = fp;
 }
 
@@ -189,7 +175,6 @@ size_t EngineSnapshot::MemoryBytes() const {
   total += estimator_->normalizer_groups().MemoryBytes();
   if (flat_semantic_) total += flat_semantic_->MemoryBytes();
   if (sampler_) total += sampler_->TableBytes();
-  if (static_cache_) total += static_cache_->MemoryBytes();
   if (normalizer_cache_) total += normalizer_cache_->MemoryBytes();
   const SingleSourceIndex* inverted =
       inverted_published_.load(std::memory_order_acquire);

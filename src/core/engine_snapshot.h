@@ -12,7 +12,6 @@
 #include "core/concurrent_cache.h"
 #include "core/mc_semsim.h"
 #include "core/single_source.h"
-#include "core/sling_cache.h"
 #include "core/walk_index.h"
 #include "graph/hin.h"
 #include "graph/node_sampler.h"
@@ -46,10 +45,6 @@ struct EngineSnapshotOptions {
   /// Slot budget of the cross-query SO-normalizer cache. 0 disables it;
   /// negative values are rejected.
   int64_t normalizer_cache_capacity = 1 << 20;
-  /// When >= 0, build the SLING-style static normalizer cache for pairs
-  /// with sem >= this value (the paper uses 0.1). Negative skips the
-  /// build.
-  double cache_min_sem = -1.0;
   /// Build the inverted single-source index at snapshot creation
   /// instead of lazily on the first single-source/top-k request.
   bool eager_single_source = false;
@@ -57,7 +52,7 @@ struct EngineSnapshotOptions {
 
 /// One immutable, versioned bundle of every artifact a query needs: the
 /// HIN, the semantic measure, the walk index (owned or mapped), the flat
-/// kernel tables, the alias sampler, the SLING and normalizer caches,
+/// kernel tables, the alias sampler, the normalizer cache,
 /// and the estimator bound over them (DESIGN.md §14). It is the only
 /// way to build that bundle; BatchQueryEngine::CreateFromSnapshot binds
 /// an executor over it.
@@ -158,11 +153,6 @@ class EngineSnapshot {
   /// this snapshot reuse it instead of rebuilding).
   const NodeSamplerIndex* sampler() const { return sampler_.get(); }
 
-  /// The SLING-style static cache consulted by the estimator; nullptr
-  /// when cache_min_sem is negative.
-  const PairNormalizerCache* static_cache() const {
-    return static_cache_.get();
-  }
   /// Cross-query concurrent normalizer cache; nullptr when disabled.
   const ConcurrentPairCache* normalizer_cache() const {
     return normalizer_cache_.get();
@@ -196,7 +186,6 @@ class EngineSnapshot {
 
   std::unique_ptr<FlatSemanticTable> flat_semantic_;
   std::unique_ptr<NodeSamplerIndex> sampler_;
-  std::unique_ptr<PairNormalizerCache> static_cache_;
   std::unique_ptr<ConcurrentPairCache> normalizer_cache_;
   std::unique_ptr<SemSimMcEstimator> estimator_;
 

@@ -1,6 +1,5 @@
 #include "core/mc_semsim.h"
 
-#include <bit>
 #include <cmath>
 #include <mutex>
 #include <type_traits>
@@ -38,7 +37,6 @@ void PublishQueryStats(const McQueryStats& stats) {
     Counter* pruned_walks;
     Counter* sem_pruned;
     Counter* normalizers_computed;
-    Counter* normalizer_cache_hits;
     Counter* shared_cache_hits;
     Counter* normalizer_work;
   };
@@ -50,7 +48,6 @@ void PublishQueryStats(const McQueryStats& stats) {
         reg.GetCounter("semsim_query_pruned_walks_total"),
         reg.GetCounter("semsim_query_sem_pruned_total"),
         reg.GetCounter("semsim_query_normalizers_computed_total"),
-        reg.GetCounter("semsim_query_normalizer_cache_hits_total"),
         reg.GetCounter("semsim_query_shared_cache_hits_total"),
         reg.GetCounter("semsim_query_normalizer_work_total"),
     };
@@ -69,10 +66,6 @@ void PublishQueryStats(const McQueryStats& stats) {
     sites.normalizers_computed->Add(
         static_cast<uint64_t>(stats.normalizers_computed));
   }
-  if (stats.normalizer_cache_hits > 0) {
-    sites.normalizer_cache_hits->Add(
-        static_cast<uint64_t>(stats.normalizer_cache_hits));
-  }
   if (stats.shared_cache_hits > 0) {
     sites.shared_cache_hits->Add(
         static_cast<uint64_t>(stats.shared_cache_hits));
@@ -84,12 +77,10 @@ void PublishQueryStats(const McQueryStats& stats) {
 
 SemSimMcEstimator::SemSimMcEstimator(const Hin* graph,
                                      const SemanticMeasure* semantic,
-                                     const WalkIndex* index,
-                                     const PairNormalizerCache* cache)
+                                     const WalkIndex* index)
     : graph_(graph),
       semantic_(semantic),
       index_(index),
-      cache_(cache),
       transitions_(TransitionTable::Build(*graph)) {}
 
 // ---------------------------------------------------------------------------
@@ -177,13 +168,6 @@ template <typename Sem>
 double SemSimMcEstimator::NormalizerT(const Sem& sem, NodeId u, NodeId v,
                                       QueryContext* context,
                                       McQueryStats* stats) const {
-  if (cache_ != nullptr) {
-    double cached;
-    if (cache_->Lookup(u, v, &cached)) {
-      if (stats) ++stats->normalizer_cache_hits;
-      return cached;
-    }
-  }
   if (const double* memo = context->Find(u, v)) return *memo;
   if (shared_cache_ != nullptr) {
     // Cross-query state: another query (possibly on another thread) may
@@ -204,9 +188,8 @@ double SemSimMcEstimator::NormalizerT(const Sem& sem, NodeId u, NodeId v,
   NodeId hi = u <= v ? v : u;
   auto in_lo = graph_->InNeighbors(lo);
   auto in_hi = graph_->InNeighbors(hi);
-  const uint64_t d2 = static_cast<uint64_t>(in_lo.size()) * in_hi.size();
   double norm = 0;
-  uint64_t work = d2;
+  uint64_t work = static_cast<uint64_t>(in_lo.size()) * in_hi.size();
   if constexpr (std::is_same_v<Sem, kernels::VirtualSem>) {
     // Any measure: the d² loop of the definition.
     for (const Neighbor& a : in_lo) {
@@ -223,13 +206,7 @@ double SemSimMcEstimator::NormalizerT(const Sem& sem, NodeId u, NodeId v,
     stats->normalizer_work += static_cast<int64_t>(work);
   }
   context->Insert(u, v, norm);
-  if (shared_cache_ != nullptr) {
-    // Cost class ⌊log2(d_lo·d_hi)⌋: a hub pair outranks the cheap pairs
-    // that would otherwise displace it from the shared cache.
-    const uint8_t cost =
-        d2 == 0 ? 0 : static_cast<uint8_t>(std::bit_width(d2) - 1);
-    shared_cache_->Insert(u, v, norm, cost);
-  }
+  if (shared_cache_ != nullptr) shared_cache_->Insert(u, v, norm);
   return norm;
 }
 

@@ -11,7 +11,6 @@
 #include "core/concurrent_cache.h"
 #include "core/mc_kernels.h"
 #include "core/normalizer_groups.h"
-#include "core/sling_cache.h"
 #include "core/walk_index.h"
 #include "graph/hin.h"
 #include "taxonomy/semantic_measure.h"
@@ -89,8 +88,6 @@ struct McQueryStats {
   int64_t sem_pruned_queries = 0;
   /// Number of SO normalizer computations performed (cache misses).
   int64_t normalizers_computed = 0;
-  /// Normalizer lookups answered by the SLING-style cache.
-  int64_t normalizer_cache_hits = 0;
   /// Normalizer lookups answered by the cross-query concurrent cache.
   int64_t shared_cache_hits = 0;
   /// The work behind `normalizers_computed`, which counts a hub pair
@@ -110,7 +107,6 @@ struct McQueryStats {
     sem_pruned = sem_pruned || other.sem_pruned;
     sem_pruned_queries += other.sem_pruned_queries;
     normalizers_computed += other.normalizers_computed;
-    normalizer_cache_hits += other.normalizer_cache_hits;
     shared_cache_hits += other.shared_cache_hits;
     normalizer_work += other.normalizer_work;
   }
@@ -158,20 +154,17 @@ inline double ProjectOntoSemBound(double estimate, double sem_uv) {
 /// (Sec. 5.2).
 class SemSimMcEstimator {
  public:
-  /// All pointers must outlive the estimator; `cache` is optional
-  /// (nullptr = compute every normalizer on the fly). Builds the
-  /// estimator's TransitionTable over `graph` (DESIGN.md §7), one
-  /// O(|V| + |E|) pass.
+  /// All pointers must outlive the estimator. Builds the estimator's
+  /// TransitionTable over `graph` (DESIGN.md §7), one O(|V| + |E|) pass.
   SemSimMcEstimator(const Hin* graph, const SemanticMeasure* semantic,
-                    const WalkIndex* index,
-                    const PairNormalizerCache* cache = nullptr);
+                    const WalkIndex* index);
 
   /// Installs a cross-query normalizer cache shared by every thread and
-  /// every subsequent query. Consulted after the static SLING cache and
-  /// the per-query context; computed normalizers are published to it.
-  /// Values are deterministic functions of the pair, so cache history
-  /// never changes results. Pass nullptr to detach. The cache must
-  /// outlive the estimator (or the detach).
+  /// every subsequent query. Consulted after the per-query context;
+  /// computed normalizers are published to it. Values are deterministic
+  /// functions of the pair, so cache history never changes results.
+  /// Pass nullptr to detach (every miss is then computed on the fly).
+  /// The cache must outlive the estimator (or the detach).
   void set_shared_cache(ConcurrentPairCache* cache) { shared_cache_ = cache; }
   const ConcurrentPairCache* shared_cache() const { return shared_cache_; }
 
@@ -337,11 +330,10 @@ class SemSimMcEstimator {
   const WalkIndex& index() const { return *index_; }
 
  private:
-  /// SO(u,v): the semantic-aware normalizer. Served from the SLING-style
-  /// cache when available, else from the context memo (walk prefixes
-  /// overlap heavily within one source), else from the shared cache,
-  /// else computed: over taxonomy groups for a flat kernel, by the d²
-  /// loop for VirtualSem.
+  /// SO(u,v): the semantic-aware normalizer. Served from the context
+  /// memo (walk prefixes overlap heavily within one source), else from
+  /// the shared cache, else computed: over taxonomy groups for a flat
+  /// kernel, by the d² loop for VirtualSem.
   double Normalizer(NodeId u, NodeId v, QueryContext* context,
                     McQueryStats* stats) const;
 
@@ -366,7 +358,6 @@ class SemSimMcEstimator {
   const Hin* graph_;
   const SemanticMeasure* semantic_;
   const WalkIndex* index_;
-  const PairNormalizerCache* cache_;
   ConcurrentPairCache* shared_cache_ = nullptr;
   TransitionTable transitions_;
   // Devirtualized semantics (AttachFlatKernel). Null / kVirtual = the

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 
 #include "common/fnv.h"
 #include "common/logging.h"
@@ -23,57 +24,26 @@ SingleSourceIndex SingleSourceIndex::Build(const WalkIndex& index,
       static_cast<size_t>(ss.num_walks_) * static_cast<size_t>(ss.walk_length_);
   ss.bucket_offsets_.assign(num_buckets + 1, 0);
 
-  int threads = pool == nullptr ? 1 : pool->num_threads();
-  if (threads <= 1 || num_nodes < 2) {
-    // Serial three-pass construction. Both data passes iterate the
-    // compact layout — exactly the live prefix of each walk, no padding
-    // scan.
-    for (NodeId v = 0; v < num_nodes; ++v) {
-      for (int w = 0; w < ss.num_walks_; ++w) {
-        int len = index.WalkLiveLength(v, w);
-        for (int s = 0; s < len; ++s) {
-          ++ss.bucket_offsets_[ss.BucketIndex(w, s) + 1];
-        }
-      }
+  // Three passes over fixed node partitions, one per worker. Partition
+  // boundaries depend only on the resolved thread count, and the final
+  // sort canonicalizes bucket content regardless, so the result is
+  // bit-identical for ANY thread count; without a pool the passes run
+  // inline over a single partition.
+  auto run = [pool](size_t n,
+                    const std::function<void(size_t, size_t)>& chunk) {
+    if (pool != nullptr) {
+      pool->ParallelFor(0, n, chunk);
+    } else {
+      chunk(0, n);
     }
-    for (size_t b = 1; b <= num_buckets; ++b) {
-      ss.bucket_offsets_[b] += ss.bucket_offsets_[b - 1];
-    }
-    ss.entries_.resize(ss.bucket_offsets_.back());
-    std::vector<size_t> cursor(ss.bucket_offsets_.begin(),
-                               ss.bucket_offsets_.end() - 1);
-    for (NodeId v = 0; v < num_nodes; ++v) {
-      for (int w = 0; w < ss.num_walks_; ++w) {
-        const NodeId* walk = index.WalkData(v, w);
-        int len = index.WalkLiveLength(v, w);
-        for (int s = 0; s < len; ++s) {
-          ss.entries_[cursor[ss.BucketIndex(w, s)]++] = Entry{walk[s], v};
-        }
-      }
-    }
-    for (size_t b = 0; b < num_buckets; ++b) {
-      std::sort(ss.entries_.begin() +
-                    static_cast<long>(ss.bucket_offsets_[b]),
-                ss.entries_.begin() +
-                    static_cast<long>(ss.bucket_offsets_[b + 1]),
-                [](const Entry& a, const Entry& e) {
-                  return a.position != e.position ? a.position < e.position
-                                                  : a.origin < e.origin;
-                });
-    }
-    return ss;
-  }
-
-  // Parallel construction over fixed node partitions (one per worker;
-  // partition boundaries depend only on the resolved thread count, and
-  // the final sort canonicalizes bucket content regardless, so the
-  // result is bit-identical to the serial build for ANY thread count).
-  size_t parts = std::min(static_cast<size_t>(threads), num_nodes);
+  };
+  const size_t threads = pool == nullptr ? 1 : pool->num_threads();
+  size_t parts = std::min(threads, num_nodes);
   auto part_begin = [&](size_t p) { return p * num_nodes / parts; };
 
   // Pass 1: per-partition bucket histograms (disjoint writes).
   std::vector<std::vector<size_t>> hist(parts);
-  pool->ParallelFor(0, parts, [&](size_t lo, size_t hi) {
+  run(parts, [&](size_t lo, size_t hi) {
     for (size_t p = lo; p < hi; ++p) {
       hist[p].assign(num_buckets, 0);
       NodeId v_end = static_cast<NodeId>(part_begin(p + 1));
@@ -90,7 +60,7 @@ SingleSourceIndex SingleSourceIndex::Build(const WalkIndex& index,
 
   // Merge: global bucket offsets, plus each partition's private write
   // cursor inside every bucket (partitions fill disjoint subranges, in
-  // ascending node order — the exact layout the serial fill produces).
+  // ascending node order — the layout one partition produces).
   std::vector<std::vector<size_t>> cursor(parts,
                                           std::vector<size_t>(num_buckets));
   for (size_t b = 0; b < num_buckets; ++b) {
@@ -104,7 +74,7 @@ SingleSourceIndex SingleSourceIndex::Build(const WalkIndex& index,
   ss.entries_.resize(ss.bucket_offsets_.back());
 
   // Pass 2: parallel fill through the per-partition cursors.
-  pool->ParallelFor(0, parts, [&](size_t lo, size_t hi) {
+  run(parts, [&](size_t lo, size_t hi) {
     for (size_t p = lo; p < hi; ++p) {
       std::vector<size_t>& cur = cursor[p];
       NodeId v_end = static_cast<NodeId>(part_begin(p + 1));
@@ -121,7 +91,7 @@ SingleSourceIndex SingleSourceIndex::Build(const WalkIndex& index,
   });
 
   // Pass 3: per-bucket parallel sorts (buckets are disjoint ranges).
-  pool->ParallelFor(0, num_buckets, [&](size_t lo, size_t hi) {
+  run(num_buckets, [&](size_t lo, size_t hi) {
     for (size_t b = lo; b < hi; ++b) {
       std::sort(ss.entries_.begin() +
                     static_cast<long>(ss.bucket_offsets_[b]),

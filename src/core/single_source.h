@@ -36,7 +36,7 @@ class SingleSourceIndex {
   /// partitioned across it; the result is bit-identical for every
   /// thread count (within a bucket, entries are canonicalized by a sort
   /// on the strictly unique (position, origin) key, so the fill order
-  /// cannot show through). nullptr = serial.
+  /// cannot show through). nullptr runs the same passes inline.
   static SingleSourceIndex Build(const WalkIndex& index, size_t num_nodes,
                                  const ThreadPool* pool = nullptr);
 

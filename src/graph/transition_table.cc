@@ -19,8 +19,6 @@ TransitionTable TransitionTable::Build(const Hin& graph) {
   TransitionTable table;
   size_t n = graph.num_nodes();
   table.group_offsets_.assign(n + 1, 0);
-  table.inv_in_degree_.assign(n, 0.0);
-  table.inv_total_in_weight_.assign(n, 0.0);
 
   // Pass 1: collapse parallel-edge runs. The in-CSR is sorted by source
   // node, so each run is contiguous; weights are accumulated in CSR
@@ -28,11 +26,6 @@ TransitionTable TransitionTable::Build(const Hin& graph) {
   for (NodeId v = 0; v < n; ++v) {
     auto in = graph.InNeighbors(v);
     size_t indeg = in.size();
-    if (indeg > 0) {
-      table.inv_in_degree_[v] = 1.0 / static_cast<double>(indeg);
-      double tiw = graph.TotalInWeight(v);
-      if (tiw > 0) table.inv_total_in_weight_[v] = 1.0 / tiw;
-    }
     size_t i = 0;
     while (i < indeg) {
       Group g;

@@ -31,10 +31,7 @@ namespace semsim {
 /// `total_weight / TotalInWeight`), and
 /// `total_weight` accumulates parallel edges in the same CSR order as
 /// `InEdgeInfo`. A kernel reading this table therefore produces values
-/// bit-identical to one calling into the Hin. The reciprocal arrays
-/// (`inv_in_degree`, `inv_total_in_weight`) are the raw per-node data
-/// for kernels that can tolerate reciprocal-multiply rounding (they are
-/// NOT used for q_step, exactly to preserve bit-equality).
+/// bit-identical to one calling into the Hin.
 ///
 /// The table is immutable after Build and safe to share read-only
 /// across any number of query threads (proved under TSan by
@@ -85,13 +82,6 @@ class TransitionTable {
             group_offsets_[v + 1] - group_offsets_[v]};
   }
 
-  /// 1 / InDegree(v); 0 for in-isolated nodes.
-  double inv_in_degree(NodeId v) const { return inv_in_degree_[v]; }
-  /// 1 / TotalInWeight(v); 0 for in-isolated nodes.
-  double inv_total_in_weight(NodeId v) const {
-    return inv_total_in_weight_[v];
-  }
-
   size_t num_nodes() const {
     return group_offsets_.empty() ? 0 : group_offsets_.size() - 1;
   }
@@ -100,9 +90,7 @@ class TransitionTable {
   size_t MemoryBytes() const {
     return groups_.size() * sizeof(Group) +
            group_offsets_.size() * sizeof(size_t) +
-           map_keys_.size() * (sizeof(uint64_t) + sizeof(uint32_t)) +
-           (inv_in_degree_.size() + inv_total_in_weight_.size()) *
-               sizeof(double);
+           map_keys_.size() * (sizeof(uint64_t) + sizeof(uint32_t));
   }
 
  private:
@@ -125,8 +113,6 @@ class TransitionTable {
   std::vector<uint64_t> map_keys_;
   std::vector<uint32_t> map_vals_;
   size_t map_mask_ = 0;
-  std::vector<double> inv_in_degree_;
-  std::vector<double> inv_total_in_weight_;
 };
 
 }  // namespace semsim

@@ -45,7 +45,6 @@
 #include "core/pair_graph.h"          // IWYU pragma: export
 #include "core/reduced_pair_graph.h"  // IWYU pragma: export
 #include "core/single_source.h"       // IWYU pragma: export
-#include "core/sling_cache.h"         // IWYU pragma: export
 #include "core/topk.h"                // IWYU pragma: export
 #include "core/walk_index.h"          // IWYU pragma: export
 

@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <fstream>
 
+#include "core/pair_graph.h"
 #include "datasets/amazon_gen.h"
 #include "taxonomy/semantic_measure.h"
 #include "tests/test_util.h"

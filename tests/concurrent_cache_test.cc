@@ -98,95 +98,55 @@ bool Cached(const ConcurrentPairCache& cache, NodeId u, NodeId v) {
   return cache.Lookup(u, v, &value);
 }
 
-TEST(ConcurrentPairCache, CheapInsertIntoFullWindowIsRejected) {
+// Where a pair's probe window starts in a one-shard cache of kOneWindow
+// slots: the cache mixes the packed (lo, hi) key with the same SplitMix64
+// finalizer as NodePairHash and takes the window start from the bits
+// above the 16 it reserves for shard selection.
+size_t WindowStart(NodeId u, NodeId v) {
+  const NodePair key = u <= v ? NodePair{u, v} : NodePair{v, u};
+  return (NodePairHash{}(key) >> 16) & (kOneWindow - 1);
+}
+
+TEST(ConcurrentPairCache, FullWindowDisplacesExactlyItsFirstEntry) {
   ConcurrentPairCache cache(kOneWindow, /*num_shards=*/1);
   ASSERT_EQ(cache.capacity(), kOneWindow);
-  for (NodeId i = 0; i < kOneWindow; ++i) {
-    cache.Insert(i, 100, PairValue(i, 100), static_cast<uint8_t>(5 + i));
+  // Eight pairs (i, 100) whose windows start at eight distinct slots, so
+  // each lands on its own window start and slot s holds resident[s].
+  std::vector<NodeId> resident(kOneWindow, kInvalidNode);
+  size_t placed = 0;
+  for (NodeId i = 0; placed < kOneWindow; ++i) {
+    ASSERT_LT(i, 10000u);
+    NodeId& at = resident[WindowStart(i, 100)];
+    if (at != kInvalidNode) continue;
+    at = i;
+    ++placed;
   }
-  cache.Insert(50, 100, PairValue(50, 100), /*cost=*/4);
-  EXPECT_FALSE(Cached(cache, 50, 100));
-  for (NodeId i = 0; i < kOneWindow; ++i) {
-    EXPECT_TRUE(Cached(cache, i, 100)) << "entry " << i;
-  }
-  EXPECT_EQ(cache.rejected(), 1u);
-  EXPECT_EQ(cache.evictions(), 0u);
+  for (NodeId i : resident) cache.Insert(i, 100, PairValue(i, 100));
   EXPECT_EQ(cache.size(), kOneWindow);
-}
+  EXPECT_EQ(cache.evictions(), 0u);
 
-TEST(ConcurrentPairCache, CostlierInsertDisplacesTheCheapestEntry) {
-  ConcurrentPairCache cache(kOneWindow, /*num_shards=*/1);
-  // Costs 9, 8, ..., 2: the cheapest entry is the last one inserted.
-  for (NodeId i = 0; i < kOneWindow; ++i) {
-    cache.Insert(i, 100, PairValue(i, 100), static_cast<uint8_t>(9 - i));
-  }
-  cache.Insert(50, 100, PairValue(50, 100), /*cost=*/6);
+  const NodeId newcomer = 20000;
+  const NodeId victim = resident[WindowStart(newcomer, 100)];
+  cache.Insert(newcomer, 100, PairValue(newcomer, 100));
   double value = 0;
-  ASSERT_TRUE(cache.Lookup(50, 100, &value));
-  EXPECT_EQ(value, PairValue(50, 100));
-  EXPECT_FALSE(Cached(cache, kOneWindow - 1, 100));
-  for (NodeId i = 0; i + 1 < kOneWindow; ++i) {
-    EXPECT_TRUE(Cached(cache, i, 100)) << "entry " << i;
+  ASSERT_TRUE(cache.Lookup(newcomer, 100, &value));
+  EXPECT_EQ(value, PairValue(newcomer, 100));
+  for (NodeId i : resident) {
+    EXPECT_EQ(Cached(cache, i, 100), i != victim) << "entry " << i;
   }
   EXPECT_EQ(cache.evictions(), 1u);
-  EXPECT_EQ(cache.rejected(), 0u);
   EXPECT_EQ(cache.size(), kOneWindow);
-}
 
-TEST(ConcurrentPairCache, EqualCostDisplacesExactlyOneEntry) {
-  // As with the default cost everywhere: a full window of equal-cost
-  // entries still admits the newcomer by displacing one of them.
-  for (uint8_t cost : {uint8_t{0}, uint8_t{7}}) {
-    ConcurrentPairCache cache(kOneWindow, /*num_shards=*/1);
-    for (NodeId i = 0; i < kOneWindow; ++i) {
-      cache.Insert(i, 100, PairValue(i, 100), cost);
-    }
-    cache.Insert(50, 100, PairValue(50, 100), cost);
-    EXPECT_TRUE(Cached(cache, 50, 100));
-    size_t survivors = 0;
-    for (NodeId i = 0; i < kOneWindow; ++i) survivors += Cached(cache, i, 100);
-    EXPECT_EQ(survivors, kOneWindow - 1) << "cost " << int{cost};
-    EXPECT_EQ(cache.evictions(), 1u);
-    EXPECT_EQ(cache.rejected(), 0u);
-  }
-}
-
-TEST(ConcurrentPairCache, RefreshUpdatesValueAndCost) {
-  ConcurrentPairCache cache(kOneWindow, /*num_shards=*/1);
-  for (NodeId i = 0; i < kOneWindow; ++i) {
-    cache.Insert(i, 100, PairValue(i, 100), /*cost=*/3);
-  }
-  // Raising entry 0 to cost 9 protects it: a cost-3 newcomer must take
-  // one of the other seven slots.
-  cache.Insert(0, 100, PairValue(0, 100), /*cost=*/9);
-  cache.Insert(50, 100, PairValue(50, 100), /*cost=*/3);
-  EXPECT_TRUE(Cached(cache, 0, 100));
-  EXPECT_TRUE(Cached(cache, 50, 100));
-  EXPECT_EQ(cache.size(), kOneWindow);
-}
-
-TEST(ConcurrentPairCache, RejectionsReachTheRegistry) {
-  ConcurrentPairCache cache(kOneWindow, /*num_shards=*/1);
-  cache.BindMetrics("cost_test");
-  Counter* rejected = MetricsRegistry::Global().GetCounter(
-      "semsim_cache_cost_test_rejected_total");
-  const uint64_t before = rejected->Value();
-  for (NodeId i = 0; i < kOneWindow; ++i) {
-    cache.Insert(i, 100, PairValue(i, 100), /*cost=*/2);
-  }
-  cache.Insert(50, 100, PairValue(50, 100), /*cost=*/1);
-  cache.Insert(51, 100, PairValue(51, 100), /*cost=*/0);
-  EXPECT_EQ(rejected->Value() - before, 2u);
-  EXPECT_EQ(cache.rejected(), 2u);
-  cache.ResetCounters();
-  EXPECT_EQ(cache.rejected(), 0u);
+  // A refresh of a resident pair rewrites its slot and evicts nothing.
+  cache.Insert(100, newcomer, PairValue(newcomer, 100));
+  EXPECT_EQ(cache.evictions(), 1u);
 }
 
 // Many threads hammering overlapping pairs: every successful lookup must
 // return exactly the deterministic value for its pair (a torn or
-// misfiled entry would surface as a wrong value). `cost` picks each
-// pair's cost class. Run under TSan in the sanitizer CI job.
-void OverlappingStress(size_t capacity, uint8_t (*cost)(NodeId, NodeId)) {
+// misfiled entry would surface as a wrong value). Run under TSan in the
+// sanitizer CI job.
+void OverlappingStress(size_t capacity) {
   ConcurrentPairCache cache(capacity);
   constexpr int kThreads = 8;
   constexpr int kRounds = 40;
@@ -202,7 +162,7 @@ void OverlappingStress(size_t capacity, uint8_t (*cost)(NodeId, NodeId)) {
             if (cache.Lookup(u, v, &value)) {
               if (value != PairValue(u, v)) ++wrong[t];
             } else {
-              cache.Insert(u, v, PairValue(u, v), cost(u, v));
+              cache.Insert(u, v, PairValue(u, v));
             }
           }
         }
@@ -216,15 +176,13 @@ void OverlappingStress(size_t capacity, uint8_t (*cost)(NodeId, NodeId)) {
 }
 
 TEST(ConcurrentPairCache, ConcurrentOverlappingStress) {
-  OverlappingStress(1 << 14, [](NodeId, NodeId) { return uint8_t{0}; });
+  OverlappingStress(1 << 14);
 }
 
-TEST(ConcurrentPairCache, ConcurrentOverlappingStressMixedCosts) {
+TEST(ConcurrentPairCache, ConcurrentOverlappingStressDisplacing) {
   // 2080 distinct pairs over 512 slots: windows fill, so inserts race
-  // displacement and rejection across every cost class.
-  OverlappingStress(512, [](NodeId u, NodeId v) {
-    return static_cast<uint8_t>((u * 7 + v * 13) % 11);
-  });
+  // displacement of each other's entries.
+  OverlappingStress(512);
 }
 
 // Torn-read stress for the lock-free probe: one shard of one window, so

@@ -9,6 +9,7 @@
 #include "core/engine_snapshot.h"
 #include "core/iterative.h"
 #include "core/mc_simrank.h"
+#include "core/pair_graph.h"
 #include "core/single_source.h"
 #include "core/walk_index.h"
 #include "taxonomy/semantic_measure.h"
@@ -147,22 +148,32 @@ TEST(SemSimMcIs, CacheGivesIdenticalScores) {
   auto w = MakeSmallWorld();
   LinMeasure lin(&w.context);
   WalkIndex index = WalkIndex::Build(w.graph, BigIndex(23));
+  // Pre-fill a shared cache with every pair's normalizer, the way the
+  // SLING experiment does. Neither estimator attaches a flat kernel, so
+  // both sum the d² loop in PairGraph::Normalizer's order: bit-exact.
   PairGraph pg(&w.graph, &lin);
-  PairNormalizerCache cache = PairNormalizerCache::Build(pg, /*min_sem=*/0.0);
-  SemSimMcEstimator plain(&w.graph, &lin, &index);
-  SemSimMcEstimator cached(&w.graph, &lin, &index, &cache);
-  SemSimMcOptions opt;
-  opt.decay = 0.6;
-  for (NodeId u = 0; u < w.graph.num_nodes(); ++u) {
-    for (NodeId v = 0; v < u; ++v) {
-      McQueryStats stats;
-      double a = plain.Query(u, v, opt);
-      double b = cached.Query(u, v, opt, &stats);
-      // The cache stores normalizers summed in canonical (min,max) pair
-      // order, so results may differ in the last ulps.
-      EXPECT_NEAR(a, b, 1e-12 + 1e-9 * std::abs(a));
+  const NodeId n = static_cast<NodeId>(w.graph.num_nodes());
+  ConcurrentPairCache cache(4 * static_cast<size_t>(n) * n);
+  for (NodeId lo = 0; lo < n; ++lo) {
+    for (NodeId hi = lo; hi < n; ++hi) {
+      const double norm = pg.Normalizer(lo, hi);
+      if (norm > 0) cache.Insert(lo, hi, norm);
     }
   }
+  SemSimMcEstimator plain(&w.graph, &lin, &index);
+  SemSimMcEstimator cached(&w.graph, &lin, &index);
+  cached.set_shared_cache(&cache);
+  SemSimMcOptions opt;
+  opt.decay = 0.6;
+  McQueryStats stats;
+  for (NodeId u = 0; u < n; ++u) {
+    for (NodeId v = 0; v < u; ++v) {
+      EXPECT_EQ(plain.Query(u, v, opt), cached.Query(u, v, opt, &stats))
+          << u << "," << v;
+    }
+  }
+  EXPECT_GT(stats.shared_cache_hits, 0);
+  EXPECT_EQ(stats.normalizers_computed, 0);
 }
 
 // Pairs (u_i, v_i) whose in-neighbourhoods share one heavy node x among

@@ -148,27 +148,5 @@ TEST(SnapshotQueries, InvertedSweepRespectsCandidateFilter) {
   }
 }
 
-TEST(SnapshotQueries, StaticCacheSnapshotMatchesPlain) {
-  auto w = MakeSmallWorld();
-  LinMeasure lin(&w.context);
-  const WalkIndexOptions walks{200, 10, 42, false};
-  EngineSnapshotOptions opt;
-  opt.cache_min_sem = -1.0;
-  EngineSnapshotPtr plain = BuildSnapshot(w, lin, walks, opt);
-  opt.cache_min_sem = 0.0;
-  EngineSnapshotPtr cached = BuildSnapshot(w, lin, walks, opt);
-  ASSERT_EQ(plain->static_cache(), nullptr);
-  ASSERT_NE(cached->static_cache(), nullptr);
-  const SemSimMcOptions& mc = opt.query.mc;
-  for (NodeId u = 0; u < w.graph.num_nodes(); ++u) {
-    for (NodeId v = 0; v < u; ++v) {
-      double a = plain->estimator().Query(u, v, mc);
-      double b = cached->estimator().Query(u, v, mc);
-      EXPECT_NEAR(a, b, 1e-12 + 1e-9 * std::abs(a));
-    }
-  }
-  EXPECT_GT(cached->MemoryBytes(), plain->MemoryBytes());
-}
-
 }  // namespace
 }  // namespace semsim

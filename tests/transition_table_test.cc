@@ -40,12 +40,6 @@ void CheckAgainstGraph(const Hin& g, const TransitionTable& t) {
     }
     if (g.InDegree(v) == 0) {
       EXPECT_TRUE(groups.empty());
-      EXPECT_EQ(t.inv_in_degree(v), 0.0);
-      EXPECT_EQ(t.inv_total_in_weight(v), 0.0);
-    } else {
-      EXPECT_EQ(t.inv_in_degree(v),
-                1.0 / static_cast<double>(g.InDegree(v)));
-      EXPECT_EQ(t.inv_total_in_weight(v), 1.0 / g.TotalInWeight(v));
     }
   }
   EXPECT_EQ(t.num_groups(), groups_seen);
@@ -112,8 +106,6 @@ TEST(TransitionTable, IsolatedNodesHaveNoGroups) {
   TransitionTable table = TransitionTable::Build(g);
   EXPECT_TRUE(table.InGroups(x).empty());
   EXPECT_EQ(table.FindInGroup(x, y), nullptr);
-  EXPECT_EQ(table.inv_in_degree(x), 0.0);
-  EXPECT_EQ(table.inv_total_in_weight(x), 0.0);
   ASSERT_EQ(table.InGroups(y).size(), 1u);
   EXPECT_EQ(table.InGroups(y)[0].from, x);
   EXPECT_GT(table.MemoryBytes(), 0u);
