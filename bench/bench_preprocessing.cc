@@ -128,9 +128,9 @@ void RunColdstart() {
   // First query work straight off the mapping: the inverted index build
   // is the first full scan, i.e. the page-fault-paying pass.
   Timer first_sweep_timer;
-  SingleSourceIndex inv_mapped = SingleSourceIndex::Build(mapped, n);
+  SingleSourceIndex inv_mapped = SingleSourceIndex::Build(mapped);
   double map_first_sweep_ms = first_sweep_timer.ElapsedMillis();
-  SingleSourceIndex inv_loaded = SingleSourceIndex::Build(loaded, n);
+  SingleSourceIndex inv_loaded = SingleSourceIndex::Build(loaded);
   bool sweep_identical =
       inv_mapped.Fingerprint() == inv_loaded.Fingerprint();
 
@@ -155,7 +155,7 @@ void RunColdstart() {
   // Parallel single-source build: same structure at every thread count.
   uint64_t serial_fp = inv_loaded.Fingerprint();
   Timer serial_timer;
-  SingleSourceIndex serial = SingleSourceIndex::Build(loaded, n);
+  SingleSourceIndex serial = SingleSourceIndex::Build(loaded);
   double serial_build_ms = serial_timer.ElapsedMillis();
   SEMSIM_CHECK(serial.Fingerprint() == serial_fp);
 
@@ -183,7 +183,7 @@ void RunColdstart() {
   for (int threads : {1, 2, 4, 8}) {
     ThreadPool pool(threads);
     Timer t;
-    SingleSourceIndex parallel = SingleSourceIndex::Build(loaded, n, &pool);
+    SingleSourceIndex parallel = SingleSourceIndex::Build(loaded, &pool);
     double build_ms = t.ElapsedMillis();
     bool match = parallel.Fingerprint() == serial_fp;
     char speedup[32];

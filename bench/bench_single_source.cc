@@ -35,8 +35,7 @@ void Run(int requested_threads) {
   wopt.walk_length = 15;
   WalkIndex index = WalkIndex::Build(dataset.graph, wopt);
   Timer build_timer;
-  SingleSourceIndex inverted =
-      SingleSourceIndex::Build(index, dataset.graph.num_nodes());
+  SingleSourceIndex inverted = SingleSourceIndex::Build(index);
   double build_s = build_timer.ElapsedSeconds();
   SemSimMcEstimator estimator(&dataset.graph, &lin, &index);
   SemSimMcOptions mc{0.6, 0.05};

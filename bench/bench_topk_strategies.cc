@@ -31,8 +31,7 @@ void Run(int requested_threads) {
   wopt.num_walks = 150;
   wopt.walk_length = 15;
   WalkIndex index = WalkIndex::Build(dataset.graph, wopt);
-  SingleSourceIndex inverted =
-      SingleSourceIndex::Build(index, dataset.graph.num_nodes());
+  SingleSourceIndex inverted = SingleSourceIndex::Build(index);
   SemSimMcEstimator estimator(&dataset.graph, &lin, &index);
   SemSimMcOptions mc{0.6, 0.05};
 

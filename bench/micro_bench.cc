@@ -1,8 +1,9 @@
 // Micro-benchmarks (google-benchmark) for the core primitives: LCA and
 // Lin queries, walk-index sampling, the d²-cost SO normalizer, the IS
 // single-pair estimator with/without pruning and cache, the SimRank MC
-// query, one iteration of the exact fixed-point sweep, and the shared
-// normalizer cache's probe at one and three threads.
+// query, one iteration of the exact fixed-point sweep, the shared
+// normalizer cache's probe at one and three threads, and the inverted
+// single-source index (build at one and four threads, meeting search).
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
@@ -16,6 +17,8 @@
 #include "core/mc_semsim.h"
 #include "core/mc_simrank.h"
 #include "core/pair_graph.h"
+#include "core/query_scratch.h"
+#include "core/single_source.h"
 #include "core/walk_index.h"
 #include "graph/node_sampler.h"
 #include "taxonomy/semantic_measure.h"
@@ -239,6 +242,47 @@ void BM_ConcurrentCacheLookup(benchmark::State& state) {
   state.SetLabel(state.range(0) == 0 ? "hit-heavy" : "miss-heavy");
 }
 BENCHMARK(BM_ConcurrentCacheLookup)->Arg(0)->Arg(1)->Threads(1)->Threads(3);
+
+// Walks over the Amazon fixture in servebench's topk-amazon shape
+// (n_w = 150, t = 15), for the inverted single-source index.
+const WalkIndex& InvertedFixtureWalks() {
+  static const WalkIndex* walks = new WalkIndex(WalkIndex::Build(
+      AmazonFixture().graph, WalkIndexOptions{150, 15, 42, false}));
+  return *walks;
+}
+
+void BM_InvertedIndexBuild(benchmark::State& state) {
+  const WalkIndex& walks = InvertedFixtureWalks();
+  ThreadPool pool(static_cast<int>(state.range(0)));
+  for (auto _ : state) {
+    SingleSourceIndex inverted = SingleSourceIndex::Build(walks, &pool);
+    benchmark::DoNotOptimize(inverted.MemoryBytes());
+  }
+}
+BENCHMARK(BM_InvertedIndexBuild)
+    ->Arg(1)
+    ->Arg(4)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
+
+// Meeting search plus its grouping by node, for uniformly drawn sources.
+void BM_FirstMeetings(benchmark::State& state) {
+  static const SingleSourceIndex* inverted =
+      new SingleSourceIndex(SingleSourceIndex::Build(InvertedFixtureWalks()));
+  const size_t n = AmazonFixture().graph.num_nodes();
+  QueryScratch scratch;
+  Rng rng(6);
+  size_t meetings = 0;
+  for (auto _ : state) {
+    inverted->FirstMeetingsInto(static_cast<NodeId>(rng.NextIndex(n)),
+                                scratch);
+    meetings += scratch.meetings.size();
+    benchmark::DoNotOptimize(scratch.meetings.data());
+  }
+  state.counters["meetings"] = benchmark::Counter(
+      static_cast<double>(meetings), benchmark::Counter::kAvgIterations);
+}
+BENCHMARK(BM_FirstMeetings)->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 }  // namespace semsim

@@ -100,7 +100,7 @@ tsan() {
   echo "=== tsan: concurrency tests under ThreadSanitizer ==="
   cmake -B build-tsan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DSEMSIM_SANITIZE=thread
-  # single_source_test covers the node-partitioned parallel
+  # single_source_test covers the walk-partitioned parallel
   # SingleSourceIndex::Build (determinism across 1/2/8 threads) and the
   # scratch-arena pool.
   # node_sampler_test drives the parallel NodeSamplerIndex::Build fill

@@ -1,5 +1,6 @@
 #include "core/engine_snapshot.h"
 
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -42,6 +43,13 @@ Result<EngineSnapshotPtr> EngineSnapshot::Create(
   if (graph == nullptr || semantic == nullptr || walk_index == nullptr) {
     return Status::InvalidArgument(
         "graph, semantic measure, and walk index are required");
+  }
+  if (walk_index->num_nodes() != graph->num_nodes()) {
+    return Status::InvalidArgument(
+        "walk index has " + std::to_string(walk_index->num_nodes()) +
+        " walk origins but the graph has " +
+        std::to_string(graph->num_nodes()) +
+        " nodes; build the index on this graph");
   }
   if (options.normalizer_cache_capacity < 0) {
     return Status::InvalidArgument(
@@ -162,8 +170,8 @@ const SingleSourceIndex& EngineSnapshot::InvertedIndex(
   std::lock_guard<std::mutex> lock(inverted_mu_);
   if (!inverted_) {
     SEMSIM_TRACE_SPAN("semsim_snapshot_inverted_index_build");
-    inverted_ = std::make_unique<SingleSourceIndex>(SingleSourceIndex::Build(
-        *walk_index_, graph_->num_nodes(), pool));
+    inverted_ = std::make_unique<SingleSourceIndex>(
+        SingleSourceIndex::Build(*walk_index_, pool));
     inverted_published_.store(inverted_.get(), std::memory_order_release);
   }
   return *inverted_;

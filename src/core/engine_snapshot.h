@@ -82,7 +82,8 @@ struct EngineSnapshotOptions {
 class EngineSnapshot {
  public:
   /// Derives a snapshot from existing artifacts. All three shared
-  /// pointers must be non-null; a negative normalizer cache capacity and
+  /// pointers must be non-null; a walk index sampled on a graph with a
+  /// different node count, a negative normalizer cache capacity and
   /// invalid MC options (ValidateMcOptions: decay in (0,1), θ ≤ 1 - decay
   /// per Lemma 4.7, walk_budget ≥ 0) are rejected with InvalidArgument.
   /// `build_pool` (optional, borrowed only during the call) parallelizes

@@ -23,7 +23,7 @@ struct WalkMeeting {
 
 /// Reusable per-query scratch arena for the single-source sweeps
 /// (DESIGN.md §10). One single-source sweep over n nodes needs
-/// four O(n) vectors; with an arena those buffers persist across
+/// six O(n) vectors; with an arena those buffers persist across
 /// queries, and per-query "clearing" is an epoch bump instead of an O(n)
 /// reset:
 ///
@@ -55,7 +55,9 @@ class QueryScratch {
     sem_ok.assign(num_nodes, 0);
     sem_val.assign(num_nodes, 0.0);
     scores.assign(num_nodes, 0.0);
+    node_cursor.assign(num_nodes, 0);
     meetings.clear();
+    walk_order_meetings.clear();
   }
 
   /// Starts a query: advances the epoch (invalidating met_stamp /
@@ -80,7 +82,9 @@ class QueryScratch {
            sem_ok.capacity() * sizeof(int8_t) +
            sem_val.capacity() * sizeof(double) +
            scores.capacity() * sizeof(double) +
+           node_cursor.capacity() * sizeof(uint32_t) +
            meetings.capacity() * sizeof(WalkMeeting) +
+           walk_order_meetings.capacity() * sizeof(WalkMeeting) +
            result.capacity() * sizeof(double) + context.MemoryBytes();
   }
 
@@ -91,7 +95,14 @@ class QueryScratch {
   std::vector<int8_t> sem_ok;
   std::vector<double> sem_val;
   std::vector<double> scores;  // all-zero between queries
+  /// The meetings of the current query, grouped by node (walks ascending
+  /// inside a node).
   std::vector<WalkMeeting> meetings;
+  /// Meeting enumeration stages walk-major here; a stable counting pass
+  /// over node_cursor (per-node start, then write cursor) groups it into
+  /// `meetings` without a comparison sort.
+  std::vector<WalkMeeting> walk_order_meetings;
+  std::vector<uint32_t> node_cursor;
   /// Per-source SO-normalizer memo handed to CoupledWalkScore.
   SemSimMcEstimator::QueryContext context;
   /// Result staging buffer for callers that consume scores in place

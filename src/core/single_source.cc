@@ -2,7 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <functional>
+#include <limits>
+#include <memory>
 
 #include "common/fnv.h"
 #include "common/logging.h"
@@ -11,104 +12,102 @@
 namespace semsim {
 
 SingleSourceIndex SingleSourceIndex::Build(const WalkIndex& index,
-                                           size_t num_nodes,
                                            const ThreadPool* pool) {
   SEMSIM_TRACE_SPAN("semsim_single_source_build");
   SingleSourceIndex ss;
   ss.index_ = &index;
-  ss.num_nodes_ = num_nodes;
+  ss.num_nodes_ = index.num_nodes();
   ss.num_walks_ = index.num_walks();
   ss.walk_length_ = index.walk_length();
+  const size_t n = ss.num_nodes_;
+  const size_t t = static_cast<size_t>(ss.walk_length_);
+  const size_t num_walks = static_cast<size_t>(ss.num_walks_);
+  // Run offsets are relative to their walk's base, and one walk region
+  // holds at most one entry per (origin, step): n·t.
+  SEMSIM_CHECK(n * t <= std::numeric_limits<uint32_t>::max())
+      << "walk region of " << n << " nodes x " << t << " steps";
+  ss.walk_base_.assign(num_walks + 1, 0);
+  ss.run_offsets_.assign(num_walks * (n + 1), 0);
 
-  size_t num_buckets =
-      static_cast<size_t>(ss.num_walks_) * static_cast<size_t>(ss.walk_length_);
-  ss.bucket_offsets_.assign(num_buckets + 1, 0);
+  // Walk regions: walk w holds one entry per live step of every w-th
+  // walk, so the live lengths alone place every region.
+  for (NodeId v = 0; v < n; ++v) {
+    for (size_t w = 0; w < num_walks; ++w) {
+      ss.walk_base_[w + 1] += static_cast<size_t>(
+          index.WalkLiveLength(v, static_cast<int>(w)));
+    }
+  }
+  for (size_t w = 0; w < num_walks; ++w) {
+    ss.walk_base_[w + 1] += ss.walk_base_[w];
+  }
+  ss.entries_.resize(ss.walk_base_.back());
 
-  // Three passes over fixed node partitions, one per worker. Partition
-  // boundaries depend only on the resolved thread count, and the final
-  // sort canonicalizes bucket content regardless, so the result is
-  // bit-identical for ANY thread count; without a pool the passes run
-  // inline over a single partition.
-  auto run = [pool](size_t n,
-                    const std::function<void(size_t, size_t)>& chunk) {
-    if (pool != nullptr) {
-      pool->ParallelFor(0, n, chunk);
-    } else {
-      chunk(0, n);
+  // One counting pass per walk, partitioned by walk across the pool:
+  // walk w's offset row and entry region are written by one task only,
+  // in a fixed order, so the layout is bit-identical for any pool.
+  // Without a pool the pass runs inline.
+  auto per_walk = [&](size_t lo, size_t hi) {
+    // Task-local: the walk's (position, origin) pairs bucketed by step
+    // (origins ascend inside a bucket), and the runs' write cursors.
+    struct Placed {
+      NodeId position, origin;
+    };
+    std::unique_ptr<Placed[]> by_step(new Placed[n * t]);  // uninitialized
+    std::vector<size_t> step_cursor(t);
+    std::vector<uint32_t> cursor(n);
+    for (size_t w = lo; w < hi; ++w) {
+      const int walk = static_cast<int>(w);
+      // Step s's bucket holds the walks whose live length exceeds s:
+      // count the lengths below t, then turn them into bucket starts.
+      std::fill(step_cursor.begin(), step_cursor.end(), 0);
+      for (NodeId v = 0; v < n; ++v) {
+        size_t len = static_cast<size_t>(index.WalkLiveLength(v, walk));
+        if (len < t) ++step_cursor[len];
+      }
+      size_t alive = n, start = 0;
+      for (size_t& c : step_cursor) {
+        alive -= c;
+        c = start;
+        start += alive;
+      }
+      for (NodeId v = 0; v < n; ++v) {
+        const NodeId* steps = index.WalkData(v, walk);
+        int len = index.WalkLiveLength(v, walk);
+        for (int s = 0; s < len; ++s) {
+          by_step[step_cursor[static_cast<size_t>(s)]++] = {steps[s], v};
+        }
+      }
+      const size_t size = ss.walk_base_[w + 1] - ss.walk_base_[w];
+      // Run sizes by position, counted into slot p+1 and prefix-summed
+      // in place: row[p] is the start of run (w, p).
+      uint32_t* row = ss.run_offsets_.data() + w * (n + 1);
+      for (size_t i = 0; i < size; ++i) ++row[by_step[i].position + 1];
+      for (size_t p = 0; p < n; ++p) row[p + 1] += row[p];
+      // Scatter step-major: each run comes out sorted by (step, origin)
+      // without a comparison sort.
+      std::copy(row, row + n, cursor.begin());
+      Entry* region = ss.entries_.data() + ss.walk_base_[w];
+      size_t i = 0;
+      for (size_t s = 0; s < t; ++s) {
+        for (; i < step_cursor[s]; ++i) {  // step_cursor[s]: bucket end
+          const Placed& placed = by_step[i];
+          region[cursor[placed.position]++] =
+              Entry(static_cast<uint32_t>(s), placed.origin);
+        }
+      }
     }
   };
-  const size_t threads = pool == nullptr ? 1 : pool->num_threads();
-  size_t parts = std::min(threads, num_nodes);
-  auto part_begin = [&](size_t p) { return p * num_nodes / parts; };
-
-  // Pass 1: per-partition bucket histograms (disjoint writes).
-  std::vector<std::vector<size_t>> hist(parts);
-  run(parts, [&](size_t lo, size_t hi) {
-    for (size_t p = lo; p < hi; ++p) {
-      hist[p].assign(num_buckets, 0);
-      NodeId v_end = static_cast<NodeId>(part_begin(p + 1));
-      for (NodeId v = static_cast<NodeId>(part_begin(p)); v < v_end; ++v) {
-        for (int w = 0; w < ss.num_walks_; ++w) {
-          int len = index.WalkLiveLength(v, w);
-          for (int s = 0; s < len; ++s) {
-            ++hist[p][ss.BucketIndex(w, s)];
-          }
-        }
-      }
-    }
-  });
-
-  // Merge: global bucket offsets, plus each partition's private write
-  // cursor inside every bucket (partitions fill disjoint subranges, in
-  // ascending node order — the layout one partition produces).
-  std::vector<std::vector<size_t>> cursor(parts,
-                                          std::vector<size_t>(num_buckets));
-  for (size_t b = 0; b < num_buckets; ++b) {
-    size_t base = ss.bucket_offsets_[b];
-    for (size_t p = 0; p < parts; ++p) {
-      cursor[p][b] = base;
-      base += hist[p][b];
-    }
-    ss.bucket_offsets_[b + 1] = base;
+  if (pool != nullptr) {
+    pool->ParallelFor(0, num_walks, per_walk);
+  } else {
+    per_walk(0, num_walks);
   }
-  ss.entries_.resize(ss.bucket_offsets_.back());
-
-  // Pass 2: parallel fill through the per-partition cursors.
-  run(parts, [&](size_t lo, size_t hi) {
-    for (size_t p = lo; p < hi; ++p) {
-      std::vector<size_t>& cur = cursor[p];
-      NodeId v_end = static_cast<NodeId>(part_begin(p + 1));
-      for (NodeId v = static_cast<NodeId>(part_begin(p)); v < v_end; ++v) {
-        for (int w = 0; w < ss.num_walks_; ++w) {
-          const NodeId* walk = index.WalkData(v, w);
-          int len = index.WalkLiveLength(v, w);
-          for (int s = 0; s < len; ++s) {
-            ss.entries_[cur[ss.BucketIndex(w, s)]++] = Entry{walk[s], v};
-          }
-        }
-      }
-    }
-  });
-
-  // Pass 3: per-bucket parallel sorts (buckets are disjoint ranges).
-  run(num_buckets, [&](size_t lo, size_t hi) {
-    for (size_t b = lo; b < hi; ++b) {
-      std::sort(ss.entries_.begin() +
-                    static_cast<long>(ss.bucket_offsets_[b]),
-                ss.entries_.begin() +
-                    static_cast<long>(ss.bucket_offsets_[b + 1]),
-                [](const Entry& a, const Entry& e) {
-                  return a.position != e.position ? a.position < e.position
-                                                  : a.origin < e.origin;
-                });
-    }
-  });
   return ss;
 }
 
 uint64_t SingleSourceIndex::Fingerprint() const {
-  uint64_t h = Fnv1a64(bucket_offsets_.data(),
-                       bucket_offsets_.size() * sizeof(size_t));
+  uint64_t h = Fnv1a64(walk_base_.data(), walk_base_.size() * sizeof(size_t));
+  h = Fnv1a64(run_offsets_.data(), run_offsets_.size() * sizeof(uint32_t), h);
   return Fnv1a64(entries_.data(), entries_.size() * sizeof(Entry), h);
 }
 
@@ -120,33 +119,50 @@ void SingleSourceIndex::EnumerateMeetings(NodeId u, int walk_cap,
   // earlier queries are invalidated by the epoch bump alone.
   uint64_t stamp_base =
       scratch.epoch() * (static_cast<uint64_t>(num_walks_) + 1);
-  std::vector<WalkMeeting>& meetings = scratch.meetings;
+  // Enumerated walk-major into the staging buffer; the counting pass
+  // below groups them by node.
+  std::vector<WalkMeeting>& found = scratch.walk_order_meetings;
+  found.clear();
   for (int w = 0; w < walk_cap; ++w) {
     if (cancel != nullptr && cancel->ShouldStop()) break;
     const NodeId* walk_u = index_->WalkData(u, w);
     int len = index_->WalkLiveLength(u, w);
     uint64_t stamp = stamp_base + static_cast<uint64_t>(w) + 1;
+    const uint32_t* row =
+        run_offsets_.data() + static_cast<size_t>(w) * (num_nodes_ + 1);
+    const Entry* region = entries_.data() + walk_base_[w];
     for (int s = 0; s < len; ++s) {
       NodeId pos = walk_u[s];
-      size_t b = BucketIndex(w, s);
-      auto begin = entries_.begin() + static_cast<long>(bucket_offsets_[b]);
-      auto end = entries_.begin() + static_cast<long>(bucket_offsets_[b + 1]);
-      auto lo = std::lower_bound(
-          begin, end, pos,
-          [](const Entry& e, NodeId target) { return e.position < target; });
-      for (auto it = lo; it != end && it->position == pos; ++it) {
+      const Entry* end = region + row[pos + 1];
+      const uint32_t step = static_cast<uint32_t>(s);
+      const Entry* it = std::lower_bound(
+          region + row[pos], end, step,
+          [](const Entry& e, uint32_t target) { return e.step < target; });
+      for (; it != end && it->step == step; ++it) {
         NodeId v = it->origin;
         if (v == u) continue;
         if (scratch.met_stamp[v] == stamp) continue;  // met earlier
         scratch.met_stamp[v] = stamp;
-        meetings.push_back(WalkMeeting{v, w, s + 1});
+        found.push_back(WalkMeeting{v, w, s + 1});
       }
     }
   }
-  std::sort(meetings.begin(), meetings.end(),
-            [](const WalkMeeting& a, const WalkMeeting& b) {
-              return a.node != b.node ? a.node < b.node : a.walk < b.walk;
-            });
+  // Stable counting pass by node. A node meets each walk at most once
+  // and walks were enumerated in ascending order, so the result is
+  // strictly increasing in (node, walk).
+  SEMSIM_DCHECK(found.size() <= std::numeric_limits<uint32_t>::max());
+  std::vector<uint32_t>& start = scratch.node_cursor;
+  std::fill(start.begin(), start.end(), 0);
+  for (const WalkMeeting& m : found) ++start[m.node];
+  uint32_t sum = 0;
+  for (uint32_t& c : start) {
+    uint32_t count = c;
+    c = sum;
+    sum += count;
+  }
+  std::vector<WalkMeeting>& meetings = scratch.meetings;
+  meetings.resize(found.size());
+  for (const WalkMeeting& m : found) meetings[start[m.node]++] = m;
 }
 
 void SingleSourceIndex::FirstMeetingsInto(NodeId u,

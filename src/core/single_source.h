@@ -17,27 +17,35 @@ namespace semsim {
 /// paper leaves as future work (Sec. 7, "single-source and top-k
 /// similarity queries, inspired by [17, 46]").
 ///
-/// The structure inverts a WalkIndex: for every (walk id i, step s) it
-/// stores the list of (position node, origin) pairs, sorted by node.
-/// Two coupled walks from (u,v) meet at step s iff v's walk i occupies
-/// the same node as u's walk i at step s — so *all* candidates whose
-/// i-th walk collides with u's are found by one binary search per step,
-/// and sim(u, ·) for every node costs O(n_w·t·log n + collisions) for
-/// SimRank (plus the IS reweighting of colliding prefixes for SemSim)
-/// instead of n separate pair queries.
+/// The structure inverts a WalkIndex by (walk id i, position node p):
+/// run (i, p) lists every (step s, origin o) such that o's i-th walk
+/// stands on p after s+1 reverse steps, sorted by (step, origin). Two
+/// coupled walks from (u,v) meet at step s iff v's walk i occupies the
+/// same node as u's walk i at step s — so *all* candidates whose i-th
+/// walk collides with u's at step s sit in run (i, walk_u[s]), found by
+/// two offset loads and a binary search on the step inside a run of
+/// about t entries. sim(u, ·) for every node costs O(n_w·t + collisions)
+/// for SimRank (plus the IS reweighting of colliding prefixes for
+/// SemSim) instead of n separate pair queries.
+///
+/// Layout (CSR per walk; ProbeSim's position-keyed walk index):
+///  - walk_base_[i] — start of walk i's region in entries_ (n_w + 1);
+///  - run_offsets_[i·(n+1) + p] — start of run (i, p), relative to
+///    walk_base_[i] (n_w·(n+1) uint32_t; a walk region holds at most
+///    n·t entries, which Build checks fits in 32 bits);
+///  - entries_ — 8-byte (step, origin) records, run after run.
 class SingleSourceIndex {
  public:
   SingleSourceIndex() = default;
 
-  /// Builds the inverted index; `index` (and the graph it was built on)
-  /// must outlive the result. Memory mirrors the walk index,
-  /// O(n·n_w·t). With a pool the three construction passes (bucket
-  /// counting, fill, per-bucket sorts) are node- resp. bucket-
-  /// partitioned across it; the result is bit-identical for every
-  /// thread count (within a bucket, entries are canonicalized by a sort
-  /// on the strictly unique (position, origin) key, so the fill order
-  /// cannot show through). nullptr runs the same passes inline.
-  static SingleSourceIndex Build(const WalkIndex& index, size_t num_nodes,
+  /// Builds the inverted index over all index.num_nodes() nodes;
+  /// `index` (and the graph it was built on) must outlive the result.
+  /// Memory mirrors the walk index, O(n·n_w·t). Construction is a
+  /// counting build, O(n·n_w·t), partitioned by walk across `pool`
+  /// (nullptr runs it inline). Every walk's region is written by
+  /// exactly one task in a fixed order, so the result is bit-identical
+  /// for every thread count.
+  static SingleSourceIndex Build(const WalkIndex& index,
                                  const ThreadPool* pool = nullptr);
 
   /// A detected first meeting of the coupled walks from (u, v).
@@ -45,8 +53,9 @@ class SingleSourceIndex {
   /// so QueryScratch can buffer them.
   using Meeting = WalkMeeting;
 
-  /// All first meetings of every node's walks with u's walks. Sorted by
-  /// (node, walk). O(n_w·t·log n + total collisions).
+  /// All first meetings of every node's walks with u's walks, grouped
+  /// by node with walks ascending inside a node, i.e. strictly
+  /// increasing in (node, walk). O(n + n_w·t + total collisions).
   std::vector<Meeting> FirstMeetings(NodeId u) const;
 
   /// Allocation-free form: binds `scratch` to this index's shape,
@@ -83,10 +92,11 @@ class SingleSourceIndex {
 
   size_t MemoryBytes() const {
     return entries_.size() * sizeof(Entry) +
-           bucket_offsets_.size() * sizeof(size_t);
+           run_offsets_.size() * sizeof(uint32_t) +
+           walk_base_.size() * sizeof(size_t);
   }
 
-  /// FNV-1a over the bucket offsets and entry array — the whole
+  /// FNV-1a over the walk bases, run offsets and entry array — the whole
   /// queryable state. Two builds over the same walk index fingerprint
   /// equal iff their structures are byte-identical; the determinism
   /// tests and the cold-start bench compare builds across thread counts
@@ -95,18 +105,18 @@ class SingleSourceIndex {
 
  private:
   struct Entry {
-    NodeId position;  // node occupied at (walk, step)
-    NodeId origin;    // walk owner
+    // Leaves the fields uninitialized, so sizing entries_ costs no
+    // zeroing pass: Build writes every entry.
+    Entry() {}
+    Entry(uint32_t s, NodeId o) : step(s), origin(o) {}
+    uint32_t step;  // 0-based step at which the walk stands on the node
+    NodeId origin;  // walk owner
   };
 
-  // Bucket for (walk i, step s) at index i*walk_length + s.
-  size_t BucketIndex(int walk, int step) const {
-    return static_cast<size_t>(walk) * walk_length_ + static_cast<size_t>(step);
-  }
-
-  /// Meeting enumeration into scratch.meetings under the current epoch;
-  /// shared by FirstMeetingsInto and SemSimFromInto (scratch must be
-  /// bound and BeginQuery'd). Only walks < walk_cap are enumerated (the
+  /// Meeting enumeration under the current epoch, grouped by node into
+  /// scratch.meetings (see FirstMeetings for the order); shared by
+  /// FirstMeetingsInto and SemSimFromInto (scratch must be bound and
+  /// BeginQuery'd). Only walks < walk_cap are enumerated (the
   /// serving layer's walk-budget degradation; pass num_walks_ for the
   /// full index) and a fired `cancel` token stops the enumeration
   /// between walks.
@@ -117,8 +127,9 @@ class SingleSourceIndex {
   size_t num_nodes_ = 0;
   int num_walks_ = 0;
   int walk_length_ = 0;
-  std::vector<size_t> bucket_offsets_;  // num_walks*walk_length + 1
-  std::vector<Entry> entries_;          // sorted by position within bucket
+  std::vector<size_t> walk_base_;      // num_walks + 1
+  std::vector<uint32_t> run_offsets_;  // num_walks·(num_nodes + 1)
+  std::vector<Entry> entries_;         // each run sorted by (step, origin)
 };
 
 }  // namespace semsim

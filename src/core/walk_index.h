@@ -90,6 +90,13 @@ class WalkIndex {
   int num_walks() const { return options_.num_walks; }
   int walk_length() const { return options_.walk_length; }
   const WalkIndexOptions& options() const { return options_; }
+  /// Number of walk origins — the node count of the graph the index was
+  /// sampled on (0 for an empty index).
+  size_t num_nodes() const {
+    return options_.num_walks > 0
+               ? live_len_.size() / static_cast<size_t>(options_.num_walks)
+               : 0;
+  }
 
   /// The `walk`-th walk from `v`: `walk_length` entries; entry s is the
   /// node after s+1 reverse steps, kInvalidNode once the walk has died.

@@ -221,6 +221,8 @@ void DifferentialReport::Merge(const DifferentialReport& other) {
   instances += other.instances;
   bit_checks += other.bit_checks;
   stat_checks += other.stat_checks;
+  f_checks += other.f_checks;
+  f_vacuous_checks += other.f_vacuous_checks;
   violations.insert(violations.end(), other.violations.begin(),
                     other.violations.end());
   dumped_files.insert(dumped_files.end(), other.dumped_files.begin(),
@@ -578,10 +580,17 @@ class InstanceRunner {
                            " exceeds the a priori bound " +
                            FormatDouble(range_bound) + " " + pair_tag);
         }
-        std::string msg = CheckWithinStatBand(
-            virt0, oracle_->at(u, v), samples, std::max(1.0, range_bound),
-            opt_.delta, bias + 1e-12, "MC vs oracle " + pair_tag);
+        const double range = std::max(1.0, range_bound);
+        const double slack = bias + 1e-12;
+        std::string msg =
+            CheckWithinStatBand(virt0, oracle_->at(u, v), samples, range,
+                                opt_.delta, slack, "MC vs oracle " + pair_tag);
         ++report_.stat_checks;
+        ++report_.f_checks;
+        if (ComputeStatBand(samples, range, opt_.delta, slack).epsilon >=
+            virt.SemValue(u, v)) {
+          ++report_.f_vacuous_checks;
+        }
         if (!msg.empty()) AddViolation("mc-vs-oracle", msg);
       }
 
@@ -785,8 +794,8 @@ class InstanceRunner {
     // index must reproduce the heap-loaded index bit for bit.
     SemSimMcEstimator est_loaded(hin_.get(), measure_.get(), &loaded.value());
     SemSimMcEstimator est_mapped(hin_.get(), measure_.get(), &mapped.value());
-    SingleSourceIndex inv_loaded = SingleSourceIndex::Build(loaded.value(), n);
-    SingleSourceIndex inv_mapped = SingleSourceIndex::Build(mapped.value(), n);
+    SingleSourceIndex inv_loaded = SingleSourceIndex::Build(loaded.value());
+    SingleSourceIndex inv_mapped = SingleSourceIndex::Build(mapped.value());
     ++report_.bit_checks;
     if (inv_loaded.Fingerprint() != inv_mapped.Fingerprint()) {
       AddViolation("artifact-roundtrip",

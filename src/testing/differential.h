@@ -75,6 +75,11 @@ struct DifferentialReport {
   int instances = 0;
   int bit_checks = 0;    // exact comparisons performed
   int stat_checks = 0;   // tolerance-band comparisons performed
+  /// Check F (unpruned MC vs oracle): how many ran, and how many had a
+  /// band of at least sem(u,v). The estimate is projected onto
+  /// [0, sem(u,v)], so such a check passes whatever the estimate is.
+  int f_checks = 0;
+  int f_vacuous_checks = 0;
   /// Human-readable violations. Every entry ends with the single
   /// copy-pasteable "repro: semsim_verify --seed=<N>" command that
   /// reproduces it deterministically.

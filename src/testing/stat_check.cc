@@ -71,26 +71,36 @@ SampleMoments ComputeMoments(std::span<const double> samples) {
   return m;
 }
 
-std::string CheckWithinStatBand(double estimate, double reference,
-                                std::span<const double> samples, double range,
-                                double delta, double bias_slack,
-                                const std::string& what) {
+StatBand ComputeStatBand(std::span<const double> samples, double range,
+                         double delta, double bias_slack) {
   SampleMoments m = ComputeMoments(samples);
-  int n = static_cast<int>(samples.size());
-  double clt = n > 1 ? CltEpsilon(n, m.std_dev, delta) : 0.0;
-  double hoeffding = n > 0 ? HoeffdingEpsilon(n, range, delta) : range;
+  StatBand band;
+  band.n = static_cast<int>(samples.size());
+  band.std_dev = m.std_dev;
+  band.clt = band.n > 1 ? CltEpsilon(band.n, m.std_dev, delta) : 0.0;
+  band.hoeffding =
+      band.n > 0 ? HoeffdingEpsilon(band.n, range, delta) : range;
   // Either concentration argument suffices, so the tighter of the two
   // would be valid — but the CLT term is only asymptotic, so we grant
   // the estimator the looser band and rely on the bit-identity layer for
   // sharpness.
-  double eps = std::max(clt, hoeffding) + bias_slack;
+  band.epsilon = std::max(band.clt, band.hoeffding) + bias_slack;
+  return band;
+}
+
+std::string CheckWithinStatBand(double estimate, double reference,
+                                std::span<const double> samples, double range,
+                                double delta, double bias_slack,
+                                const std::string& what) {
+  StatBand band = ComputeStatBand(samples, range, delta, bias_slack);
   double deviation = std::abs(estimate - reference);
-  if (deviation <= eps) return "";
+  if (deviation <= band.epsilon) return "";
   std::ostringstream os;
   os << what << ": |estimate " << estimate << " - reference " << reference
-     << "| = " << deviation << " exceeds band " << eps << " (clt=" << clt
-     << " hoeffding=" << hoeffding << " bias=" << bias_slack << " n=" << n
-     << " std=" << m.std_dev << " delta=" << delta << ")";
+     << "| = " << deviation << " exceeds band " << band.epsilon
+     << " (clt=" << band.clt << " hoeffding=" << band.hoeffding
+     << " bias=" << bias_slack << " n=" << band.n << " std=" << band.std_dev
+     << " delta=" << delta << ")";
   return os.str();
 }
 

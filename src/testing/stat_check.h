@@ -42,9 +42,23 @@ struct SampleMoments {
 };
 SampleMoments ComputeMoments(std::span<const double> samples);
 
-/// Checks |estimate - reference| <= max(CltEpsilon, HoeffdingEpsilon
-/// over [0, range]) + bias_slack, where the CLT term uses the empirical
-/// std of `samples` (the per-walk contributions behind `estimate`).
+/// The tolerance band CheckWithinStatBand grants an estimate built
+/// from `samples`: epsilon = max(clt, hoeffding) + bias_slack, with the
+/// CLT term over the samples' empirical std and Hoeffding over
+/// [0, range].
+struct StatBand {
+  int n = 0;
+  double std_dev = 0;
+  double clt = 0;
+  double hoeffding = 0;
+  double epsilon = 0;
+};
+StatBand ComputeStatBand(std::span<const double> samples, double range,
+                         double delta, double bias_slack);
+
+/// Checks |estimate - reference| <= ComputeStatBand(...).epsilon, the
+/// band above with the CLT term over the empirical std of `samples`
+/// (the per-walk contributions behind `estimate`).
 /// Returns "" when the check passes, else a diagnostic naming both the
 /// deviation and the band that rejected it.
 ///

@@ -91,9 +91,11 @@ int main(int argc, char** argv) {
 
   std::printf(
       "semsim_verify: %d instance(s), seeds [%" PRIu64 ", %" PRIu64
-      "], %d bit checks, %d statistical checks, %zu violation(s)\n",
+      "], %d bit checks, %d statistical checks (check F: %d of %d bands "
+      ">= sem(u,v)), %zu violation(s)\n",
       report.instances, start_seed, start_seed + instances - 1,
-      report.bit_checks, report.stat_checks, report.violations.size());
+      report.bit_checks, report.stat_checks, report.f_vacuous_checks,
+      report.f_checks, report.violations.size());
   for (const std::string& v : report.violations) {
     std::printf("\nVIOLATION %s\n", v.c_str());
   }

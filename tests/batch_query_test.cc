@@ -158,8 +158,7 @@ TEST(BatchQuery, SingleSourceBatchMatchesSerialSweeps) {
   BatchQueryEngine engine = f.Engine(4, mc);
 
   std::unique_ptr<SemSimMcEstimator> plain = f.Plain();
-  SingleSourceIndex inverted =
-      SingleSourceIndex::Build(f.index, f.dataset.graph.num_nodes());
+  SingleSourceIndex inverted = SingleSourceIndex::Build(f.index);
 
   std::vector<NodeId> sources = {0, 3, 7, 11, 0, 3};
   auto batch = engine.SingleSourceBatch(sources).values;
@@ -181,8 +180,7 @@ TEST(BatchQuery, TopKBatchMatchesSerialTopK) {
   BatchQueryEngine engine = f.Engine(8, mc);
 
   std::unique_ptr<SemSimMcEstimator> plain = f.Plain();
-  SingleSourceIndex inverted =
-      SingleSourceIndex::Build(f.index, f.dataset.graph.num_nodes());
+  SingleSourceIndex inverted = SingleSourceIndex::Build(f.index);
 
   std::vector<NodeId> sources;
   for (NodeId v = 0; v < f.dataset.graph.num_nodes(); ++v) {

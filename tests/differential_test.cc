@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <filesystem>
@@ -386,6 +387,32 @@ TEST(Differential, ConfigDerivationIsDeterministicAndValid) {
     EXPECT_LE(a.mc.theta, 1.0 - a.mc.decay);
     EXPECT_GE(a.threads, 2);
   }
+}
+
+TEST(StatCheck, StatBandIsTheBoundaryOfTheCheck) {
+  std::vector<double> samples(200, 0.5);
+  for (size_t i = 0; i < samples.size(); i += 3) samples[i] = 0.8;
+  testing::StatBand band = testing::ComputeStatBand(samples, 1.0, 0.01, 0.02);
+  EXPECT_DOUBLE_EQ(band.epsilon, std::max(band.clt, band.hoeffding) + 0.02);
+  EXPECT_EQ(testing::CheckWithinStatBand(0.5, 0.5 + 0.999 * band.epsilon,
+                                         samples, 1.0, 0.01, 0.02, "unit"),
+            "");
+  EXPECT_NE(testing::CheckWithinStatBand(0.5, 0.5 + 1.001 * band.epsilon,
+                                         samples, 1.0, 0.01, 0.02, "unit"),
+            "");
+}
+
+TEST(Differential, CountsVacuousCheckFBandsAndMergesThem) {
+  testing::DifferentialOptions opt;
+  testing::DifferentialReport a = testing::RunDifferentialSweep(1, 2, opt);
+  testing::DifferentialReport b = testing::RunDifferentialSweep(3, 2, opt);
+  EXPECT_GT(a.f_checks, 0);
+  EXPECT_LE(a.f_vacuous_checks, a.f_checks);
+  EXPECT_LE(a.f_checks, a.stat_checks);
+  testing::DifferentialReport merged = a;
+  merged.Merge(b);
+  EXPECT_EQ(merged.f_checks, a.f_checks + b.f_checks);
+  EXPECT_EQ(merged.f_vacuous_checks, a.f_vacuous_checks + b.f_vacuous_checks);
 }
 
 TEST(Differential, SmallSweepPassesCleanly) {

@@ -109,6 +109,23 @@ TEST(EngineSnapshot, RejectsNullArtifactsAndBadCapacities) {
   EXPECT_TRUE(EngineSnapshot::Create(graph, measure, walks, opt, 0).ok());
 }
 
+TEST(EngineSnapshot, RejectsWalkIndexBuiltOnAnotherGraph) {
+  auto w = MakeSmallWorld();
+  LinMeasure lin(&w.context);
+  HinBuilder b;
+  NodeId x = b.AddNode("x", "T");
+  NodeId y = b.AddNode("y", "T");
+  ASSERT_TRUE(b.AddEdge(x, y, "r").ok());
+  Hin other = Unwrap(std::move(b).Build());
+  ASSERT_NE(other.num_nodes(), w.graph.num_nodes());
+  auto foreign = std::make_shared<const WalkIndex>(
+      WalkIndex::Build(other, SmallWalks()));
+  EXPECT_EQ(foreign->num_nodes(), other.num_nodes());
+  ExpectCreateRejects(Unowned(&w.graph), Unowned<SemanticMeasure>(&lin),
+                      foreign, EngineSnapshotOptions{},
+                      "2 walk origins but the graph has 8 nodes");
+}
+
 TEST(EngineSnapshot, InvertedIndexIsLazyIdempotentAndEagerOnRequest) {
   auto w = MakeSmallWorld();
   LinMeasure lin(&w.context);

@@ -150,8 +150,7 @@ void CheckEstimatorEquivalence(const Dataset& d, const char* flat_name) {
               measure.Sim(p.first, p.second));
   }
 
-  SingleSourceIndex inverted =
-      SingleSourceIndex::Build(index, d.graph.num_nodes());
+  SingleSourceIndex inverted = SingleSourceIndex::Build(index);
   QueryScratch flat_scratch, virt_scratch;
   std::vector<double> sf, sv;
   for (NodeId u = 0; u < d.graph.num_nodes();
@@ -262,8 +261,7 @@ TEST(FlatKernelEngine, BatchesMatchVirtualEstimatorAcrossThreads) {
 
     SemSimMcOptions mc{0.6, 0.0};
     SemSimMcEstimator virt(&d.graph, &lin, &index);
-    SingleSourceIndex inverted =
-        SingleSourceIndex::Build(index, d.graph.num_nodes());
+    SingleSourceIndex inverted = SingleSourceIndex::Build(index);
     std::vector<double> want;
     for (const NodePair& p : pairs) {
       want.push_back(virt.Query(p.first, p.second, mc));

@@ -197,8 +197,7 @@ TEST(Cancellation, PreFiredTokenIsObservedMidSweep) {
 
   // Sweep path: same token, same observation guarantee.
   size_t polls_before = token.polls();
-  SingleSourceIndex inverted =
-      SingleSourceIndex::Build(f.index, f.dataset.graph.num_nodes());
+  SingleSourceIndex inverted = SingleSourceIndex::Build(f.index);
   QueryScratch scratch;
   std::vector<double> row;
   inverted.SemSimFromInto(1, estimator, mc, scratch, row);

@@ -22,7 +22,7 @@ class SingleSourceTest : public ::testing::Test {
     opt.walk_length = 12;
     opt.seed = 9;
     index_ = WalkIndex::Build(world_.graph, opt);
-    inverted_ = SingleSourceIndex::Build(index_, world_.graph.num_nodes());
+    inverted_ = SingleSourceIndex::Build(index_);
   }
 
   testutil::SmallWorld world_;
@@ -47,6 +47,27 @@ TEST_F(SingleSourceTest, FirstMeetingsMatchPairwiseScan) {
       }
     }
   }
+}
+
+// The header's order contract: meetings grouped by node, walks
+// ascending inside a node — strictly increasing in (node, walk).
+void ExpectGroupedByNodeThenWalk(const SingleSourceIndex& inverted,
+                                 size_t num_nodes) {
+  for (NodeId u = 0; u < num_nodes; ++u) {
+    std::vector<SingleSourceIndex::Meeting> meetings =
+        inverted.FirstMeetings(u);
+    for (size_t i = 1; i < meetings.size(); ++i) {
+      const auto& a = meetings[i - 1];
+      const auto& b = meetings[i];
+      ASSERT_TRUE(a.node < b.node || (a.node == b.node && a.walk < b.walk))
+          << "u=" << u << " at " << i << ": (" << a.node << "," << a.walk
+          << ") then (" << b.node << "," << b.walk << ")";
+    }
+  }
+}
+
+TEST_F(SingleSourceTest, FirstMeetingsAreGroupedByNodeThenWalk) {
+  ExpectGroupedByNodeThenWalk(inverted_, world_.graph.num_nodes());
 }
 
 TEST_F(SingleSourceTest, SimRankFromMatchesPairQueries) {
@@ -103,7 +124,7 @@ TEST_F(SingleSourceTest, ParallelBuildIsBitIdenticalAcrossThreadCounts) {
   for (int threads : {1, 2, 8}) {
     ThreadPool pool(threads);
     SingleSourceIndex parallel =
-        SingleSourceIndex::Build(index_, world_.graph.num_nodes(), &pool);
+        SingleSourceIndex::Build(index_, &pool);
     EXPECT_EQ(parallel.Fingerprint(), serial) << "threads=" << threads;
     EXPECT_EQ(parallel.MemoryBytes(), inverted_.MemoryBytes());
   }
@@ -187,14 +208,54 @@ TEST(SingleSourceGenerated, ParallelBuildMatchesSerialOnLargerGraph) {
   wopt.num_walks = 60;
   wopt.walk_length = 10;
   WalkIndex index = WalkIndex::Build(d.graph, wopt);
-  SingleSourceIndex serial =
-      SingleSourceIndex::Build(index, d.graph.num_nodes());
+  SingleSourceIndex serial = SingleSourceIndex::Build(index);
   for (int threads : {2, 8}) {
     ThreadPool pool(threads);
     SingleSourceIndex parallel =
-        SingleSourceIndex::Build(index, d.graph.num_nodes(), &pool);
+        SingleSourceIndex::Build(index, &pool);
     ASSERT_EQ(parallel.Fingerprint(), serial.Fingerprint())
         << "threads=" << threads;
+  }
+}
+
+TEST(SingleSourceGenerated, FirstMeetingsMatchPairwiseScanOnAmazon) {
+  // Category hubs are the positions of many walks at once, so this graph
+  // has long runs — unlike the 8-node world. Every thread count's build
+  // must report exactly the pairwise first meetings, in (node, walk)
+  // order.
+  AmazonOptions gen;
+  gen.num_items = 200;
+  gen.seed = 31;
+  Dataset d = Unwrap(GenerateAmazon(gen));
+  WalkIndexOptions wopt;
+  wopt.num_walks = 60;
+  wopt.walk_length = 10;
+  WalkIndex index = WalkIndex::Build(d.graph, wopt);
+  const size_t n = d.graph.num_nodes();
+  std::vector<SingleSourceIndex> builds;
+  for (int threads : {1, 2, 8}) {
+    ThreadPool pool(threads);
+    builds.push_back(SingleSourceIndex::Build(index, &pool));
+  }
+  std::vector<int> expected(n * wopt.num_walks);
+  std::vector<int> found(n * wopt.num_walks);
+  for (NodeId u = 0; u < n; ++u) {
+    for (NodeId v = 0; v < n; ++v) {
+      for (int w = 0; w < wopt.num_walks; ++w) {
+        expected[v * wopt.num_walks + w] =
+            v == u ? -1 : FirstMeetingStep(index, u, v, w);
+      }
+    }
+    for (size_t b = 0; b < builds.size(); ++b) {
+      std::fill(found.begin(), found.end(), -1);
+      for (const auto& m : builds[b].FirstMeetings(u)) {
+        found[m.node * wopt.num_walks + m.walk] = m.step;
+      }
+      ASSERT_EQ(found, expected) << "u=" << u << " build " << b;
+    }
+  }
+  for (const SingleSourceIndex& inverted : builds) {
+    ExpectGroupedByNodeThenWalk(inverted, n);
   }
 }
 
@@ -207,8 +268,7 @@ TEST(SingleSourceGenerated, ConsistentOnLargerGraph) {
   wopt.num_walks = 80;
   wopt.walk_length = 10;
   WalkIndex index = WalkIndex::Build(d.graph, wopt);
-  SingleSourceIndex inverted =
-      SingleSourceIndex::Build(index, d.graph.num_nodes());
+  SingleSourceIndex inverted = SingleSourceIndex::Build(index);
   LinMeasure lin(&d.context);
   SemSimMcEstimator est(&d.graph, &lin, &index);
   SemSimMcOptions opt{0.6, 0.05};
