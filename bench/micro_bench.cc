@@ -1,9 +1,11 @@
 // Micro-benchmarks (google-benchmark) for the core primitives: LCA and
-// Lin queries, walk-index sampling, the d²-cost SO normalizer, the IS
-// single-pair estimator with/without pruning and cache, the SimRank MC
-// query, one iteration of the exact fixed-point sweep, the shared
-// normalizer cache's probe at one and three threads, and the inverted
-// single-source index (build at one and four threads, meeting search).
+// Lin queries, sem(·,·) and the grouped SO normalizer over the
+// taxonomy-group table, walk-index sampling, the d²-cost SO normalizer,
+// the IS single-pair estimator with/without pruning and cache, the
+// SimRank MC query, one iteration of the exact fixed-point sweep, the
+// shared normalizer cache's probe at one and three threads, and the
+// inverted single-source index (build at one and four threads, meeting
+// search).
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
@@ -16,11 +18,13 @@
 #include "core/iterative.h"
 #include "core/mc_semsim.h"
 #include "core/mc_simrank.h"
+#include "core/normalizer_groups.h"
 #include "core/pair_graph.h"
 #include "core/query_scratch.h"
 #include "core/single_source.h"
 #include "core/walk_index.h"
 #include "graph/node_sampler.h"
+#include "taxonomy/flat_semantic_table.h"
 #include "taxonomy/semantic_measure.h"
 
 namespace semsim {
@@ -56,6 +60,56 @@ void BM_LinQuery(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_LinQuery);
+
+// The Amazon fixture's taxonomy groups under flat Lin, with their S
+// table (the fixture has far fewer groups than the cap).
+struct GroupedFixture {
+  FlatSemanticTable table;
+  NormalizerGroups groups;
+
+  GroupedFixture()
+      : table(FlatSemanticTable::Build(AmazonFixture().context)) {
+    FlatLinKernel lin{&table};
+    groups = NormalizerGroups::Build(
+        AmazonFixture().graph, table,
+        [&](NodeId a, NodeId b) { return lin.Sim(a, b); });
+    SEMSIM_CHECK(groups.has_table());
+  }
+};
+
+const GroupedFixture& Grouped() {
+  static const GroupedFixture* f = new GroupedFixture();
+  return *f;
+}
+
+// sem(a, b) as one table read, next to BM_LinQuery's LCA query.
+void BM_NodeSim(benchmark::State& state) {
+  const NormalizerGroups& groups = Grouped().groups;
+  Rng rng(2);
+  size_t n = AmazonFixture().graph.num_nodes();
+  for (auto _ : state) {
+    NodeId a = static_cast<NodeId>(rng.NextIndex(n));
+    NodeId b = static_cast<NodeId>(rng.NextIndex(n));
+    benchmark::DoNotOptimize(groups.NodeSim(a, b));
+  }
+}
+BENCHMARK(BM_NodeSim);
+
+// SO(lo, hi) summed over taxonomy groups with S from the table, for
+// uniformly drawn pairs (compare BM_Normalizer's d² loop).
+void BM_GroupedNormalizer(benchmark::State& state) {
+  const GroupedFixture& f = Grouped();
+  FlatLinKernel lin{&f.table};
+  Rng rng(3);
+  size_t n = AmazonFixture().graph.num_nodes();
+  for (auto _ : state) {
+    NodeId a = static_cast<NodeId>(rng.NextIndex(n));
+    NodeId b = static_cast<NodeId>(rng.NextIndex(n));
+    benchmark::DoNotOptimize(
+        f.groups.Sum(lin, a < b ? a : b, a < b ? b : a));
+  }
+}
+BENCHMARK(BM_GroupedNormalizer);
 
 void BM_WalkIndexBuild(benchmark::State& state) {
   const Dataset& d = AmazonFixture();

@@ -2,7 +2,8 @@
 # Repo verification: the tier-1 build-and-test pass, then sanitizer
 # builds of the query-kernel and concurrency surfaces:
 #   asan  — AddressSanitizer over the flat-kernel paths (transition
-#           table, flat semantic table, grouped normalizers, walk-index
+#           table, flat semantic table, grouped normalizers and their
+#           group-pair table, the estimator's inner loops, walk-index
 #           compact layout).
 #   tsan  — ThreadSanitizer over the concurrency surface (pool,
 #           concurrent pair cache, batch query engine, metrics registry,
@@ -91,9 +92,9 @@ asan() {
     --target flat_kernel_test normalizer_groups_test transition_table_test \
     walk_index_test dynamic_walk_index_test batch_query_test \
     walk_index_corruption_test mapped_file_test differential_test \
-    rng_test node_sampler_test
+    rng_test node_sampler_test mc_test
   ctest --test-dir build-asan --output-on-failure \
-    -R 'flat_kernel_test|normalizer_groups_test|transition_table_test|walk_index_test|batch_query_test|walk_index_corruption_test|mapped_file_test|differential_test|rng_test|node_sampler_test'
+    -R 'flat_kernel_test|normalizer_groups_test|transition_table_test|walk_index_test|batch_query_test|walk_index_corruption_test|mapped_file_test|differential_test|rng_test|node_sampler_test|mc_test'
 }
 
 tsan() {

@@ -85,16 +85,20 @@ SemSimMcEstimator::SemSimMcEstimator(const Hin* graph,
 
 // ---------------------------------------------------------------------------
 // Kernel dispatch. The inner loops below are member templates over a
-// semantic policy (VirtualSem or one of the Flat*Kernel structs), all
-// stepping through the one TransitionTable; Dispatch selects the
-// instantiation matching the attached semantic table. Every policy
-// returns bit-identical sem(·,·) values; the flat ones drop the virtual
-// calls and sum SO normalizers over taxonomy groups (NormalizerGroups),
-// which changes a normalizer only in its last bits.
+// semantic policy (VirtualSem, one of the Flat*Kernel structs, or
+// GroupTableSem), all stepping through the one TransitionTable; Dispatch
+// selects the instantiation matching the attached semantic table. Every
+// policy returns bit-identical sem(·,·) values; the flat ones drop the
+// virtual calls and sum SO normalizers over taxonomy groups
+// (NormalizerGroups), which changes a normalizer only in its last bits.
+// GroupTableSem serves all four flat measures whenever the groups
+// tabulate S; the Flat*Kernel instantiations remain for taxonomies with
+// more groups than the table's cap.
 // ---------------------------------------------------------------------------
 
 template <typename F>
 auto SemSimMcEstimator::Dispatch(F&& f) const {
+  if (groups_.has_table()) return f(GroupTableSem{&groups_});
   switch (sem_kind_) {
     case kernels::SemKind::kLin:
       return f(FlatLinKernel{flat_sem_});
@@ -149,34 +153,18 @@ std::string_view SemSimMcEstimator::sem_kernel_name() const {
 }
 
 double SemSimMcEstimator::SemValue(NodeId u, NodeId v) const {
-  switch (sem_kind_) {
-    case kernels::SemKind::kLin:
-      return FlatLinKernel{flat_sem_}.Sim(u, v);
-    case kernels::SemKind::kResnik:
-      return FlatResnikKernel{flat_sem_}.Sim(u, v);
-    case kernels::SemKind::kWuPalmer:
-      return FlatWuPalmerKernel{flat_sem_}.Sim(u, v);
-    case kernels::SemKind::kPath:
-      return FlatPathKernel{flat_sem_}.Sim(u, v);
-    case kernels::SemKind::kVirtual:
-      break;
-  }
-  return semantic_->Sim(u, v);
+  return Dispatch([&](const auto& sem) { return sem.Sim(u, v); });
 }
 
 template <typename Sem>
 double SemSimMcEstimator::NormalizerT(const Sem& sem, NodeId u, NodeId v,
-                                      QueryContext* context,
                                       McQueryStats* stats) const {
-  if (const double* memo = context->Find(u, v)) return *memo;
   if (shared_cache_ != nullptr) {
-    // Cross-query state: another query (possibly on another thread) may
-    // already have paid the d² loop for this pair. A hit is copied into
-    // the per-query memo so repeats skip the shared probe.
+    // Cross-query state: another query (possibly on another thread), or
+    // an earlier step of this one, may already have paid for this pair.
     double cached;
     if (shared_cache_->Lookup(u, v, &cached)) {
       if (stats) ++stats->shared_cache_hits;
-      context->Insert(u, v, cached);
       return cached;
     }
   }
@@ -205,23 +193,20 @@ double SemSimMcEstimator::NormalizerT(const Sem& sem, NodeId u, NodeId v,
     ++stats->normalizers_computed;
     stats->normalizer_work += static_cast<int64_t>(work);
   }
-  context->Insert(u, v, norm);
   if (shared_cache_ != nullptr) shared_cache_->Insert(u, v, norm);
   return norm;
 }
 
 double SemSimMcEstimator::Normalizer(NodeId u, NodeId v,
-                                     QueryContext* context,
                                      McQueryStats* stats) const {
-  return Dispatch([&](const auto& sem) {
-    return NormalizerT(sem, u, v, context, stats);
-  });
+  return Dispatch(
+      [&](const auto& sem) { return NormalizerT(sem, u, v, stats); });
 }
 
 template <typename Sem>
 double SemSimMcEstimator::CoupledWalkScoreT(
-    const Sem& sem, NodeId u, NodeId v, int walk, int meeting_step,
-    const SemSimMcOptions& options, QueryContext* context,
+    const Sem& sem, NodeId u, NodeId v, double so_uv, int walk,
+    int meeting_step, const SemSimMcOptions& options,
     McQueryStats* stats) const {
   SEMSIM_DCHECK(meeting_step >= 1 && meeting_step <= index_->walk_length());
   const NodeId* walk_u = index_->WalkData(u, walk);
@@ -237,7 +222,8 @@ double SemSimMcEstimator::CoupledWalkScoreT(
   for (int j = 0; j < meeting_step; ++j) {
     NodeId next_u = walk_u[j];
     NodeId next_v = walk_v[j];
-    double so = NormalizerT(sem, cur_u, cur_v, context, stats);
+    const double so =
+        j == 0 ? so_uv : NormalizerT(sem, cur_u, cur_v, stats);
     SEMSIM_DCHECK(so > 0);
     // One O(1) probe per side returns the collapsed in-edge group with
     // its q quotient precomputed (TransitionTable), so a step is loads.
@@ -260,13 +246,12 @@ double SemSimMcEstimator::CoupledWalkScoreT(
   return score;
 }
 
-double SemSimMcEstimator::CoupledWalkScore(NodeId u, NodeId v, int walk,
-                                           int meeting_step,
+double SemSimMcEstimator::CoupledWalkScore(NodeId u, NodeId v, double so_uv,
+                                           int walk, int meeting_step,
                                            const SemSimMcOptions& options,
-                                           QueryContext* context,
                                            McQueryStats* stats) const {
   return Dispatch([&](const auto& sem) {
-    return CoupledWalkScoreT(sem, u, v, walk, meeting_step, options, context,
+    return CoupledWalkScoreT(sem, u, v, so_uv, walk, meeting_step, options,
                              stats);
   });
 }
@@ -274,7 +259,6 @@ double SemSimMcEstimator::CoupledWalkScore(NodeId u, NodeId v, int walk,
 template <typename Sem>
 double SemSimMcEstimator::QueryT(const Sem& sem, NodeId u, NodeId v,
                                  const SemSimMcOptions& options,
-                                 QueryContext* context,
                                  McQueryStats* stats) const {
   SEMSIM_DCHECK(options.decay > 0 && options.decay < 1);
   if (u == v) return 1.0;
@@ -289,10 +273,10 @@ double SemSimMcEstimator::QueryT(const Sem& sem, NodeId u, NodeId v,
     return 0.0;
   }
 
-  // The memo is per query: repeats within one pair's walks hit it, and
-  // clearing it per pair keeps the stage counts history-independent.
-  context->Clear();
   double total = 0;
+  // SO(u,v) opens every met walk; computed at the first one.
+  double so_uv = 0;
+  bool have_so_uv = false;
   // Graceful degradation (serving layer): estimate only the first n_b
   // walks and average over n_b. Identical loop and divisor when the
   // budget is 0 or covers the whole index.
@@ -307,7 +291,11 @@ double SemSimMcEstimator::QueryT(const Sem& sem, NodeId u, NodeId v,
     int meet = FirstMeetingStep(*index_, u, v, w);
     if (meet < 0) continue;
     if (stats) ++stats->met_walks;
-    total += CoupledWalkScoreT(sem, u, v, w, meet, options, context, stats);
+    if (!have_so_uv) {
+      so_uv = NormalizerT(sem, u, v, stats);
+      have_so_uv = true;
+    }
+    total += CoupledWalkScoreT(sem, u, v, so_uv, w, meet, options, stats);
   }
   return ProjectOntoSemBound(sem_uv * total / static_cast<double>(budget),
                              sem_uv);
@@ -320,10 +308,8 @@ double SemSimMcEstimator::Query(NodeId u, NodeId v,
   // nullptr `stats` no longer drops them; the out-param is merely an
   // additional per-call view.
   McQueryStats local;
-  QueryContext context;
-  double result = Dispatch([&](const auto& sem) {
-    return QueryT(sem, u, v, options, &context, &local);
-  });
+  double result = Dispatch(
+      [&](const auto& sem) { return QueryT(sem, u, v, options, &local); });
   PublishQueryStats(local);
   if (stats != nullptr) stats->Merge(local);
   return result;
@@ -341,17 +327,14 @@ std::vector<double> SemSimMcEstimator::QueryBatch(
         0, pairs.size(),
         [&](size_t begin, size_t end) {
           McQueryStats local;
-          // One memo per chunk, cleared by QueryT per pair: it keeps its
-          // capacity across the chunk's pairs instead of reallocating.
-          QueryContext context;
           for (size_t i = begin; i < end; ++i) {
             // Per-item poll inside a chunk; whole chunks are skipped by
             // the pool's own stop hook below.
             if (options.cancel != nullptr && options.cancel->ShouldStop()) {
               break;
             }
-            results[i] = QueryT(sem, pairs[i].first, pairs[i].second,
-                                options, &context, &local);
+            results[i] =
+                QueryT(sem, pairs[i].first, pairs[i].second, options, &local);
           }
           // Registry totals accumulate per chunk regardless of `stats`.
           PublishQueryStats(local);

@@ -149,9 +149,11 @@ inline double ProjectOntoSemBound(double estimate, double sem_uv) {
 /// normalizer is summed over taxonomy groups instead
 /// (NormalizerGroups): O(g_u·g_v + d_u + d_v) per step, with g the
 /// number of groups in an in-neighbourhood (2 for each of the 12
-/// largest hubs of the AMiner-10k and Amazon-3k serving graphs). With
-/// the pruning rules the observed time is on par with SimRank
-/// (Sec. 5.2).
+/// largest hubs of the AMiner-10k and Amazon-3k serving graphs). When
+/// the taxonomy has at most NormalizerGroups::kMaxTableGroups groups,
+/// every sem(·,·) of a step and of a normalizer is one read of the
+/// groups' S table, so no LCA query runs after the build. With the
+/// pruning rules the observed time is on par with SimRank (Sec. 5.2).
 class SemSimMcEstimator {
  public:
   /// All pointers must outlive the estimator. Builds the estimator's
@@ -160,7 +162,7 @@ class SemSimMcEstimator {
                     const WalkIndex* index);
 
   /// Installs a cross-query normalizer cache shared by every thread and
-  /// every subsequent query. Consulted after the per-query context;
+  /// every subsequent query. Consulted before computing a normalizer;
   /// computed normalizers are published to it. Values are deterministic
   /// functions of the pair, so cache history never changes results.
   /// Pass nullptr to detach (every miss is then computed on the fly).
@@ -172,8 +174,8 @@ class SemSimMcEstimator {
   /// is one of the four flattenable built-ins (DESIGN.md §7);
   /// `semantics` must then have been built from that measure's
   /// SemanticContext (checked), and the estimator builds its
-  /// NormalizerGroups over it, O(|V| + |E| + |C| log |C|). sem(u,v) is
-  /// bit-identical to the virtual path; SO normalizers are summed over
+  /// NormalizerGroups over it, O(|V| + |E| + |C| log |C| + G²). sem(u,v)
+  /// is bit-identical to the virtual path; SO normalizers are summed over
   /// taxonomy groups, so estimates agree with the virtual path up to
   /// summation order (≤ 1e-9 relative). The table must outlive the
   /// estimator. Returns true when the measure was devirtualized (false =
@@ -193,7 +195,8 @@ class SemSimMcEstimator {
   std::string_view sem_kernel_name() const;
 
   /// sem(u, v) through the active semantic kernel — bit-identical to
-  /// semantic().Sim(u, v), minus the virtual dispatch when flat.
+  /// semantic().Sim(u, v), minus the virtual dispatch when flat, and one
+  /// table read (NormalizerGroups::NodeSim) when the groups tabulate S.
   double SemValue(NodeId u, NodeId v) const;
 
   /// Estimates sim(u, v). Unbiased for θ = 0 (Prop. 4.4) before the
@@ -220,109 +223,21 @@ class SemSimMcEstimator {
                                  const ThreadPool& pool,
                                  McQueryStats* stats = nullptr) const;
 
-  /// Per-query memo of SO normalizers computed along coupled-walk
-  /// prefixes, keyed by the ordered pair (u, v). Sharing one context
-  /// across many queries with the same source node (single-source /
-  /// top-k workloads) removes most of the normalizer recomputation.
-  ///
-  /// A flat open-addressed table (linear probing) whose slots carry a
-  /// uint32 epoch stamp: a slot is live iff its stamp equals the current
-  /// epoch, so Clear() is an epoch bump instead of a reset, and the
-  /// table keeps its capacity across queries. It doubles when half full
-  /// and allocates nothing until the first insert. Single-threaded.
-  class QueryContext {
-   public:
-    /// Slots allocated by the first insert.
-    static constexpr size_t kInitialCapacity = 64;
-
-    /// The memoized value of (u, v), or nullptr.
-    const double* Find(NodeId u, NodeId v) const {
-      if (slots_.empty()) return nullptr;
-      const uint64_t key = PackKey(u, v);
-      for (size_t i = Mix(key) & mask_;; i = (i + 1) & mask_) {
-        const Slot& slot = slots_[i];
-        if (slot.stamp != epoch_) return nullptr;
-        if (slot.key == key) return &slot.value;
-      }
-    }
-
-    /// Records (u, v) → value; (u, v) must not be present.
-    void Insert(NodeId u, NodeId v, double value) {
-      if (2 * (size_ + 1) > slots_.size()) Grow();
-      Place(PackKey(u, v), value);
-      ++size_;
-    }
-
-    /// Forgets every entry in O(1). A wrapped epoch re-zeroes the stamps
-    /// once every 2^32 - 1 clears, so a stale stamp can never match.
-    void Clear() {
-      size_ = 0;
-      if (++epoch_ == 0) {
-        for (Slot& slot : slots_) slot.stamp = 0;
-        epoch_ = 1;
-      }
-    }
-
-    size_t size() const { return size_; }
-    size_t capacity() const { return slots_.size(); }
-    uint32_t epoch() const { return epoch_; }
-    size_t MemoryBytes() const { return slots_.capacity() * sizeof(Slot); }
-
-    /// Test hook: the same as Clear()ing until the epoch reaches
-    /// `epoch` (≥ the current one), so a test can force the wrap-around
-    /// without 2^32 clears.
-    void SetEpochForTesting(uint32_t epoch) {
-      size_ = 0;
-      epoch_ = epoch;
-    }
-
-   private:
-    struct Slot {
-      uint64_t key;
-      double value;
-      uint32_t stamp;  // live iff == epoch_; 0 = never written
-    };
-
-    static uint64_t PackKey(NodeId u, NodeId v) {
-      return (static_cast<uint64_t>(u) << 32) | v;
-    }
-    // SplitMix64 finalizer (same mix as NodePairHash).
-    static uint64_t Mix(uint64_t k) {
-      k = (k ^ (k >> 30)) * 0xBF58476D1CE4E5B9ULL;
-      k = (k ^ (k >> 27)) * 0x94D049BB133111EBULL;
-      return k ^ (k >> 31);
-    }
-
-    void Place(uint64_t key, double value) {
-      size_t i = Mix(key) & mask_;
-      while (slots_[i].stamp == epoch_) i = (i + 1) & mask_;
-      slots_[i] = Slot{key, value, epoch_};
-    }
-
-    void Grow() {
-      std::vector<Slot> old = std::move(slots_);
-      slots_.assign(old.empty() ? kInitialCapacity : 2 * old.size(),
-                    Slot{0, 0.0, 0});
-      mask_ = slots_.size() - 1;
-      for (const Slot& slot : old) {
-        if (slot.stamp == epoch_) Place(slot.key, slot.value);
-      }
-    }
-
-    std::vector<Slot> slots_;
-    size_t mask_ = 0;
-    size_t size_ = 0;
-    uint32_t epoch_ = 1;
-  };
+  /// SO(u,v): the semantic-aware normalizer. Served from the shared
+  /// cache when one is attached and holds the pair, else computed: over
+  /// taxonomy groups for a flat kernel, by the d² loop for a virtual
+  /// measure. A bit-exact function of the unordered pair.
+  double Normalizer(NodeId u, NodeId v, McQueryStats* stats = nullptr) const;
 
   /// IS score of the `walk`-th coupled walk from (u,v), given its first
   /// meeting at step `meeting_step` (1-based, as returned by
-  /// FirstMeetingStep): the running product Π_j (P_j/Q_j)·c over the
-  /// prefix, stopped at the θ bound per Def. 4.5. Building block of
-  /// Query() and of the single-source engine.
-  double CoupledWalkScore(NodeId u, NodeId v, int walk, int meeting_step,
-                          const SemSimMcOptions& options,
-                          QueryContext* context,
+  /// FirstMeetingStep) and so_uv = Normalizer(u, v), the normalizer of
+  /// the first step, which every met walk of the pair shares: the
+  /// running product Π_j (P_j/Q_j)·c over the prefix, stopped at the θ
+  /// bound per Def. 4.5. Building block of Query() and of the
+  /// single-source engine, which both compute so_uv once per pair.
+  double CoupledWalkScore(NodeId u, NodeId v, double so_uv, int walk,
+                          int meeting_step, const SemSimMcOptions& options,
                           McQueryStats* stats = nullptr) const;
 
   const Hin& graph() const { return *graph_; }
@@ -330,13 +245,6 @@ class SemSimMcEstimator {
   const WalkIndex& index() const { return *index_; }
 
  private:
-  /// SO(u,v): the semantic-aware normalizer. Served from the context
-  /// memo (walk prefixes overlap heavily within one source), else from
-  /// the shared cache, else computed: over taxonomy groups for a flat
-  /// kernel, by the d² loop for VirtualSem.
-  double Normalizer(NodeId u, NodeId v, QueryContext* context,
-                    McQueryStats* stats) const;
-
   // Templated inner loops, instantiated per semantic policy in
   // mc_semsim.cc; Dispatch routes a call to the instantiation matching
   // the attached semantic table (defined there too — all uses are in
@@ -345,15 +253,15 @@ class SemSimMcEstimator {
   auto Dispatch(F&& f) const;
   template <typename Sem>
   double QueryT(const Sem& sem, NodeId u, NodeId v,
-                const SemSimMcOptions& options, QueryContext* context,
-                McQueryStats* stats) const;
+                const SemSimMcOptions& options, McQueryStats* stats) const;
   template <typename Sem>
-  double CoupledWalkScoreT(const Sem& sem, NodeId u, NodeId v, int walk,
-                           int meeting_step, const SemSimMcOptions& options,
-                           QueryContext* context, McQueryStats* stats) const;
+  double CoupledWalkScoreT(const Sem& sem, NodeId u, NodeId v, double so_uv,
+                           int walk, int meeting_step,
+                           const SemSimMcOptions& options,
+                           McQueryStats* stats) const;
   template <typename Sem>
   double NormalizerT(const Sem& sem, NodeId u, NodeId v,
-                     QueryContext* context, McQueryStats* stats) const;
+                     McQueryStats* stats) const;
 
   const Hin* graph_;
   const SemanticMeasure* semantic_;

@@ -8,9 +8,10 @@
 
 namespace semsim {
 
-NormalizerGroups NormalizerGroups::Build(
+NormalizerGroups NormalizerGroups::BuildForTesting(
     const Hin& graph, const FlatSemanticTable& semantics,
-    const std::function<double(NodeId, NodeId)>& sim) {
+    const std::function<double(NodeId, NodeId)>& sim,
+    size_t max_table_groups) {
   SEMSIM_TRACE_SPAN("semsim_normalizer_groups_build");
   SEMSIM_CHECK(semantics.source() != nullptr);
   SEMSIM_CHECK(semantics.num_nodes() >= graph.num_nodes());
@@ -82,6 +83,29 @@ NormalizerGroups NormalizerGroups::Build(
     groups.representative_.push_back(concept_node[c]);
     groups.self_sim_.push_back(1.0);
     multi.push_back(0);
+  }
+
+  // S as a table: row g holds sem(rep_g, rep_h) for every h, with the
+  // diagonal taken over from self_sim_. Exact for any two nodes of
+  // distinct concepts (see the class comment).
+  const size_t num_groups = groups.representative_.size();
+  if (num_groups <= max_table_groups) {
+    groups.table_.resize(num_groups * num_groups);
+    for (size_t g = 0; g < num_groups; ++g) {
+      for (size_t h = 0; h < num_groups; ++h) {
+        groups.table_[g * num_groups + h] =
+            g == h ? groups.self_sim_[g]
+                   : sim(groups.representative_[g],
+                         groups.representative_[h]);
+      }
+    }
+    groups.self_sim_.clear();
+    groups.self_sim_.shrink_to_fit();
+  }
+  groups.node_groups_.resize(num_nodes);
+  for (NodeId v = 0; v < num_nodes; ++v) {
+    const ConceptId c = semantics.concept_of(v);
+    groups.node_groups_[v] = NodeGroup{c, concept_group[c]};
   }
 
   // Per node: the (group, W) list in first-appearance order of the

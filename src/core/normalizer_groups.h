@@ -39,8 +39,17 @@ namespace semsim {
 /// Layout: per node, the (group, W) list of In(u) in first-appearance
 /// order of the in-CSR, and the (concept, w) correction list sorted by
 /// concept, both in offset-array CSR form like TransitionTable; per
-/// group, one representative node and S(g,g). The lists have a fixed
-/// order, so Sum() is a bit-exact function of its (ordered) arguments.
+/// group, one representative node. The lists have a fixed order, so
+/// Sum() is a bit-exact function of its (ordered) arguments.
+///
+/// S itself is a dense G×G table of doubles, computed once by Build
+/// through the measure, when there are at most kMaxTableGroups groups
+/// (the AMiner-10k and Amazon-3k serving graphs have 125 and 186). It
+/// holds the value of every sem(a,b) between nodes of distinct
+/// concepts, so with a per-node (concept, group) column NodeSim answers
+/// any sem(a,b) with one table read and no LCA query. Above the cap only
+/// the diagonal S(g,g) is kept, and off-diagonal S(g,h) is evaluated
+/// through the measure per call. Both forms give the same bits.
 ///
 /// Immutable after Build and safe to share read-only across threads.
 class NormalizerGroups {
@@ -60,43 +69,66 @@ class NormalizerGroups {
 
   NormalizerGroups() = default;
 
+  /// The most groups for which Build tabulates S: 1024² doubles are
+  /// 8 MiB.
+  static constexpr size_t kMaxTableGroups = 1024;
+
   /// Groups the concepts of `semantics` and aggregates every
   /// in-neighbourhood of `graph` (whose nodes `semantics` must cover).
   /// `sim` is the measure the normalizers will be summed under; it is
-  /// called once per group with several concepts, for S(g,g). Reads the
-  /// taxonomy through semantics.source(), which must be alive.
-  /// O(|V| + |E| + |C| log |C|).
+  /// called once per group with several concepts, for S(g,g), and, when
+  /// there are at most kMaxTableGroups groups, once per ordered pair of
+  /// distinct groups, for the S table. Reads the taxonomy through
+  /// semantics.source(), which must be alive.
+  /// O(|V| + |E| + |C| log |C| + G²).
   static NormalizerGroups Build(
       const Hin& graph, const FlatSemanticTable& semantics,
-      const std::function<double(NodeId, NodeId)>& sim);
+      const std::function<double(NodeId, NodeId)>& sim) {
+    return BuildForTesting(graph, semantics, sim, kMaxTableGroups);
+  }
+  /// Build with another group cap, so a test can compare the table with
+  /// the per-call evaluation on one instance.
+  static NormalizerGroups BuildForTesting(
+      const Hin& graph, const FlatSemanticTable& semantics,
+      const std::function<double(NodeId, NodeId)>& sim,
+      size_t max_table_groups);
 
   /// SO(lo, hi) under `sem`, the same measure Build was given. Agrees
-  /// with the d_lo·d_hi loop up to summation order. When `work` is not
-  /// null it receives Work(lo, hi).
+  /// with the d_lo·d_hi loop up to summation order. `sem` is called only
+  /// when there is no table. When `work` is not null it receives
+  /// Work(lo, hi).
   template <typename Sem>
   double Sum(const Sem& sem, NodeId lo, NodeId hi,
              uint64_t* work = nullptr) const {
-    double norm = 0;
-    for (const GroupWeight& a : Groups(lo)) {
-      for (const GroupWeight& b : Groups(hi)) {
-        const double s = a.group == b.group
-                             ? self_sim_[a.group]
-                             : sem.Sim(representative_[a.group],
-                                       representative_[b.group]);
-        norm += a.weight * b.weight * s;
-      }
+    if (has_table()) {
+      const double* table = table_.data();
+      const size_t stride = num_groups();
+      return SumOver(
+          [&](uint32_t g, uint32_t h) { return table[g * stride + h]; }, lo,
+          hi, work);
     }
-    const uint64_t probes = MergeCorrections(
-        Corrections(lo), Corrections(hi),
-        [&](const ConceptWeight& x, const ConceptWeight& y) {
-          norm += x.weight * y.weight * (1.0 - self_sim_[x.group]);
-        });
-    if (work != nullptr) {
-      *work = static_cast<uint64_t>(Groups(lo).size()) * Groups(hi).size() +
-              probes;
-    }
-    return norm;
+    return SumOver(
+        [&](uint32_t g, uint32_t h) {
+          return g == h ? self_sim_[g]
+                        : sem.Sim(representative_[g], representative_[h]);
+        },
+        lo, hi, work);
   }
+
+  /// sem(a, b) under the measure Build was given, from the table: 1 when
+  /// a and b map to one concept, else S(g_a, g_b). Bit-identical to the
+  /// measure for nodes of the graph. Requires has_table().
+  double NodeSim(NodeId a, NodeId b) const {
+    const NodeGroup x = node_groups_[a];
+    const NodeGroup y = node_groups_[b];
+    return x.concept_id == y.concept_id
+               ? 1.0
+               : table_[x.group * num_groups() + y.group];
+  }
+
+  /// Whether S is tabulated (at most kMaxTableGroups groups).
+  bool has_table() const { return !table_.empty(); }
+  size_t num_groups() const { return representative_.size(); }
 
   /// The work Sum(·, lo, hi) does: g_lo·g_hi group pairs plus the
   /// correction-list entries the same-concept merge reads.
@@ -126,7 +158,10 @@ class NormalizerGroups {
   uint32_t group_of(ConceptId c) const { return concept_group_[c]; }
   /// S(g,g): sem of two members with distinct concepts, 1 for a group
   /// of one concept.
-  double self_sim(uint32_t group) const { return self_sim_[group]; }
+  double self_sim(uint32_t group) const {
+    return has_table() ? table_[group * num_groups() + group]
+                       : self_sim_[group];
+  }
 
   size_t MemoryBytes() const {
     return (group_offsets_.size() + correction_offsets_.size()) *
@@ -135,10 +170,39 @@ class NormalizerGroups {
            corrections_.size() * sizeof(ConceptWeight) +
            concept_group_.size() * sizeof(uint32_t) +
            representative_.size() * sizeof(NodeId) +
-           self_sim_.size() * sizeof(double);
+           node_groups_.size() * sizeof(NodeGroup) +
+           (table_.size() + self_sim_.size()) * sizeof(double);
   }
 
  private:
+  /// The concept of a node and that concept's group.
+  struct NodeGroup {
+    ConceptId concept_id;
+    uint32_t group;
+  };
+
+  /// Sum() over S given as group_sim(g, h).
+  template <typename GroupSim>
+  double SumOver(const GroupSim& group_sim, NodeId lo, NodeId hi,
+                 uint64_t* work) const {
+    double norm = 0;
+    for (const GroupWeight& a : Groups(lo)) {
+      for (const GroupWeight& b : Groups(hi)) {
+        norm += a.weight * b.weight * group_sim(a.group, b.group);
+      }
+    }
+    const uint64_t probes = MergeCorrections(
+        Corrections(lo), Corrections(hi),
+        [&](const ConceptWeight& x, const ConceptWeight& y) {
+          norm += x.weight * y.weight * (1.0 - group_sim(x.group, x.group));
+        });
+    if (work != nullptr) {
+      *work = static_cast<uint64_t>(Groups(lo).size()) * Groups(hi).size() +
+              probes;
+    }
+    return norm;
+  }
+
   /// Calls on_match(x_c, y_c) for every concept c on both sorted lists,
   /// in ascending concept order, and returns the entries it read. When
   /// one list is at least 8× longer than the other, each entry of the
@@ -224,7 +288,19 @@ class NormalizerGroups {
   std::vector<ConceptWeight> corrections_;
   std::vector<uint32_t> concept_group_;  // per concept
   std::vector<NodeId> representative_;   // per group
-  std::vector<double> self_sim_;         // per group
+  std::vector<NodeGroup> node_groups_;   // per node
+  // S row-major, G×G; empty above kMaxTableGroups.
+  std::vector<double> table_;
+  // S(g,g) per group; empty when table_ holds the diagonal.
+  std::vector<double> self_sim_;
+};
+
+/// Semantic policy for the estimator loops (like kernels::VirtualSem)
+/// when the groups tabulate S: every sem(a, b) is NodeSim, one table
+/// read.
+struct GroupTableSem {
+  const NormalizerGroups* groups;
+  double Sim(NodeId a, NodeId b) const { return groups->NodeSim(a, b); }
 };
 
 }  // namespace semsim

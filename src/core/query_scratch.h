@@ -7,7 +7,7 @@
 #include <mutex>
 #include <vector>
 
-#include "core/mc_semsim.h"
+#include "graph/types.h"
 
 namespace semsim {
 
@@ -38,9 +38,10 @@ struct WalkMeeting {
 ///
 /// Results are bit-identical to the allocate-per-query path: the meeting
 /// enumeration order, the accumulation order, and every intermediate
-/// value are unchanged (the normalizer memo is cleared per query, so
-/// even the stage counts match). A scratch is single-threaded state;
-/// concurrent sweeps take one each from a ScratchPool.
+/// value are unchanged, and so are the stage counts, since no normalizer
+/// state lives here (SO normalizers come from the estimator's shared
+/// cache or are computed). A scratch is single-threaded state; concurrent
+/// sweeps take one each from a ScratchPool.
 class QueryScratch {
  public:
   /// Sizes the arrays for an index shape; no-op (and no reset) when the
@@ -61,15 +62,10 @@ class QueryScratch {
   }
 
   /// Starts a query: advances the epoch (invalidating met_stamp /
-  /// sem_epoch content in O(1)) and clears the meeting buffer. The
-  /// normalizer memo is cleared — not carried across queries — so stats
-  /// and results match the historical fresh-context-per-query behavior
-  /// exactly; its Clear() is an epoch bump of its own that keeps the
-  /// table's capacity.
+  /// sem_epoch content in O(1)) and clears the meeting buffer.
   void BeginQuery() {
     ++epoch_;
     meetings.clear();
-    context.Clear();
   }
 
   uint64_t epoch() const { return epoch_; }
@@ -85,7 +81,7 @@ class QueryScratch {
            node_cursor.capacity() * sizeof(uint32_t) +
            meetings.capacity() * sizeof(WalkMeeting) +
            walk_order_meetings.capacity() * sizeof(WalkMeeting) +
-           result.capacity() * sizeof(double) + context.MemoryBytes();
+           result.capacity() * sizeof(double);
   }
 
   // Buffers, maintained by SingleSourceIndex's *Into sweeps under the
@@ -103,8 +99,6 @@ class QueryScratch {
   /// `meetings` without a comparison sort.
   std::vector<WalkMeeting> walk_order_meetings;
   std::vector<uint32_t> node_cursor;
-  /// Per-source SO-normalizer memo handed to CoupledWalkScore.
-  SemSimMcEstimator::QueryContext context;
   /// Result staging buffer for callers that consume scores in place
   /// (top-k) instead of keeping the vector.
   std::vector<double> result;

@@ -220,9 +220,12 @@ void SingleSourceIndex::SemSimFromInto(NodeId u,
   // Candidate-level semantic pruning (Algorithm 1 lines 2-3), evaluated
   // lazily at the first meeting of each candidate. The sem(u,v) computed
   // for the pruning decision is kept, so the final scaling loop reads it
-  // back instead of paying a second LCA/IC evaluation per candidate.
+  // back instead of evaluating it a second time per candidate.
   // Validity of sem_ok/sem_val is gated by the epoch stamp — no O(n)
-  // reset between queries.
+  // reset between queries. A candidate that survives the test gets its
+  // SO(u,v) there too: its meetings are contiguous, and every one of
+  // them opens with that normalizer.
+  double so_uv = 0;
   size_t processed = 0;
   for (const WalkMeeting& m : scratch.meetings) {
     // Mid-sweep cancellation poll: cheap relative to the per-meeting
@@ -242,12 +245,13 @@ void SingleSourceIndex::SemSimFromInto(NodeId u,
         ++local.sem_pruned_queries;
       } else {
         scratch.sem_ok[v] = 1;
+        so_uv = estimator.Normalizer(u, v, &local);
       }
     }
     if (!scratch.sem_ok[v]) continue;
     ++local.met_walks;
-    scratch.scores[v] += estimator.CoupledWalkScore(
-        u, v, m.walk, m.step, options, &scratch.context, &local);
+    scratch.scores[v] += estimator.CoupledWalkScore(u, v, so_uv, m.walk,
+                                                    m.step, options, &local);
   }
   // Copy out with the final sem·(1/n_w) scaling, projected onto
   // [0, sem(u,v)] as Query does, then restore the all-zero invariant of

@@ -69,11 +69,11 @@ class SingleSourceIndex {
 
   /// Single-source SemSim via the IS estimator: equivalent to calling
   /// estimator.Query(u, v, options) for every v, but meeting detection is
-  /// shared through this index and SO normalizers are shared through one
-  /// QueryContext across all candidates. `estimator` must wrap the same
-  /// WalkIndex this index was built from. All transient state lives in
-  /// `scratch` (reusable across queries and sources); the result lands
-  /// in `out` (resized to n; its capacity is reused on repeat calls).
+  /// shared through this index and SO(u,v) is computed once per
+  /// candidate. `estimator` must wrap the same WalkIndex this index was
+  /// built from. All transient state lives in `scratch` (reusable
+  /// across queries and sources); the result lands in `out` (resized to
+  /// n; its capacity is reused on repeat calls).
   /// Scores and stats do not depend on the scratch's history.
   /// Instrumentation for the whole sweep accumulates into *stats when
   /// given.

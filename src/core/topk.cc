@@ -49,11 +49,10 @@ std::vector<Scored> BoundedSemanticTopK(const SemSimMcEstimator& estimator,
                                         const SemSimMcOptions& options,
                                         const std::vector<NodeId>* candidates,
                                         double slack, size_t* scanned) {
-  const SemanticMeasure& sem = estimator.semantic();
   // Order candidates by their semantic upper bound, descending.
   std::vector<Scored> bounds;
   auto consider = [&](NodeId v) {
-    if (v != query) bounds.push_back(Scored{v, sem.Sim(query, v)});
+    if (v != query) bounds.push_back(Scored{v, estimator.SemValue(query, v)});
   };
   if (candidates) {
     bounds.reserve(candidates->size());

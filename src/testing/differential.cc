@@ -544,7 +544,7 @@ class InstanceRunner {
       // composed query. The samples feed the CLT band of F.
       std::vector<double> samples;
       if (u != v) {
-        SemSimMcEstimator::QueryContext context;
+        const double so_uv = virt.Normalizer(u, v);
         double sem_uv = virt.SemValue(u, v);
         double total = 0.0;
         samples.reserve(static_cast<size_t>(walks_->num_walks()));
@@ -555,7 +555,7 @@ class InstanceRunner {
             continue;
           }
           double score =
-              virt.CoupledWalkScore(u, v, w, meet, unpruned, &context);
+              virt.CoupledWalkScore(u, v, so_uv, w, meet, unpruned);
           total += score;
           samples.push_back(sem_uv * score);
         }

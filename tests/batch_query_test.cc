@@ -124,10 +124,10 @@ TEST(BatchQuery, EstimatorQueryBatchMatchesSerialWithoutEngine) {
   EXPECT_GT(stats.met_walks, 0);
 }
 
-TEST(BatchQuery, ReusedChunkContextMatchesPerPairQueries) {
-  // QueryBatch clears one memo per pool chunk between pairs; values and
-  // every stage count must equal per-pair Query calls, which each start
-  // from a fresh memo. No shared cache, so the counts are history-free.
+TEST(BatchQuery, ChunkedBatchMatchesPerPairQueries) {
+  // Values and every stage count of QueryBatch must equal per-pair
+  // Query calls at any thread count. No shared cache, so the counts are
+  // history-free.
   Fixture f = AminerFixture();
   SemSimMcOptions mc{0.6, 0.05};
   SemSimMcEstimator estimator(&f.dataset.graph, &f.lin, &f.index);

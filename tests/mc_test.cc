@@ -284,114 +284,27 @@ TEST(SemSimMcIs, AgreesWithNaiveSampler) {
   EXPECT_NEAR(is_score, naive, 0.06);
 }
 
-// ---- QueryContext: the flat epoch-stamped per-query normalizer memo ----
-
-using QueryContext = SemSimMcEstimator::QueryContext;
-
-double MemoValue(NodeId u, NodeId v) { return u * 1000.0 + v + 0.5; }
-
-TEST(QueryContext, AllocatesNothingUntilTheFirstInsert) {
-  QueryContext context;
-  EXPECT_EQ(context.capacity(), 0u);
-  EXPECT_EQ(context.Find(1, 2), nullptr);
-  context.Clear();
-  EXPECT_EQ(context.capacity(), 0u);
-  context.Insert(1, 2, 3.0);
-  EXPECT_EQ(context.capacity(), QueryContext::kInitialCapacity);
-}
-
-TEST(QueryContext, GrowsPastInitialCapacityKeepingEveryEntry) {
-  QueryContext context;
-  constexpr NodeId kEntries = 1000;
-  for (NodeId i = 0; i < kEntries; ++i) {
-    context.Insert(i, i + 1, MemoValue(i, i + 1));
-  }
-  EXPECT_EQ(context.size(), kEntries);
-  EXPECT_GT(context.capacity(), QueryContext::kInitialCapacity);
-  // Doubles when half full, so the load factor stays at most 1/2.
-  EXPECT_LE(2 * context.size(), context.capacity());
-  for (NodeId i = 0; i < kEntries; ++i) {
-    const double* value = context.Find(i, i + 1);
-    ASSERT_NE(value, nullptr) << i;
-    EXPECT_EQ(*value, MemoValue(i, i + 1));
-  }
-}
-
-TEST(QueryContext, KeyIsOrdered) {
-  // The memo keys (u, v) as the walk visits it; SO(v, u) is a separate
-  // entry, exactly like the historical per-query map.
-  QueryContext context;
-  context.Insert(3, 7, 1.5);
-  EXPECT_EQ(context.Find(7, 3), nullptr);
-  ASSERT_NE(context.Find(3, 7), nullptr);
-  EXPECT_EQ(*context.Find(3, 7), 1.5);
-}
-
-TEST(QueryContext, ClearForgetsEntriesAndKeepsCapacity) {
-  QueryContext context;
-  for (NodeId i = 0; i < 200; ++i) context.Insert(i, 0, MemoValue(i, 0));
-  const size_t capacity = context.capacity();
-  const uint32_t epoch = context.epoch();
-  context.Clear();
-  EXPECT_EQ(context.size(), 0u);
-  EXPECT_EQ(context.capacity(), capacity);
-  EXPECT_EQ(context.epoch(), epoch + 1);
-  for (NodeId i = 0; i < 200; ++i) EXPECT_EQ(context.Find(i, 0), nullptr);
-  // The next query reuses the slots with its own values.
-  for (NodeId i = 0; i < 200; ++i) context.Insert(i, 0, -MemoValue(i, 0));
-  EXPECT_EQ(context.capacity(), capacity);
-  for (NodeId i = 0; i < 200; ++i) {
-    ASSERT_NE(context.Find(i, 0), nullptr);
-    EXPECT_EQ(*context.Find(i, 0), -MemoValue(i, 0));
-  }
-}
-
-TEST(QueryContext, EpochWrapAroundReZeroesStamps) {
-  QueryContext context;
-  // Stamped with epoch 1, the epoch the table returns to after the wrap:
-  // unless the wrap re-zeroes the stamps, this entry would come back.
-  context.Insert(1, 2, 3.0);
-  context.SetEpochForTesting(UINT32_MAX - 1);
-  EXPECT_EQ(context.Find(1, 2), nullptr);
-  context.Insert(4, 5, 6.0);
-  context.Clear();  // epoch UINT32_MAX
-  EXPECT_EQ(context.epoch(), UINT32_MAX);
-  EXPECT_EQ(context.Find(4, 5), nullptr);
-  context.Insert(7, 8, 9.0);
-  ASSERT_NE(context.Find(7, 8), nullptr);
-  context.Clear();  // wraps
-  EXPECT_EQ(context.epoch(), 1u);
-  EXPECT_EQ(context.Find(1, 2), nullptr);
-  EXPECT_EQ(context.Find(4, 5), nullptr);
-  EXPECT_EQ(context.Find(7, 8), nullptr);
-  context.Insert(1, 2, 10.0);
-  ASSERT_NE(context.Find(1, 2), nullptr);
-  EXPECT_EQ(*context.Find(1, 2), 10.0);
-  EXPECT_EQ(context.size(), 1u);
-}
-
-TEST(QueryContext, ReusedContextMatchesFreshPerQuery) {
-  // Replaying Query() through CoupledWalkScore with one context cleared
-  // per pair gives the same bits and stage counts as Query() itself.
+TEST(SemSimMcIs, ReplayedWalkScoresMatchQuery) {
+  // Replaying Query() through Normalizer and CoupledWalkScore gives the
+  // same bits and stage counts as Query() itself.
   auto w = MakeSmallWorld();
   LinMeasure lin(&w.context);
   WalkIndex index = WalkIndex::Build(w.graph, BigIndex(43));
   SemSimMcEstimator estimator(&w.graph, &lin, &index);
   SemSimMcOptions opt{0.6, 0.0};
-  QueryContext context;
   for (NodeId u = 0; u < w.graph.num_nodes(); ++u) {
     for (NodeId v = 0; v < w.graph.num_nodes(); ++v) {
       if (u == v) continue;
       McQueryStats want;
       double expected = estimator.Query(u, v, opt, &want);
-      context.Clear();
       McQueryStats got;
+      double so_uv = 0;
       double total = 0;
       for (int walk = 0; walk < index.num_walks(); ++walk) {
         int meet = FirstMeetingStep(index, u, v, walk);
         if (meet < 0) continue;
-        ++got.met_walks;
-        total += estimator.CoupledWalkScore(u, v, walk, meet, opt, &context,
+        if (got.met_walks++ == 0) so_uv = estimator.Normalizer(u, v, &got);
+        total += estimator.CoupledWalkScore(u, v, so_uv, walk, meet, opt,
                                             &got);
       }
       double replayed =
@@ -401,6 +314,64 @@ TEST(QueryContext, ReusedContextMatchesFreshPerQuery) {
       EXPECT_EQ(got.normalizers_computed, want.normalizers_computed);
       EXPECT_EQ(got.normalizer_work, want.normalizer_work);
     }
+  }
+}
+
+// u and v share one in-neighbour x; their other in-neighbours y_u, y_v
+// have none, so a walk pair either meets at x on step 1 or dies. Every
+// met walk then needs SO(u,v) and nothing else, and an estimator
+// without a shared cache must compute it once per pair, not once per
+// met walk.
+TEST(SemSimMcIs, CachelessEstimatorComputesFirstStepNormalizerOncePerPair) {
+  TaxonomyBuilder tb;
+  ConceptId root = tb.AddConcept("R");
+  ConceptId p = tb.AddConcept("P", root);
+  ConceptId a1 = tb.AddConcept("A1", p);
+  ConceptId a2 = tb.AddConcept("A2", p);
+  Taxonomy taxonomy = Unwrap(std::move(tb).Build());
+  std::vector<double> ic(taxonomy.num_concepts(), 0.1);
+  ic[p] = 0.4;
+  ic[a1] = 0.8;
+  ic[a2] = 0.8;
+  HinBuilder b;
+  NodeId x = b.AddNode("x", "t");
+  NodeId u = b.AddNode("u", "t");
+  NodeId v = b.AddNode("v", "t");
+  NodeId yu = b.AddNode("yu", "t");
+  NodeId yv = b.AddNode("yv", "t");
+  ASSERT_TRUE(b.AddEdge(x, u, "e", 1.0).ok());
+  ASSERT_TRUE(b.AddEdge(x, v, "e", 1.0).ok());
+  ASSERT_TRUE(b.AddEdge(yu, u, "e", 1.0).ok());
+  ASSERT_TRUE(b.AddEdge(yv, v, "e", 1.0).ok());
+  Hin g = Unwrap(std::move(b).Build());
+  SemanticContext ctx = Unwrap(SemanticContext::FromTaxonomyWithIc(
+      std::move(taxonomy), {p, a1, a2, a1, a2}, std::move(ic)));
+  LinMeasure lin(&ctx);
+  WalkIndexOptions wopt;
+  wopt.num_walks = 64;
+  wopt.walk_length = 4;
+  wopt.seed = 5;
+  WalkIndex index = WalkIndex::Build(g, wopt);
+  FlatSemanticTable flat_table = FlatSemanticTable::Build(ctx);
+  SemSimMcEstimator virt(&g, &lin, &index);
+  SemSimMcEstimator flat(&g, &lin, &index);
+  ASSERT_TRUE(flat.AttachFlatKernel(&flat_table));
+  SingleSourceIndex inverted = SingleSourceIndex::Build(index);
+  SemSimMcOptions mc{0.6, 0.0};
+  for (const SemSimMcEstimator* est : {&virt, &flat}) {
+    McQueryStats stats;
+    EXPECT_GT(est->Query(u, v, mc, &stats), 0.0);
+    EXPECT_GE(stats.met_walks, 2) << est->sem_kernel_name();
+    EXPECT_EQ(stats.normalizers_computed, 1) << est->sem_kernel_name();
+
+    // The single-source sweep from u meets only v.
+    McQueryStats sweep;
+    QueryScratch scratch;
+    std::vector<double> row;
+    inverted.SemSimFromInto(u, *est, mc, scratch, row, &sweep);
+    EXPECT_EQ(sweep.met_walks, stats.met_walks) << est->sem_kernel_name();
+    EXPECT_EQ(sweep.normalizers_computed, 1) << est->sem_kernel_name();
+    EXPECT_EQ(row[v], est->Query(u, v, mc));
   }
 }
 

@@ -4,10 +4,15 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
+#include <cstdint>
+#include <limits>
 #include <string>
 #include <vector>
 
 #include "common/rng.h"
+#include "core/mc_semsim.h"
+#include "datasets/amazon_gen.h"
 #include "datasets/aminer_gen.h"
 #include "taxonomy/flat_semantic_table.h"
 #include "taxonomy/semantic_measure.h"
@@ -389,6 +394,231 @@ TEST(NormalizerGroups, GallopingMergeIsBitIdenticalToLinearMerge) {
     }
   }
   EXPECT_GT(shared, 0u);
+}
+
+// ---- The S table: NodeSim and Sum read it instead of LCA queries ----
+
+uint64_t Bits(double x) { return std::bit_cast<uint64_t>(x); }
+
+// With the table: NodeSim equals the kernel bit for bit on every pair of
+// `sim_nodes` (all nodes when empty), and Sum with the table equals Sum
+// evaluating S through the kernel on every pair (lo, hi), lo <= hi, of
+// `sum_nodes` (`sim_nodes` when empty), in bits and work.
+template <typename Kernel>
+void ExpectTableMatchesKernel(const Hin& g, const SemanticContext& ctx,
+                              const std::string& tag,
+                              std::vector<NodeId> sim_nodes = {},
+                              std::vector<NodeId> sum_nodes = {}) {
+  FlatSemanticTable table = FlatSemanticTable::Build(ctx);
+  Kernel kernel{&table};
+  auto sim = [&](NodeId a, NodeId b) { return kernel.Sim(a, b); };
+  NormalizerGroups tabled = NormalizerGroups::Build(g, table, sim);
+  NormalizerGroups untabled =
+      NormalizerGroups::BuildForTesting(g, table, sim, /*max_table_groups=*/0);
+  ASSERT_TRUE(tabled.has_table()) << tag;
+  ASSERT_FALSE(untabled.has_table()) << tag;
+  ASSERT_EQ(tabled.num_groups(), untabled.num_groups()) << tag;
+  if (sim_nodes.empty()) {
+    for (NodeId v = 0; v < g.num_nodes(); ++v) sim_nodes.push_back(v);
+  }
+  if (sum_nodes.empty()) sum_nodes = sim_nodes;
+  for (NodeId a : sim_nodes) {
+    for (NodeId b : sim_nodes) {
+      ASSERT_EQ(Bits(tabled.NodeSim(a, b)), Bits(kernel.Sim(a, b)))
+          << tag << " pair (" << a << "," << b << ")";
+    }
+  }
+  for (uint32_t x = 0; x < tabled.num_groups(); ++x) {
+    ASSERT_EQ(Bits(tabled.self_sim(x)), Bits(untabled.self_sim(x))) << tag;
+  }
+  std::sort(sum_nodes.begin(), sum_nodes.end());
+  for (size_t i = 0; i < sum_nodes.size(); ++i) {
+    for (size_t j = i; j < sum_nodes.size(); ++j) {
+      const NodeId lo = sum_nodes[i];
+      const NodeId hi = sum_nodes[j];
+      uint64_t work_tabled = 0;
+      uint64_t work_untabled = 0;
+      const double with = tabled.Sum(kernel, lo, hi, &work_tabled);
+      const double without = untabled.Sum(kernel, lo, hi, &work_untabled);
+      ASSERT_EQ(Bits(with), Bits(without))
+          << tag << " pair (" << lo << "," << hi << ")";
+      ASSERT_EQ(work_tabled, work_untabled) << tag;
+    }
+  }
+  EXPECT_GT(tabled.MemoryBytes(), untabled.MemoryBytes());
+}
+
+void ExpectTableMatchesAllKernels(const Hin& g, const SemanticContext& ctx,
+                                  const std::string& tag,
+                                  const std::vector<NodeId>& sim_nodes = {},
+                                  const std::vector<NodeId>& sum_nodes = {}) {
+  ExpectTableMatchesKernel<FlatLinKernel>(g, ctx, tag + " lin", sim_nodes,
+                                          sum_nodes);
+  ExpectTableMatchesKernel<FlatResnikKernel>(g, ctx, tag + " resnik",
+                                             sim_nodes, sum_nodes);
+  ExpectTableMatchesKernel<FlatWuPalmerKernel>(g, ctx, tag + " wupalmer",
+                                               sim_nodes, sum_nodes);
+  ExpectTableMatchesKernel<FlatPathKernel>(g, ctx, tag + " path", sim_nodes,
+                                           sum_nodes);
+}
+
+TEST(NormalizerGroupsTable, RandomInstancesMatchKernelBits) {
+  for (uint64_t seed = 1; seed <= 16; ++seed) {
+    Rng r(seed * 0xD1B54A32D192ED03ULL);
+    testing::RandomHinOptions hin;
+    hin.seed = r.Next();
+    hin.num_nodes = 20 + static_cast<int>(r.NextIndex(40));
+    hin.avg_out_degree = 2.0 + 4.0 * r.NextDouble();
+    hin.degree_skew = r.NextIndex(2) == 0 ? 0.0 : 1.5;
+    hin.dangling_fraction = 0.1;
+    hin.self_loop_fraction = 0.1;
+    hin.parallel_edge_fraction = 0.2;
+    Hin g = Unwrap(testing::GenerateRandomHin(hin));
+
+    testing::RandomTaxonomyOptions tax;
+    tax.seed = r.Next();
+    tax.num_concepts = 3 + static_cast<int>(r.NextIndex(20));
+    tax.shape = static_cast<testing::TaxonomyShape>(seed % 4);
+    tax.num_roots = 1 + static_cast<int>(r.NextIndex(2));
+    Taxonomy taxonomy = Unwrap(testing::GenerateRandomTaxonomy(tax));
+    std::vector<double> ic(taxonomy.num_concepts());
+    for (double& x : ic) x = std::array{0.35, 0.6, 0.9}[r.NextIndex(3)];
+    std::vector<ConceptId> node_concept(g.num_nodes());
+    for (ConceptId& c : node_concept) {
+      c = static_cast<ConceptId>(r.NextIndex(taxonomy.num_concepts()));
+    }
+    SemanticContext ctx = Unwrap(SemanticContext::FromTaxonomyWithIc(
+        std::move(taxonomy), std::move(node_concept), std::move(ic)));
+    ExpectTableMatchesAllKernels(g, ctx, "seed " + std::to_string(seed));
+    SemanticContext seco = Unwrap(testing::GenerateRandomContext(g, tax));
+    ExpectTableMatchesAllKernels(g, seco, "seco seed " + std::to_string(seed));
+  }
+}
+
+TEST(NormalizerGroupsTable, HandmadeTableEntries) {
+  Handmade h = MakeHandmade();
+  FlatSemanticTable table = FlatSemanticTable::Build(h.context);
+  NormalizerGroups groups = BuildGroups<FlatLinKernel>(h.graph, table);
+  FlatLinKernel lin{&table};
+  ASSERT_TRUE(groups.has_table());
+  // One concept: 1. Two concepts of the L1/L2 group: S(g,g) < 1.
+  EXPECT_EQ(groups.NodeSim(h.a1, h.a2), 1.0);
+  EXPECT_EQ(groups.NodeSim(h.a1, h.a1), 1.0);
+  EXPECT_EQ(groups.NodeSim(h.a1, h.b1), lin.Sim(h.a1, h.b1));
+  EXPECT_LT(groups.NodeSim(h.a1, h.b1), 1.0);
+  // Across groups, in both orders.
+  EXPECT_EQ(groups.NodeSim(h.c1, h.q1), lin.Sim(h.c1, h.q1));
+  EXPECT_EQ(groups.NodeSim(h.q1, h.a2), lin.Sim(h.q1, h.a2));
+  ExpectTableMatchesAllKernels(h.graph, h.context, "handmade");
+}
+
+std::vector<NodeId> SampleNodes(size_t num_nodes, size_t count,
+                                uint64_t seed) {
+  Rng rng(seed);
+  std::vector<NodeId> nodes;
+  for (size_t i = 0; i < count; ++i) {
+    nodes.push_back(static_cast<NodeId>(rng.NextIndex(num_nodes)));
+  }
+  std::sort(nodes.begin(), nodes.end());
+  nodes.erase(std::unique(nodes.begin(), nodes.end()), nodes.end());
+  return nodes;
+}
+
+// Every pair of a generated graph for NodeSim; sampled pairs for Sum.
+TEST(NormalizerGroupsTable, GeneratedAminerAndAmazonMatchKernelBits) {
+  AminerOptions aminer;
+  aminer.num_authors = 600;
+  aminer.seed = 1;
+  Dataset a = Unwrap(GenerateAminer(aminer));
+  ExpectTableMatchesAllKernels(a.graph, a.context, "aminer", {},
+                               SampleNodes(a.graph.num_nodes(), 120, 3));
+
+  AmazonOptions amazon;
+  amazon.num_items = 800;
+  Dataset z = Unwrap(GenerateAmazon(amazon));
+  ExpectTableMatchesAllKernels(z.graph, z.context, "amazon", {},
+                               SampleNodes(z.graph.num_nodes(), 120, 4));
+}
+
+// A chain of 1100 internal concepts, each with a leaf child, and one
+// node per concept: 2200 singleton groups, above the cap. Build keeps no
+// table, and the per-call evaluation gives the bits a table built past
+// the cap gives.
+TEST(NormalizerGroupsTable, AboveTheCapFallsBackToTheSameBits) {
+  constexpr int kDepth = 1100;
+  TaxonomyBuilder tb;
+  std::vector<ConceptId> chain = {tb.AddConcept("c0")};
+  std::vector<ConceptId> concepts = {chain[0]};
+  for (int i = 1; i < kDepth; ++i) {
+    chain.push_back(tb.AddConcept("c" + std::to_string(i), chain.back()));
+    concepts.push_back(chain.back());
+  }
+  for (int i = 0; i < kDepth; ++i) {
+    concepts.push_back(tb.AddConcept("l" + std::to_string(i), chain[i]));
+  }
+  Taxonomy taxonomy = Unwrap(std::move(tb).Build());
+  std::vector<double> ic(taxonomy.num_concepts());
+  for (int i = 0; i < kDepth; ++i) {
+    ic[chain[i]] = 0.05 + 0.9 * i / kDepth;
+    ic[concepts[kDepth + i]] = 0.96;
+  }
+  HinBuilder hb;
+  for (size_t i = 0; i < concepts.size(); ++i) {
+    hb.AddNode("n" + std::to_string(i), "t");
+  }
+  Rng rng(11);
+  const size_t n = concepts.size();
+  for (size_t e = 0; e < 4 * n; ++e) {
+    const NodeId from = static_cast<NodeId>(rng.NextIndex(n));
+    const NodeId to = static_cast<NodeId>(rng.NextIndex(n));
+    ASSERT_TRUE(hb.AddEdge(from, to, "e", 0.5 + rng.NextDouble()).ok());
+  }
+  Hin g = Unwrap(std::move(hb).Build());
+  SemanticContext ctx = Unwrap(SemanticContext::FromTaxonomyWithIc(
+      std::move(taxonomy), concepts, std::move(ic)));
+  FlatSemanticTable table = FlatSemanticTable::Build(ctx);
+  const std::vector<NodeId> nodes = SampleNodes(n, 150, 12);
+
+  auto check = [&](const auto& kernel, const char* name) {
+    auto sim = [&](NodeId a, NodeId b) { return kernel.Sim(a, b); };
+    NormalizerGroups capped = NormalizerGroups::Build(g, table, sim);
+    ASSERT_FALSE(capped.has_table()) << name;
+    ASSERT_GT(capped.num_groups(), NormalizerGroups::kMaxTableGroups);
+    NormalizerGroups tabled = NormalizerGroups::BuildForTesting(
+        g, table, sim, std::numeric_limits<size_t>::max());
+    ASSERT_TRUE(tabled.has_table()) << name;
+    for (NodeId a : nodes) {
+      for (NodeId b : nodes) {
+        ASSERT_EQ(Bits(tabled.NodeSim(a, b)), Bits(kernel.Sim(a, b)))
+            << name << " (" << a << "," << b << ")";
+        if (a > b) continue;
+        ASSERT_EQ(Bits(capped.Sum(kernel, a, b)),
+                  Bits(tabled.Sum(kernel, a, b)))
+            << name << " (" << a << "," << b << ")";
+      }
+    }
+  };
+  check(FlatLinKernel{&table}, "lin");
+  check(FlatResnikKernel{&table}, "resnik");
+  check(FlatWuPalmerKernel{&table}, "wupalmer");
+  check(FlatPathKernel{&table}, "path");
+
+  // An estimator over this taxonomy keeps the LCA kernel: sem(u,v) is
+  // still the measure's bits.
+  LinMeasure lin(&ctx);
+  WalkIndexOptions wopt;
+  wopt.num_walks = 8;
+  wopt.walk_length = 4;
+  WalkIndex index = WalkIndex::Build(g, wopt);
+  SemSimMcEstimator estimator(&g, &lin, &index);
+  ASSERT_TRUE(estimator.AttachFlatKernel(&table));
+  EXPECT_FALSE(estimator.normalizer_groups().has_table());
+  EXPECT_EQ(estimator.sem_kernel_name(), "flat-lin");
+  for (NodeId a : nodes) {
+    for (NodeId b : nodes) {
+      ASSERT_EQ(Bits(estimator.SemValue(a, b)), Bits(lin.Sim(a, b)));
+    }
+  }
 }
 
 }  // namespace
