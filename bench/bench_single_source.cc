@@ -7,7 +7,8 @@
 // sweeps across the batch engine's persistent pool (one source per work
 // item, cross-query normalizer cache shared by all sweeps), verifies
 // batch output equals the serial sweeps, and writes
-// BENCH_single_source.json.
+// BENCH_single_source.json. Exits 1 when the batch and serial sweeps
+// differ in any bit.
 #include <cmath>
 #include <cstdio>
 #include <iostream>
@@ -25,7 +26,8 @@ namespace {
 
 constexpr int kQueries = 20;
 
-void Run(int requested_threads) {
+// Returns false when the batch sweeps differ from the serial ones.
+bool Run(int requested_threads) {
   Dataset dataset = bench::AmazonMedium();
   bench::Banner("Single-source queries / Amazon", dataset, 2);
   LinMeasure lin(&dataset.context);
@@ -37,7 +39,9 @@ void Run(int requested_threads) {
   Timer build_timer;
   SingleSourceIndex inverted = SingleSourceIndex::Build(index);
   double build_s = build_timer.ElapsedSeconds();
+  // Cacheless, with the groups an engine snapshot attaches.
   SemSimMcEstimator estimator(&dataset.graph, &lin, &index);
+  estimator.AttachGroups();
   SemSimMcOptions mc{0.6, 0.05};
 
   Rng rng(13);
@@ -187,6 +191,7 @@ void Run(int requested_threads) {
               all_identical ? "yes" : "NO — DETERMINISM BUG");
   doc.Add("results_identical", all_identical ? 1 : 0);
   doc.WriteFile("BENCH_single_source.json");
+  return all_identical;
 }
 
 }  // namespace
@@ -196,7 +201,7 @@ int main(int argc, char** argv) {
   int threads = semsim::bench::ParseIntFlag(argc, argv, "--threads", 0);
   std::string metrics_out =
       semsim::bench::ParseStringFlag(argc, argv, "--metrics-out", "");
-  semsim::Run(threads);
+  const bool identical = semsim::Run(threads);
   semsim::bench::MaybeWriteMetrics(metrics_out);
-  return 0;
+  return identical ? 0 : 1;
 }

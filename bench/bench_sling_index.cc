@@ -47,7 +47,7 @@ void Run() {
   double build_s = build_timer.ElapsedSeconds();
   const size_t resident = cache->size();
 
-  // Both estimators stay virtual (no flat kernel): the pre-filled values
+  // Both estimators stay virtual (no groups): the pre-filled values
   // are bit-exact only for the d² loop.
   SemSimMcEstimator plain(&dataset.graph, &lin, &index);
   SemSimMcEstimator cached(&dataset.graph, &lin, &index);

@@ -1,10 +1,11 @@
-// Extension bench — top-k query strategies: the naive per-candidate scan,
-// the Prop. 2.5 bound-driven scan (candidates in descending sem order,
-// early termination), and the inverted single-source sweep, all returning
-// the same answer. The future-work direction of Sec. 7 quantified.
+// Extension bench — top-k query strategies: the naive per-candidate scan
+// and the inverted single-source sweep, both through the served semantic
+// path (taxonomy groups and their S table). The future-work direction of
+// Sec. 7 quantified.
 // Extension: --threads=N adds a parallel batch strategy (TopKBatch over
 // the persistent pool + cross-query caches), checks it returns exactly
-// the inverted single-source answer, and writes BENCH_topk.json.
+// the inverted single-source answer, and writes BENCH_topk.json. Exits
+// 1 when the batch and serial answers differ in any bit.
 #include <cstdio>
 #include <iostream>
 
@@ -22,7 +23,8 @@ namespace {
 constexpr int kQueries = 15;
 constexpr size_t kK = 10;
 
-void Run(int requested_threads) {
+// Returns false when the batch answers differ from the serial ones.
+bool Run(int requested_threads) {
   Dataset dataset = bench::AmazonMedium();
   bench::Banner("Top-k strategies / Amazon", dataset, 2);
   LinMeasure lin(&dataset.context);
@@ -32,7 +34,9 @@ void Run(int requested_threads) {
   wopt.walk_length = 15;
   WalkIndex index = WalkIndex::Build(dataset.graph, wopt);
   SingleSourceIndex inverted = SingleSourceIndex::Build(index);
+  // Cacheless, with the groups an engine snapshot attaches.
   SemSimMcEstimator estimator(&dataset.graph, &lin, &index);
+  estimator.AttachGroups();
   SemSimMcOptions mc{0.6, 0.05};
 
   Rng rng(29);
@@ -42,26 +46,14 @@ void Run(int requested_threads) {
         static_cast<NodeId>(rng.NextIndex(dataset.graph.num_nodes())));
   }
 
-  double naive_ms, bounded_ms, inverted_ms;
-  size_t scanned_total = 0;
-  std::vector<std::vector<Scored>> naive_results;
+  double naive_ms, inverted_ms;
   {
     Timer t;
     for (NodeId u : queries) {
-      naive_results.push_back(McTopK(estimator, u, kK, mc));
+      auto r = McTopK(estimator, u, kK, mc);
+      (void)r;
     }
     naive_ms = t.ElapsedMillis() / kQueries;
-  }
-  std::vector<std::vector<Scored>> bounded_results;
-  {
-    Timer t;
-    for (NodeId u : queries) {
-      size_t scanned = 0;
-      bounded_results.push_back(
-          BoundedSemanticTopK(estimator, u, kK, mc, nullptr, 0.9, &scanned));
-      scanned_total += scanned;
-    }
-    bounded_ms = t.ElapsedMillis() / kQueries;
   }
   // One scratch arena reused across every inverted top-k below.
   QueryScratch scratch;
@@ -74,38 +66,13 @@ void Run(int requested_threads) {
     inverted_ms = t.ElapsedMillis() / kQueries;
   }
 
-  TablePrinter table({"strategy", "avg top-k ms", "speedup",
-                      "candidates scanned"});
+  TablePrinter table({"strategy", "avg top-k ms", "speedup"});
   char buf[32];
-  table.AddRow({"naive scan", TablePrinter::Num(naive_ms, 2), "1.0x",
-                TablePrinter::Int(static_cast<long long>(
-                    dataset.graph.num_nodes() - 1))});
-  std::snprintf(buf, sizeof(buf), "%.1fx", naive_ms / bounded_ms);
-  table.AddRow({"sem-bound early stop (Prop 2.5)",
-                TablePrinter::Num(bounded_ms, 2), buf,
-                TablePrinter::Int(static_cast<long long>(
-                    scanned_total / kQueries))});
+  table.AddRow({"naive scan", TablePrinter::Num(naive_ms, 2), "1.0x"});
   std::snprintf(buf, sizeof(buf), "%.1fx", naive_ms / inverted_ms);
-  table.AddRow({"inverted single-source", TablePrinter::Num(inverted_ms, 2),
-                buf, "all (one sweep)"});
+  table.AddRow(
+      {"inverted single-source", TablePrinter::Num(inverted_ms, 2), buf});
   table.Print(std::cout);
-
-  // Agreement check between the strategies (estimates are deterministic
-  // given the shared index, so rankings must coincide for the bounded
-  // scan; it may only diverge if an estimate exceeded its sem bound).
-  size_t agree = 0, total = 0;
-  for (int q = 0; q < kQueries; ++q) {
-    for (size_t i = 0; i < naive_results[q].size(); ++i) {
-      ++total;
-      if (i < bounded_results[q].size() &&
-          bounded_results[q][i].node == naive_results[q][i].node) {
-        ++agree;
-      }
-    }
-  }
-  std::printf("\nbounded scan agreement with naive scan: %zu / %zu top-%zu "
-              "entries\n",
-              agree, total, kK);
 
   // Parallel batch strategy through the engine.
   int resolved = ThreadPool::ResolveThreadCount(requested_threads);
@@ -119,7 +86,6 @@ void Run(int requested_threads) {
       .Add("requested_threads", requested_threads)
       .Add("resolved_threads", resolved)
       .Add("serial_naive_ms", naive_ms)
-      .Add("serial_bounded_ms", bounded_ms)
       .Add("serial_inverted_ms", inverted_ms);
   bool batch_matches = true;
   for (int threads : resolved == 1 ? std::vector<int>{1}
@@ -168,6 +134,7 @@ void Run(int requested_threads) {
               batch_matches ? "yes" : "NO — DETERMINISM BUG");
   doc.Add("results_identical", batch_matches ? 1 : 0);
   doc.WriteFile("BENCH_topk.json");
+  return batch_matches;
 }
 
 }  // namespace
@@ -177,7 +144,7 @@ int main(int argc, char** argv) {
   int threads = semsim::bench::ParseIntFlag(argc, argv, "--threads", 0);
   std::string metrics_out =
       semsim::bench::ParseStringFlag(argc, argv, "--metrics-out", "");
-  semsim::Run(threads);
+  const bool identical = semsim::Run(threads);
   semsim::bench::MaybeWriteMetrics(metrics_out);
-  return 0;
+  return identical ? 0 : 1;
 }

@@ -268,12 +268,12 @@ inline Dataset WordnetDefault(uint64_t seed = 4) {
 /// whose normalizer is positive. It has bit_ceil(2 × qualifying pairs)
 /// slots; `*qualifying` (optional) receives that pair count.
 ///
-/// Attach it with set_shared_cache to an estimator that has NO flat
-/// kernel attached. Its virtual d² loop and PairGraph::Normalizer both
-/// sum (w_a·w_b)·sem(a, b) over In(lo) outer and In(hi) inner, so the
-/// pre-filled values are bit-exact. A flat kernel's grouped sums differ
-/// in the last bits, which would break the cache's rule that a value is
-/// a bit-exact function of its key.
+/// Attach it with set_shared_cache to an estimator that has NO groups
+/// attached (SemSimMcEstimator::AttachGroups). Its virtual d² loop and
+/// PairGraph::Normalizer both sum (w_a·w_b)·sem(a, b) over In(lo) outer
+/// and In(hi) inner, so the pre-filled values are bit-exact. Grouped
+/// sums differ in the last bits, which would break the cache's rule that
+/// a value is a bit-exact function of its key.
 inline std::unique_ptr<ConcurrentPairCache> PrefilledNormalizerCache(
     const PairGraph& pair_graph, double min_sem,
     size_t* qualifying = nullptr) {

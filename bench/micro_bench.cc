@@ -1,7 +1,9 @@
 // Micro-benchmarks (google-benchmark) for the core primitives: LCA and
 // Lin queries, sem(·,·) and the grouped SO normalizer over the
-// taxonomy-group table, walk-index sampling, the d²-cost SO normalizer,
-// the IS single-pair estimator with/without pruning and cache, the
+// taxonomy-group table, the grouped SO normalizer and the IS query on a
+// taxonomy above the table's cap, walk-index sampling, the d²-cost SO
+// normalizer, the IS single-pair estimator with/without pruning and
+// cache, the
 // SimRank MC query, one iteration of the exact fixed-point sweep, the
 // shared normalizer cache's probe at one and three threads, and the
 // inverted single-source index (build at one and four threads, meeting
@@ -23,8 +25,8 @@
 #include "core/query_scratch.h"
 #include "core/single_source.h"
 #include "core/walk_index.h"
+#include "datasets/wordnet_gen.h"
 #include "graph/node_sampler.h"
-#include "taxonomy/flat_semantic_table.h"
 #include "taxonomy/semantic_measure.h"
 
 namespace semsim {
@@ -61,18 +63,16 @@ void BM_LinQuery(benchmark::State& state) {
 }
 BENCHMARK(BM_LinQuery);
 
-// The Amazon fixture's taxonomy groups under flat Lin, with their S
-// table (the fixture has far fewer groups than the cap).
+// The Amazon fixture's taxonomy groups under Lin, with their S table
+// (the fixture has far fewer groups than the cap).
 struct GroupedFixture {
-  FlatSemanticTable table;
+  LinMeasure lin;
   NormalizerGroups groups;
 
   GroupedFixture()
-      : table(FlatSemanticTable::Build(AmazonFixture().context)) {
-    FlatLinKernel lin{&table};
-    groups = NormalizerGroups::Build(
-        AmazonFixture().graph, table,
-        [&](NodeId a, NodeId b) { return lin.Sim(a, b); });
+      : lin(&AmazonFixture().context),
+        groups(NormalizerGroups::Build(AmazonFixture().graph,
+                                       AmazonFixture().context, lin)) {
     SEMSIM_CHECK(groups.has_table());
   }
 };
@@ -95,21 +95,76 @@ void BM_NodeSim(benchmark::State& state) {
 }
 BENCHMARK(BM_NodeSim);
 
-// SO(lo, hi) summed over taxonomy groups with S from the table, for
-// uniformly drawn pairs (compare BM_Normalizer's d² loop).
-void BM_GroupedNormalizer(benchmark::State& state) {
-  const GroupedFixture& f = Grouped();
-  FlatLinKernel lin{&f.table};
+// SO(lo, hi) summed over taxonomy groups, for uniformly drawn pairs.
+void RunGroupedNormalizer(benchmark::State& state,
+                          const NormalizerGroups& groups, size_t n) {
   Rng rng(3);
-  size_t n = AmazonFixture().graph.num_nodes();
   for (auto _ : state) {
     NodeId a = static_cast<NodeId>(rng.NextIndex(n));
     NodeId b = static_cast<NodeId>(rng.NextIndex(n));
-    benchmark::DoNotOptimize(
-        f.groups.Sum(lin, a < b ? a : b, a < b ? b : a));
+    benchmark::DoNotOptimize(groups.Sum(a < b ? a : b, a < b ? b : a));
   }
 }
+
+// With S from the table (compare BM_Normalizer's d² loop).
+void BM_GroupedNormalizer(benchmark::State& state) {
+  RunGroupedNormalizer(state, Grouped().groups,
+                       AmazonFixture().graph.num_nodes());
+}
 BENCHMARK(BM_GroupedNormalizer);
+
+// A WordNet-like graph whose taxonomy has more groups than the table's
+// cap, under a cacheless Lin estimator with its groups attached: the
+// IS steps and every off-diagonal S(g,h) call the measure.
+Dataset AboveCapWordnet() {
+  WordnetOptions opt;
+  opt.num_concepts = 1400;
+  return bench::Unwrap(GenerateWordnet(opt));
+}
+
+struct AboveCapState {
+  Dataset dataset;
+  LinMeasure lin;
+  WalkIndex index;
+  SemSimMcEstimator estimator;
+
+  AboveCapState()
+      : dataset(AboveCapWordnet()),
+        lin(&dataset.context),
+        index(WalkIndex::Build(dataset.graph,
+                               WalkIndexOptions{150, 15, 42, false})),
+        estimator(&dataset.graph, &lin, &index) {
+    SEMSIM_CHECK(estimator.AttachGroups());
+    SEMSIM_CHECK(estimator.normalizer_groups().num_groups() >
+                 NormalizerGroups::kMaxTableGroups);
+  }
+};
+
+AboveCapState& AboveCap() {
+  static AboveCapState* s = new AboveCapState();
+  return *s;
+}
+
+// SO(lo, hi) over groups with S(g,h) from the measure.
+void BM_GroupedNormalizerAboveCap(benchmark::State& state) {
+  AboveCapState& s = AboveCap();
+  RunGroupedNormalizer(state, s.estimator.normalizer_groups(),
+                       s.dataset.graph.num_nodes());
+}
+BENCHMARK(BM_GroupedNormalizerAboveCap);
+
+void BM_SemSimIsQueryAboveCap(benchmark::State& state) {
+  AboveCapState& s = AboveCap();
+  SemSimMcOptions opt{0.6, static_cast<double>(state.range(0)) / 100.0};
+  Rng rng(5);
+  size_t n = s.dataset.graph.num_nodes();
+  for (auto _ : state) {
+    NodeId a = static_cast<NodeId>(rng.NextIndex(n));
+    NodeId b = static_cast<NodeId>(rng.NextIndex(n));
+    benchmark::DoNotOptimize(s.estimator.Query(a, b, opt));
+  }
+}
+BENCHMARK(BM_SemSimIsQueryAboveCap)->Arg(0)->Arg(5);  // θ=0 and θ=0.05
 
 void BM_WalkIndexBuild(benchmark::State& state) {
   const Dataset& d = AmazonFixture();

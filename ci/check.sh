@@ -1,18 +1,20 @@
 #!/usr/bin/env bash
 # Repo verification: the tier-1 build-and-test pass, then sanitizer
 # builds of the query-kernel and concurrency surfaces:
-#   asan  — AddressSanitizer over the flat-kernel paths (transition
-#           table, flat semantic table, grouped normalizers and their
-#           group-pair table, the estimator's inner loops, walk-index
-#           compact layout).
+#   asan  — AddressSanitizer over the query-kernel paths (transition
+#           table, taxonomy groups and their group-pair table, the
+#           estimator's inner loops under both semantic policies,
+#           walk-index compact layout).
 #   tsan  — ThreadSanitizer over the concurrency surface (pool,
 #           concurrent pair cache, batch query engine, metrics registry,
-#           query service, snapshot swaps) plus the flat-kernel
-#           equivalence test, which drives multi-thread engines over the
-#           shared read-only flat tables.
+#           query service, snapshot swaps) plus the grouped-vs-virtual
+#           equivalence test (flat_kernel_test), which drives
+#           multi-thread engines over the shared read-only group tables.
 #   bench — smoke-run of the query bench on the small dataset, gated by
 #           ci/compare_bench.py (batch results bit-identical between 1
-#           and N threads).
+#           and N threads), then the top-k strategies bench, which exits
+#           non-zero unless batch top-k equals the serial sweeps bit for
+#           bit.
 #   metrics — bench smoke with --metrics-out, then the compare_bench
 #           metrics checker (required series present, histograms
 #           coherent, JSON and Prometheus exports agree).
@@ -37,7 +39,7 @@
 #           visibly shed through rejection/degradation/deadlines).
 #   verify — randomized differential sweep (DESIGN.md §9): replays
 #           identical queries through the iterative oracle, the MC
-#           estimator with virtual and devirtualized semantics, the batch
+#           estimator with and without taxonomy groups, the batch
 #           engine, single-source and top-k, checking
 #           bit-identity and statistical bands. Smoke = 200 fixed seeds
 #           (<60s); extended = 1000 further seeds for the nightly lane.
@@ -128,9 +130,11 @@ tsan() {
 bench_smoke() {
   echo "=== bench smoke: query bench on the small dataset ==="
   cmake -B build -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo
-  cmake --build build -j "${JOBS}" --target bench_fig4_query_times
+  cmake --build build -j "${JOBS}" --target bench_fig4_query_times \
+    bench_topk_strategies
   (cd build && ./bench/bench_fig4_query_times --dataset=small)
   python3 ci/compare_bench.py --dir build
+  (cd build && ./bench/bench_topk_strategies --threads=2)
 }
 
 metrics_smoke() {

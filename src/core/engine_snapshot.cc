@@ -7,7 +7,6 @@
 #include "common/fnv.h"
 #include "common/logging.h"
 #include "common/metrics.h"
-#include "core/mc_kernels.h"
 
 namespace semsim {
 
@@ -63,20 +62,12 @@ Result<EngineSnapshotPtr> EngineSnapshot::Create(
   snap->walk_index_ = std::move(walk_index);
   snap->options_ = options;
   snap->version_ = version;
-  // Flat semantic table (DESIGN.md §7): only exists when the measure is
-  // one of the flattenable built-ins, whose sem(·,·) calls the
-  // devirtualized kernel then replaces; any other measure is called
-  // directly. The transition table is built by the estimator below.
-  kernels::SemInfo info = kernels::ClassifyMeasure(snap->semantic_.get());
-  if (info.kind != kernels::SemKind::kVirtual) {
-    snap->flat_semantic_ = std::make_unique<FlatSemanticTable>(
-        FlatSemanticTable::Build(*info.context));
-    snap->sem_devirtualized_ = true;
-  }
+  // The transition table is built by the estimator; the taxonomy
+  // groups and their S table (DESIGN.md §7) only for the four LCA-based
+  // measures, any other measure is called directly.
   snap->estimator_ = std::make_unique<SemSimMcEstimator>(
       snap->graph_.get(), snap->semantic_.get(), snap->walk_index_.get());
-  bool engaged = snap->estimator_->AttachFlatKernel(snap->flat_semantic_.get());
-  SEMSIM_CHECK(engaged == snap->sem_devirtualized_);
+  snap->estimator_->AttachGroups();
   if (options.normalizer_cache_capacity > 0) {
     snap->normalizer_cache_ = std::make_unique<ConcurrentPairCache>(
         static_cast<size_t>(options.normalizer_cache_capacity));
@@ -181,7 +172,6 @@ size_t EngineSnapshot::MemoryBytes() const {
   size_t total = walk_index_->MemoryBytes();
   total += estimator_->transition_table().MemoryBytes();
   total += estimator_->normalizer_groups().MemoryBytes();
-  if (flat_semantic_) total += flat_semantic_->MemoryBytes();
   if (sampler_) total += sampler_->TableBytes();
   if (normalizer_cache_) total += normalizer_cache_->MemoryBytes();
   const SingleSourceIndex* inverted =

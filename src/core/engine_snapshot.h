@@ -51,9 +51,9 @@ struct EngineSnapshotOptions {
 };
 
 /// One immutable, versioned bundle of every artifact a query needs: the
-/// HIN, the semantic measure, the walk index (owned or mapped), the flat
-/// kernel tables, the alias sampler, the normalizer cache,
-/// and the estimator bound over them (DESIGN.md §14). It is the only
+/// HIN, the semantic measure, the walk index (owned or mapped), the alias
+/// sampler, the normalizer cache, and the estimator bound over them with
+/// its transition table and taxonomy groups (DESIGN.md §14). It is the only
 /// way to build that bundle; BatchQueryEngine::CreateFromSnapshot binds
 /// an executor over it.
 ///
@@ -136,17 +136,12 @@ class EngineSnapshot {
   /// Chained FNV-1a over options, graph shape, and walk-index content.
   uint64_t fingerprint() const { return fingerprint_; }
 
-  /// The estimator's transition table, and the flat semantic table
-  /// (nullptr when the measure is not flattenable).
+  /// The estimator's transition table.
   const TransitionTable* transition_table() const {
     return &estimator_->transition_table();
   }
-  const FlatSemanticTable* flat_semantic_table() const {
-    return flat_semantic_.get();
-  }
-  /// True when the flat kernel devirtualized sem(·,·).
-  bool sem_devirtualized() const { return sem_devirtualized_; }
-  /// "flat+<sem kernel name>".
+  /// "flat+" followed by SemSimMcEstimator::sem_kernel_name():
+  /// "flat+group-table", "flat+virtual-grouped" or "flat+virtual".
   std::string kernel_name() const;
 
   /// The alias sampler over the graph's in-neighborhoods; built only
@@ -183,9 +178,7 @@ class EngineSnapshot {
   EngineSnapshotOptions options_;
   uint64_t version_ = 0;
   uint64_t fingerprint_ = 0;
-  bool sem_devirtualized_ = false;
 
-  std::unique_ptr<FlatSemanticTable> flat_semantic_;
   std::unique_ptr<NodeSamplerIndex> sampler_;
   std::unique_ptr<ConcurrentPairCache> normalizer_cache_;
   std::unique_ptr<SemSimMcEstimator> estimator_;

@@ -2,7 +2,6 @@
 
 #include <cmath>
 #include <mutex>
-#include <type_traits>
 #include <vector>
 
 #include "common/logging.h"
@@ -85,70 +84,31 @@ SemSimMcEstimator::SemSimMcEstimator(const Hin* graph,
 
 // ---------------------------------------------------------------------------
 // Kernel dispatch. The inner loops below are member templates over a
-// semantic policy (VirtualSem, one of the Flat*Kernel structs, or
-// GroupTableSem), all stepping through the one TransitionTable; Dispatch
-// selects the instantiation matching the attached semantic table. Every
-// policy returns bit-identical sem(·,·) values; the flat ones drop the
-// virtual calls and sum SO normalizers over taxonomy groups
-// (NormalizerGroups), which changes a normalizer only in its last bits.
-// GroupTableSem serves all four flat measures whenever the groups
-// tabulate S; the Flat*Kernel instantiations remain for taxonomies with
-// more groups than the table's cap.
+// semantic policy, all stepping through the one TransitionTable. There
+// are two policies: GroupTableSem when the groups tabulate S, whose
+// sem(·,·) is one table read, and kernels::VirtualSem otherwise, whose
+// sem(·,·) is a virtual call. Both return the measure's bits. Whether
+// SO normalizers are summed over groups (NormalizerGroups) or by the d²
+// loop depends only on whether AttachGroups built groups; a grouped sum
+// differs from the d² loop only in its last bits.
 // ---------------------------------------------------------------------------
 
 template <typename F>
 auto SemSimMcEstimator::Dispatch(F&& f) const {
   if (groups_.has_table()) return f(GroupTableSem{&groups_});
-  switch (sem_kind_) {
-    case kernels::SemKind::kLin:
-      return f(FlatLinKernel{flat_sem_});
-    case kernels::SemKind::kResnik:
-      return f(FlatResnikKernel{flat_sem_});
-    case kernels::SemKind::kWuPalmer:
-      return f(FlatWuPalmerKernel{flat_sem_});
-    case kernels::SemKind::kPath:
-      return f(FlatPathKernel{flat_sem_});
-    case kernels::SemKind::kVirtual:
-      break;
-  }
   return f(kernels::VirtualSem{semantic_});
 }
 
-bool SemSimMcEstimator::AttachFlatKernel(const FlatSemanticTable* semantics) {
-  flat_sem_ = nullptr;
-  sem_kind_ = kernels::SemKind::kVirtual;
-  groups_ = NormalizerGroups();
-  if (semantics != nullptr) {
-    kernels::SemInfo info = kernels::ClassifyMeasure(semantic_);
-    if (info.kind != kernels::SemKind::kVirtual) {
-      // The table must flatten the measure's own context, otherwise the
-      // devirtualized formulas would read someone else's IC/LCA data.
-      SEMSIM_CHECK(semantics->source() == info.context);
-      flat_sem_ = semantics;
-      sem_kind_ = info.kind;
-      Dispatch([&](const auto& sem) {
-        groups_ = NormalizerGroups::Build(
-            *graph_, *semantics,
-            [&](NodeId a, NodeId b) { return sem.Sim(a, b); });
-      });
-    }
-  }
-  return sem_kind_ != kernels::SemKind::kVirtual;
+bool SemSimMcEstimator::AttachGroups() {
+  const SemanticContext* context = kernels::ClassifyMeasure(semantic_);
+  if (context == nullptr) return false;
+  groups_ = NormalizerGroups::Build(*graph_, *context, *semantic_);
+  return true;
 }
 
 std::string_view SemSimMcEstimator::sem_kernel_name() const {
-  switch (sem_kind_) {
-    case kernels::SemKind::kLin:
-      return "flat-lin";
-    case kernels::SemKind::kResnik:
-      return "flat-resnik";
-    case kernels::SemKind::kWuPalmer:
-      return "flat-wupalmer";
-    case kernels::SemKind::kPath:
-      return "flat-path";
-    case kernels::SemKind::kVirtual:
-      break;
-  }
+  if (groups_.has_table()) return "group-table";
+  if (groups_.has_groups()) return "virtual-grouped";
   return "virtual";
 }
 
@@ -178,16 +138,16 @@ double SemSimMcEstimator::NormalizerT(const Sem& sem, NodeId u, NodeId v,
   auto in_hi = graph_->InNeighbors(hi);
   double norm = 0;
   uint64_t work = static_cast<uint64_t>(in_lo.size()) * in_hi.size();
-  if constexpr (std::is_same_v<Sem, kernels::VirtualSem>) {
+  if (groups_.has_groups()) {
+    // LCA-based measures: the sum over taxonomy groups.
+    norm = groups_.Sum(lo, hi, &work);
+  } else {
     // Any measure: the d² loop of the definition.
     for (const Neighbor& a : in_lo) {
       for (const Neighbor& b : in_hi) {
         norm += a.weight * b.weight * sem.Sim(a.node, b.node);
       }
     }
-  } else {
-    // LCA-based measures: the same sum over taxonomy groups.
-    norm = groups_.Sum(sem, lo, hi, &work);
   }
   if (stats) {
     ++stats->normalizers_computed;

@@ -13,6 +13,7 @@
 #include "core/normalizer_groups.h"
 #include "core/walk_index.h"
 #include "graph/hin.h"
+#include "graph/transition_table.h"
 #include "taxonomy/semantic_measure.h"
 
 namespace semsim {
@@ -145,15 +146,19 @@ inline double ProjectOntoSemBound(double estimate, double sem_uv) {
 /// Cost: every IS step divides by the SO normalizer of its pair. The
 /// paper's bound is O(n_w·t·d²), d² for the Σ_{a∈In(u), b∈In(v)} loop,
 /// and that loop is what a custom or JiangConrath measure still runs.
-/// With a flat kernel attached (Lin, Resnik, Wu–Palmer, Path) the
-/// normalizer is summed over taxonomy groups instead
+/// With groups attached (AttachGroups: Lin, Resnik, Wu–Palmer, Path)
+/// the normalizer is summed over taxonomy groups instead
 /// (NormalizerGroups): O(g_u·g_v + d_u + d_v) per step, with g the
 /// number of groups in an in-neighbourhood (2 for each of the 12
-/// largest hubs of the AMiner-10k and Amazon-3k serving graphs). When
-/// the taxonomy has at most NormalizerGroups::kMaxTableGroups groups,
-/// every sem(·,·) of a step and of a normalizer is one read of the
-/// groups' S table, so no LCA query runs after the build. With the
-/// pruning rules the observed time is on par with SimRank (Sec. 5.2).
+/// largest hubs of the AMiner-10k and Amazon-3k serving graphs).
+///
+/// The inner loops run under one of two semantic policies (DESIGN.md
+/// §7). When the taxonomy has at most NormalizerGroups::kMaxTableGroups
+/// groups, GroupTableSem makes every sem(·,·) of a step and of a
+/// normalizer one read of the groups' S table, so no LCA query runs
+/// after the build. Otherwise kernels::VirtualSem calls the measure.
+/// Both return the measure's bits. With the pruning rules the observed
+/// time is on par with SimRank (Sec. 5.2).
 class SemSimMcEstimator {
  public:
   /// All pointers must outlive the estimator. Builds the estimator's
@@ -170,33 +175,33 @@ class SemSimMcEstimator {
   void set_shared_cache(ConcurrentPairCache* cache) { shared_cache_ = cache; }
   const ConcurrentPairCache* shared_cache() const { return shared_cache_; }
 
-  /// Devirtualizes sem(u,v) through `semantics` when the bound measure
-  /// is one of the four flattenable built-ins (DESIGN.md §7);
-  /// `semantics` must then have been built from that measure's
-  /// SemanticContext (checked), and the estimator builds its
-  /// NormalizerGroups over it, O(|V| + |E| + |C| log |C| + G²). sem(u,v)
-  /// is bit-identical to the virtual path; SO normalizers are summed over
-  /// taxonomy groups, so estimates agree with the virtual path up to
-  /// summation order (≤ 1e-9 relative). The table must outlive the
-  /// estimator. Returns true when the measure was devirtualized (false =
-  /// virtual fallback: `semantics` is nullptr, or the measure is
-  /// JiangConrath or custom).
-  bool AttachFlatKernel(const FlatSemanticTable* semantics);
+  /// Builds the estimator's NormalizerGroups over the bound measure's
+  /// SemanticContext when the measure is Lin, Resnik, Wu–Palmer or Path
+  /// (kernels::ClassifyMeasure; DESIGN.md §7),
+  /// O(|V| + |E| + |C| log |C| + G²). sem(u,v) keeps the measure's bits;
+  /// SO normalizers are summed over taxonomy groups, so estimates agree
+  /// with the d² oracle up to summation order (≤ 1e-9 relative). Returns
+  /// true when groups were built (false for JiangConrath, Constant and
+  /// custom measures, which keep the d² loop). Calling it again rebuilds
+  /// the same groups.
+  bool AttachGroups();
 
   /// The in-edge transition table every step reads.
   const TransitionTable& transition_table() const { return transitions_; }
 
-  /// The grouped-normalizer tables; empty unless a flat kernel is
-  /// attached.
+  /// The grouped-normalizer tables; empty unless AttachGroups built
+  /// them.
   const NormalizerGroups& normalizer_groups() const { return groups_; }
 
-  /// Name of the active semantic kernel: "virtual", or
-  /// "flat-lin" / "flat-resnik" / "flat-wupalmer" / "flat-path".
+  /// Name of the active semantic path: "group-table" (sem(·,·) and SO
+  /// from the S table), "virtual-grouped" (groups above the table cap:
+  /// virtual sem(·,·), SO summed over groups) or "virtual" (no groups:
+  /// virtual sem(·,·), SO by the d² loop).
   std::string_view sem_kernel_name() const;
 
-  /// sem(u, v) through the active semantic kernel — bit-identical to
-  /// semantic().Sim(u, v), minus the virtual dispatch when flat, and one
-  /// table read (NormalizerGroups::NodeSim) when the groups tabulate S.
+  /// sem(u, v) through the active semantic policy — bit-identical to
+  /// semantic().Sim(u, v), and one table read (NormalizerGroups::NodeSim)
+  /// when the groups tabulate S.
   double SemValue(NodeId u, NodeId v) const;
 
   /// Estimates sim(u, v). Unbiased for θ = 0 (Prop. 4.4) before the
@@ -225,8 +230,8 @@ class SemSimMcEstimator {
 
   /// SO(u,v): the semantic-aware normalizer. Served from the shared
   /// cache when one is attached and holds the pair, else computed: over
-  /// taxonomy groups for a flat kernel, by the d² loop for a virtual
-  /// measure. A bit-exact function of the unordered pair.
+  /// taxonomy groups when AttachGroups built them, else by the d² loop.
+  /// A bit-exact function of the unordered pair.
   double Normalizer(NodeId u, NodeId v, McQueryStats* stats = nullptr) const;
 
   /// IS score of the `walk`-th coupled walk from (u,v), given its first
@@ -245,10 +250,10 @@ class SemSimMcEstimator {
   const WalkIndex& index() const { return *index_; }
 
  private:
-  // Templated inner loops, instantiated per semantic policy in
-  // mc_semsim.cc; Dispatch routes a call to the instantiation matching
-  // the attached semantic table (defined there too — all uses are in
-  // that translation unit).
+  // Templated inner loops, instantiated for the two semantic policies in
+  // mc_semsim.cc; Dispatch routes a call to GroupTableSem when the groups
+  // tabulate S, else to kernels::VirtualSem (defined there too — all
+  // uses are in that translation unit).
   template <typename F>
   auto Dispatch(F&& f) const;
   template <typename Sem>
@@ -268,11 +273,8 @@ class SemSimMcEstimator {
   const WalkIndex* index_;
   ConcurrentPairCache* shared_cache_ = nullptr;
   TransitionTable transitions_;
-  // Devirtualized semantics (AttachFlatKernel). Null / kVirtual = the
-  // virtual SemanticMeasure path.
-  const FlatSemanticTable* flat_sem_ = nullptr;
-  kernels::SemKind sem_kind_ = kernels::SemKind::kVirtual;
-  // Grouped SO normalizers over flat_sem_ (empty when virtual).
+  // Grouped SO normalizers and the S table (AttachGroups); empty = the
+  // d² loop.
   NormalizerGroups groups_;
 };
 

@@ -9,22 +9,20 @@
 namespace semsim {
 
 NormalizerGroups NormalizerGroups::BuildForTesting(
-    const Hin& graph, const FlatSemanticTable& semantics,
-    const std::function<double(NodeId, NodeId)>& sim,
-    size_t max_table_groups) {
+    const Hin& graph, const SemanticContext& context,
+    const SemanticMeasure& measure, size_t max_table_groups) {
   SEMSIM_TRACE_SPAN("semsim_normalizer_groups_build");
-  SEMSIM_CHECK(semantics.source() != nullptr);
-  SEMSIM_CHECK(semantics.num_nodes() >= graph.num_nodes());
-  const Taxonomy& taxonomy = semantics.source()->taxonomy();
+  SEMSIM_CHECK(context.num_nodes() >= graph.num_nodes());
+  const Taxonomy& taxonomy = context.taxonomy();
   const size_t num_nodes = graph.num_nodes();
-  const size_t num_concepts = semantics.num_concepts();
+  const size_t num_concepts = taxonomy.num_concepts();
   constexpr uint32_t kNone = ~uint32_t{0};
 
   // The first node of every concept some node maps to.
   std::vector<NodeId> concept_node(num_concepts, kInvalidNode);
   std::vector<ConceptId> used;
   for (NodeId v = 0; v < num_nodes; ++v) {
-    ConceptId c = semantics.concept_of(v);
+    ConceptId c = context.concept_of(v);
     if (concept_node[c] == kInvalidNode) {
       concept_node[c] = v;
       used.push_back(c);
@@ -40,9 +38,9 @@ NormalizerGroups NormalizerGroups::BuildForTesting(
   auto same_group = [&](ConceptId a, ConceptId b) {
     return groupable(a) && groupable(b) &&
            taxonomy.parent(a) == taxonomy.parent(b) &&
-           std::bit_cast<uint64_t>(semantics.concept_ic(a)) ==
-               std::bit_cast<uint64_t>(semantics.concept_ic(b)) &&
-           semantics.concept_depth(a) == semantics.concept_depth(b);
+           std::bit_cast<uint64_t>(context.ic(a)) ==
+               std::bit_cast<uint64_t>(context.ic(b)) &&
+           taxonomy.depth(a) == taxonomy.depth(b);
   };
   std::sort(used.begin(), used.end(), [&](ConceptId a, ConceptId b) {
     const bool ga = groupable(a);
@@ -52,16 +50,17 @@ NormalizerGroups NormalizerGroups::BuildForTesting(
     if (taxonomy.parent(a) != taxonomy.parent(b)) {
       return taxonomy.parent(a) < taxonomy.parent(b);
     }
-    const uint64_t ia = std::bit_cast<uint64_t>(semantics.concept_ic(a));
-    const uint64_t ib = std::bit_cast<uint64_t>(semantics.concept_ic(b));
+    const uint64_t ia = std::bit_cast<uint64_t>(context.ic(a));
+    const uint64_t ib = std::bit_cast<uint64_t>(context.ic(b));
     if (ia != ib) return ia < ib;
-    if (semantics.concept_depth(a) != semantics.concept_depth(b)) {
-      return semantics.concept_depth(a) < semantics.concept_depth(b);
+    if (taxonomy.depth(a) != taxonomy.depth(b)) {
+      return taxonomy.depth(a) < taxonomy.depth(b);
     }
     return a < b;
   });
 
   NormalizerGroups groups;
+  groups.measure_ = &measure;
   std::vector<uint32_t>& concept_group = groups.concept_group_;
   concept_group.assign(num_concepts, kNone);
   // Groups holding several concepts: only their concepts get correction
@@ -75,7 +74,7 @@ NormalizerGroups NormalizerGroups::BuildForTesting(
       if (!multi[g]) {
         multi[g] = 1;
         groups.self_sim_[g] =
-            sim(groups.representative_[g], concept_node[c]);
+            measure.Sim(groups.representative_[g], concept_node[c]);
       }
       continue;
     }
@@ -95,8 +94,8 @@ NormalizerGroups NormalizerGroups::BuildForTesting(
       for (size_t h = 0; h < num_groups; ++h) {
         groups.table_[g * num_groups + h] =
             g == h ? groups.self_sim_[g]
-                   : sim(groups.representative_[g],
-                         groups.representative_[h]);
+                   : measure.Sim(groups.representative_[g],
+                                 groups.representative_[h]);
       }
     }
     groups.self_sim_.clear();
@@ -104,7 +103,7 @@ NormalizerGroups NormalizerGroups::BuildForTesting(
   }
   groups.node_groups_.resize(num_nodes);
   for (NodeId v = 0; v < num_nodes; ++v) {
-    const ConceptId c = semantics.concept_of(v);
+    const ConceptId c = context.concept_of(v);
     groups.node_groups_[v] = NodeGroup{c, concept_group[c]};
   }
 
@@ -123,7 +122,7 @@ NormalizerGroups NormalizerGroups::BuildForTesting(
   for (NodeId u = 0; u < num_nodes; ++u) {
     const uint32_t stamp = u + 1;
     for (const Neighbor& a : graph.InNeighbors(u)) {
-      const ConceptId c = semantics.concept_of(a.node);
+      const ConceptId c = context.concept_of(a.node);
       const uint32_t g = concept_group[c];
       if (group_stamp[g] != stamp) {
         group_stamp[g] = stamp;

@@ -2,13 +2,13 @@
 #define SEMSIM_CORE_NORMALIZER_GROUPS_H_
 
 #include <cstdint>
-#include <functional>
 #include <span>
 #include <vector>
 
 #include "graph/hin.h"
 #include "graph/types.h"
-#include "taxonomy/flat_semantic_table.h"
+#include "taxonomy/semantic_context.h"
+#include "taxonomy/semantic_measure.h"
 
 namespace semsim {
 
@@ -43,13 +43,14 @@ namespace semsim {
 /// Sum() is a bit-exact function of its (ordered) arguments.
 ///
 /// S itself is a dense G×G table of doubles, computed once by Build
-/// through the measure, when there are at most kMaxTableGroups groups
-/// (the AMiner-10k and Amazon-3k serving graphs have 125 and 186). It
-/// holds the value of every sem(a,b) between nodes of distinct
-/// concepts, so with a per-node (concept, group) column NodeSim answers
-/// any sem(a,b) with one table read and no LCA query. Above the cap only
-/// the diagonal S(g,g) is kept, and off-diagonal S(g,h) is evaluated
-/// through the measure per call. Both forms give the same bits.
+/// through the measure's virtual Sim, when there are at most
+/// kMaxTableGroups groups (the AMiner-10k and Amazon-3k serving graphs
+/// have 125 and 186). It holds the value of every sem(a,b) between nodes
+/// of distinct concepts, so with a per-node (concept, group) column
+/// NodeSim answers any sem(a,b) with one table read and no LCA query.
+/// Above the cap only the diagonal S(g,g) is kept, and off-diagonal
+/// S(g,h) is one virtual measure call per use. Both forms give the same
+/// bits.
 ///
 /// Immutable after Build and safe to share read-only across threads.
 class NormalizerGroups {
@@ -73,33 +74,32 @@ class NormalizerGroups {
   /// 8 MiB.
   static constexpr size_t kMaxTableGroups = 1024;
 
-  /// Groups the concepts of `semantics` and aggregates every
-  /// in-neighbourhood of `graph` (whose nodes `semantics` must cover).
-  /// `sim` is the measure the normalizers will be summed under; it is
-  /// called once per group with several concepts, for S(g,g), and, when
-  /// there are at most kMaxTableGroups groups, once per ordered pair of
-  /// distinct groups, for the S table. Reads the taxonomy through
-  /// semantics.source(), which must be alive.
+  /// Groups the concepts of `context` (concept of a node, IC bits,
+  /// depth) and aggregates every in-neighbourhood of `graph`, whose
+  /// nodes `context` must cover. `measure` must be one of Lin, Resnik,
+  /// Wu–Palmer and Path bound to `context` (kernels::ClassifyMeasure);
+  /// the normalizers are summed under it. Its Sim is called once per
+  /// group with several concepts, for S(g,g), and, when there are at
+  /// most kMaxTableGroups groups, once per ordered pair of distinct
+  /// groups, for the S table. Both must outlive the groups.
   /// O(|V| + |E| + |C| log |C| + G²).
-  static NormalizerGroups Build(
-      const Hin& graph, const FlatSemanticTable& semantics,
-      const std::function<double(NodeId, NodeId)>& sim) {
-    return BuildForTesting(graph, semantics, sim, kMaxTableGroups);
+  static NormalizerGroups Build(const Hin& graph,
+                                const SemanticContext& context,
+                                const SemanticMeasure& measure) {
+    return BuildForTesting(graph, context, measure, kMaxTableGroups);
   }
   /// Build with another group cap, so a test can compare the table with
   /// the per-call evaluation on one instance.
-  static NormalizerGroups BuildForTesting(
-      const Hin& graph, const FlatSemanticTable& semantics,
-      const std::function<double(NodeId, NodeId)>& sim,
-      size_t max_table_groups);
+  static NormalizerGroups BuildForTesting(const Hin& graph,
+                                          const SemanticContext& context,
+                                          const SemanticMeasure& measure,
+                                          size_t max_table_groups);
 
-  /// SO(lo, hi) under `sem`, the same measure Build was given. Agrees
-  /// with the d_lo·d_hi loop up to summation order. `sem` is called only
-  /// when there is no table. When `work` is not null it receives
-  /// Work(lo, hi).
-  template <typename Sem>
-  double Sum(const Sem& sem, NodeId lo, NodeId hi,
-             uint64_t* work = nullptr) const {
+  /// SO(lo, hi) under the measure Build was given. Agrees with the
+  /// d_lo·d_hi loop up to summation order. Calls the measure only when
+  /// there is no table. When `work` is not null it receives
+  /// Work(lo, hi). Requires has_groups().
+  double Sum(NodeId lo, NodeId hi, uint64_t* work = nullptr) const {
     if (has_table()) {
       const double* table = table_.data();
       const size_t stride = num_groups();
@@ -110,7 +110,8 @@ class NormalizerGroups {
     return SumOver(
         [&](uint32_t g, uint32_t h) {
           return g == h ? self_sim_[g]
-                        : sem.Sim(representative_[g], representative_[h]);
+                        : measure_->Sim(representative_[g],
+                                        representative_[h]);
         },
         lo, hi, work);
   }
@@ -126,11 +127,13 @@ class NormalizerGroups {
                : table_[x.group * num_groups() + y.group];
   }
 
+  /// Whether Build ran (a default-constructed object has no groups).
+  bool has_groups() const { return measure_ != nullptr; }
   /// Whether S is tabulated (at most kMaxTableGroups groups).
   bool has_table() const { return !table_.empty(); }
   size_t num_groups() const { return representative_.size(); }
 
-  /// The work Sum(·, lo, hi) does: g_lo·g_hi group pairs plus the
+  /// The work Sum(lo, hi) does: g_lo·g_hi group pairs plus the
   /// correction-list entries the same-concept merge reads.
   uint64_t Work(NodeId lo, NodeId hi) const {
     return static_cast<uint64_t>(Groups(lo).size()) * Groups(hi).size() +
@@ -282,6 +285,7 @@ class NormalizerGroups {
 
   static constexpr size_t kGallopRatio = 8;
 
+  const SemanticMeasure* measure_ = nullptr;
   std::vector<size_t> group_offsets_;  // per node, into group_weights_
   std::vector<GroupWeight> group_weights_;
   std::vector<size_t> correction_offsets_;  // per node, into corrections_
@@ -295,9 +299,9 @@ class NormalizerGroups {
   std::vector<double> self_sim_;
 };
 
-/// Semantic policy for the estimator loops (like kernels::VirtualSem)
-/// when the groups tabulate S: every sem(a, b) is NodeSim, one table
-/// read.
+/// Semantic policy for the estimator loops when the groups tabulate S
+/// (the other policy is kernels::VirtualSem): every sem(a, b) is
+/// NodeSim, one table read.
 struct GroupTableSem {
   const NormalizerGroups* groups;
   double Sim(NodeId a, NodeId b) const { return groups->NodeSim(a, b); }

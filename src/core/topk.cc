@@ -44,50 +44,4 @@ std::vector<Scored> MatrixTopK(const ScoreMatrix& scores, NodeId query,
                       [&](NodeId v) { return scores.at(query, v); });
 }
 
-std::vector<Scored> BoundedSemanticTopK(const SemSimMcEstimator& estimator,
-                                        NodeId query, size_t k,
-                                        const SemSimMcOptions& options,
-                                        const std::vector<NodeId>* candidates,
-                                        double slack, size_t* scanned) {
-  // Order candidates by their semantic upper bound, descending.
-  std::vector<Scored> bounds;
-  auto consider = [&](NodeId v) {
-    if (v != query) bounds.push_back(Scored{v, estimator.SemValue(query, v)});
-  };
-  if (candidates) {
-    bounds.reserve(candidates->size());
-    for (NodeId v : *candidates) consider(v);
-  } else {
-    bounds.reserve(estimator.graph().num_nodes());
-    for (NodeId v = 0; v < estimator.graph().num_nodes(); ++v) consider(v);
-  }
-  std::sort(bounds.begin(), bounds.end(),
-            [](const Scored& a, const Scored& b) {
-              return a.score != b.score ? a.score > b.score : a.node < b.node;
-            });
-
-  std::vector<Scored> best;  // kept sorted descending, at most k entries
-  auto insert = [&](Scored s) {
-    auto pos = std::lower_bound(best.begin(), best.end(), s,
-                                [](const Scored& a, const Scored& b) {
-                                  return a.score != b.score
-                                             ? a.score > b.score
-                                             : a.node < b.node;
-                                });
-    best.insert(pos, s);
-    if (best.size() > k) best.pop_back();
-  };
-
-  size_t issued = 0;
-  for (const Scored& bound : bounds) {
-    if (best.size() == k && best.back().score >= slack * bound.score) {
-      break;  // no unvisited candidate can beat the current k-th best
-    }
-    ++issued;
-    insert(Scored{bound.node, estimator.Query(query, bound.node, options)});
-  }
-  if (scanned) *scanned = issued;
-  return best;
-}
-
 }  // namespace semsim

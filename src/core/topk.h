@@ -38,26 +38,6 @@ std::vector<Scored> CallbackTopK(
     const std::vector<NodeId>* candidates,
     const std::function<double(NodeId)>& score_fn);
 
-/// Bound-driven top-k (Prop. 2.5 as a search strategy): candidates are
-/// visited in decreasing sem(query,·) order, and the scan stops once the
-/// current k-th best estimate is at least `slack` × the next candidate's
-/// semantic upper bound — every unvisited candidate's *true* SemSim is
-/// below its sem, so it cannot enter the exact top-k. Statistics of the
-/// scan are reported through `*scanned` (queries actually issued).
-///
-/// Caveat: the MC estimate of a visited pair may slightly exceed its sem
-/// bound (finite-sample noise of the IS ratios), so with slack = 1 the
-/// result is exact w.r.t. true scores and near-exact w.r.t. estimates;
-/// slack < 1 (e.g. 0.8) trades a longer scan for robustness to that
-/// noise.
-std::vector<Scored> BoundedSemanticTopK(const SemSimMcEstimator& estimator,
-                                        NodeId query, size_t k,
-                                        const SemSimMcOptions& options,
-                                        const std::vector<NodeId>* candidates =
-                                            nullptr,
-                                        double slack = 1.0,
-                                        size_t* scanned = nullptr);
-
 }  // namespace semsim
 
 #endif  // SEMSIM_CORE_TOPK_H_

@@ -28,7 +28,6 @@
 #include "graph/hin.h"               // IWYU pragma: export
 #include "graph/transition_table.h"  // IWYU pragma: export
 
-#include "taxonomy/flat_semantic_table.h"  // IWYU pragma: export
 #include "taxonomy/ic.h"                   // IWYU pragma: export
 #include "taxonomy/lca.h"                  // IWYU pragma: export
 #include "taxonomy/semantic_context.h"     // IWYU pragma: export

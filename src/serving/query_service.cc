@@ -169,7 +169,7 @@ QueryResponse QueryService::Impl::Execute(PendingRequest& item) {
 
   // Validated against the snapshot that will serve the request: the
   // node count can change across publishes, and an out-of-range id would
-  // index past the walk index and the flat tables.
+  // index past the walk index and the per-node tables.
   Status valid = ValidateRequest(request, snap->graph().num_nodes());
   if (!valid.ok()) {
     resp.status = std::move(valid);

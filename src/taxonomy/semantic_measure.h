@@ -59,8 +59,8 @@ class LinMeasure : public SemanticMeasure {
 
   std::string_view name() const override { return "Lin"; }
 
-  /// The bound context — lets the flat kernel layer verify a
-  /// FlatSemanticTable was built from the same preprocessing artifact.
+  /// The bound context, whose taxonomy the estimator groups to sum SO
+  /// normalizers and tabulate sem(·,·) (kernels::ClassifyMeasure).
   const SemanticContext* context() const { return ctx_; }
 
  private:

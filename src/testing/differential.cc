@@ -15,14 +15,12 @@
 #include "common/thread_pool.h"
 #include "core/batch_engine.h"
 #include "core/iterative.h"
-#include "core/mc_kernels.h"
 #include "core/mc_simrank.h"
 #include "core/single_source.h"
 #include "core/topk.h"
 #include "graph/graph_io.h"
 #include "graph/node_sampler.h"
 #include "graph/transition_table.h"
-#include "taxonomy/flat_semantic_table.h"
 #include "taxonomy/taxonomy_io.h"
 #include "testing/stat_check.h"
 
@@ -481,18 +479,12 @@ class InstanceRunner {
   // ---- D-G: the MC estimator kernels -------------------------------------
 
   void CheckEstimatorKernels() {
-    // `virt` runs the VirtualSem oracle, `flat` the devirtualized
-    // semantic policy when the measure has one; both step through the
-    // same transition table.
+    // `virt` runs the VirtualSem d² oracle, `flat` the taxonomy groups
+    // and their S table when the measure has them; both step through
+    // the same transition table.
     SemSimMcEstimator virt(hin_.get(), measure_.get(), walks_.get());
     SemSimMcEstimator flat(hin_.get(), measure_.get(), walks_.get());
-    kernels::SemInfo info = kernels::ClassifyMeasure(measure_.get());
-    std::unique_ptr<FlatSemanticTable> flat_sem;
-    if (info.kind != kernels::SemKind::kVirtual) {
-      flat_sem = std::make_unique<FlatSemanticTable>(
-          FlatSemanticTable::Build(*info.context));
-    }
-    flat.AttachFlatKernel(flat_sem.get());
+    flat.AttachGroups();
 
     SemSimMcOptions unpruned{cfg_.mc.decay, 0.0};
     double bias = DifferentialBias(cfg_.mc.decay, cfg_.walks.walk_length,
@@ -516,13 +508,13 @@ class InstanceRunner {
       std::string pair_tag =
           "(" + std::to_string(u) + "," + std::to_string(v) + ")";
 
-      // D: the devirtualized semantic policy matches the VirtualSem d²
-      // oracle. Grouped SO normalizers sum the same terms in another
-      // order, so unpruned estimates agree within roundoff (θ = 0, where
-      // an ulp cannot flip a prune decision); pruned ones stay within
-      // the Prop. 4.6 band θ of the unpruned oracle, as G checks for
-      // the oracle itself. The devirtualized sem matches the measure
-      // bit for bit.
+      // D: the grouped path (S table, grouped SO normalizers) matches
+      // the VirtualSem d² oracle. Grouped SO normalizers sum the same
+      // terms in another order, so unpruned estimates agree within
+      // roundoff (θ = 0, where an ulp cannot flip a prune decision);
+      // pruned ones stay within the Prop. 4.6 band θ of the unpruned
+      // oracle, as G checks for the oracle itself. The table's sem
+      // matches the measure bit for bit.
       double virt0 = virt.Query(u, v, unpruned);
       const double oracle_tol = 1e-12 + 1e-9 * std::abs(virt0);
       CheckNear("flat-vs-virtual", "Query theta=0 " + pair_tag,

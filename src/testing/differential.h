@@ -13,14 +13,14 @@ namespace semsim {
 namespace testing {
 
 /// Which SemanticMeasure a differential instance injects into every
-/// engine (rotated by seed so each built-in — flattenable or not — gets
+/// engine (rotated by seed so each built-in — grouped or not — gets
 /// adversarial graph/taxonomy shapes).
 enum class MeasureKind {
   kLin,
   kResnik,
   kWuPalmer,
   kPath,
-  kJiangConrath,  // not flattenable: exercises the virtual fallback
+  kJiangConrath,  // not grouped: exercises the virtual d² fallback
   kConstant,      // sem ≡ 1: SemSim degenerates to weighted SimRank
 };
 const char* MeasureKindName(MeasureKind kind);
@@ -120,8 +120,8 @@ std::vector<double> MaxWalkWeights(const Hin& graph,
 
 /// Generates the instance for `config` and replays the same query set
 /// through the exact iterative oracle (naive and partial-sums sweeps, 1
-/// and N threads), the MC estimator with virtual and devirtualized
-/// semantics, the BatchQueryEngine (1 and N threads, cold and warm
+/// and N threads), the MC estimator with and without taxonomy groups,
+/// the BatchQueryEngine (1 and N threads, cold and warm
 /// rounds), the single-source sweep and top-k, a serving-artifact
 /// round-trip (Save, then Load and zero-copy Map, compared bit for bit
 /// through the single-source stack), and the alias sampler's

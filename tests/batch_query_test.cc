@@ -11,7 +11,6 @@
 #include "core/walk_index.h"
 #include "datasets/aminer_gen.h"
 #include "datasets/figure1.h"
-#include "taxonomy/flat_semantic_table.h"
 #include "taxonomy/semantic_measure.h"
 #include "tests/test_util.h"
 
@@ -36,22 +35,20 @@ struct Fixture {
   Dataset dataset;
   LinMeasure lin;
   WalkIndex index;
-  FlatSemanticTable flat_sem;
 
   explicit Fixture(Dataset d, int num_walks = 60, int walk_length = 10)
       : dataset(std::move(d)),
         lin(&dataset.context),
         index(WalkIndex::Build(dataset.graph,
                                WalkIndexOptions{num_walks, walk_length, 11,
-                                                false})),
-        flat_sem(FlatSemanticTable::Build(dataset.context)) {}
+                                                false})) {}
 
-  // A cacheless serial estimator with the semantic kernel an engine
-  // snapshot attaches (flat Lin, grouped normalizers).
+  // A cacheless serial estimator with the semantic path an engine
+  // snapshot attaches (Lin from the S table, grouped normalizers).
   std::unique_ptr<SemSimMcEstimator> Plain() const {
     auto plain = std::make_unique<SemSimMcEstimator>(&dataset.graph, &lin,
                                                      &index);
-    EXPECT_TRUE(plain->AttachFlatKernel(&flat_sem));
+    EXPECT_TRUE(plain->AttachGroups());
     return plain;
   }
 

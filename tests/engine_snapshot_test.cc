@@ -41,7 +41,7 @@ TEST(EngineSnapshot, BuildDerivesArtifactsAndFingerprint) {
   EXPECT_EQ(&snap->graph(), &w.graph);
   EXPECT_EQ(snap->walk_index().num_walks(), SmallWalks().num_walks);
   EXPECT_GT(snap->MemoryBytes(), 0u);
-  // Default query options use the flat kernel on a flattenable graph.
+  // Every snapshot's estimator steps through its transition table.
   EXPECT_NE(snap->transition_table(), nullptr);
 
   // Same inputs, same fingerprint; a different sampling seed changes the

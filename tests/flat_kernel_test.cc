@@ -12,13 +12,13 @@
 #include "core/walk_index.h"
 #include "datasets/aminer_gen.h"
 #include "datasets/figure1.h"
-#include "taxonomy/flat_semantic_table.h"
 #include "taxonomy/semantic_measure.h"
 #include "tests/test_util.h"
 
 namespace semsim {
 namespace {
 
+using testutil::MakeAboveCapChain;
 using testutil::Unwrap;
 
 Dataset Figure1() { return Unwrap(MakeFigure1Dataset()); }
@@ -30,7 +30,7 @@ Dataset Aminer() {
   return Unwrap(GenerateAminer(opt));
 }
 
-// The tolerance a flat estimate keeps against the virtual d² oracle:
+// The tolerance a grouped estimate keeps against the virtual d² oracle:
 // grouped SO normalizers (NormalizerGroups) sum the same terms in another
 // order, so estimates agree up to roundoff, not bit for bit. Compared at
 // θ = 0, where an ulp cannot flip a prune decision.
@@ -48,54 +48,10 @@ std::vector<NodePair> MakePairs(size_t num_nodes, size_t count) {
 }
 
 // ---------------------------------------------------------------------------
-// Layer 1: the devirtualized measure kernels agree with their virtual
-// counterparts bit-for-bit, on every node pair.
+// Layer 1: the four LCA-based measures are recognised by their context.
 // ---------------------------------------------------------------------------
 
-TEST(FlatSemanticTable, LcaMatchesContext) {
-  for (const Dataset& d : {Figure1(), Aminer()}) {
-    FlatSemanticTable table = FlatSemanticTable::Build(d.context);
-    size_t concepts = table.num_concepts();
-    for (ConceptId a = 0; a < concepts; ++a) {
-      for (ConceptId b = 0; b < concepts; ++b) {
-        ASSERT_EQ(table.Lca(a, b), d.context.Lca(a, b))
-            << "concepts " << a << "," << b;
-      }
-    }
-    for (NodeId u = 0; u < d.graph.num_nodes(); ++u) {
-      for (NodeId v = 0; v < d.graph.num_nodes(); ++v) {
-        ASSERT_EQ(table.LcaOfNodes(u, v),
-                  d.context.Lca(d.context.concept_of(u),
-                                d.context.concept_of(v)));
-      }
-    }
-  }
-}
-
-template <typename Measure, typename Kernel>
-void CheckSimEquivalence(const Dataset& d) {
-  Measure measure(&d.context);
-  FlatSemanticTable table = FlatSemanticTable::Build(d.context);
-  Kernel kernel{&table};
-  for (NodeId u = 0; u < d.graph.num_nodes(); ++u) {
-    for (NodeId v = 0; v < d.graph.num_nodes(); ++v) {
-      // Bit-equality, not tolerance: the kernels mirror the formulas.
-      ASSERT_EQ(kernel.Sim(u, v), measure.Sim(u, v))
-          << measure.name() << " nodes " << u << "," << v;
-    }
-  }
-}
-
-TEST(FlatSemanticTable, KernelsMatchVirtualMeasures) {
-  for (const Dataset& d : {Figure1(), Aminer()}) {
-    CheckSimEquivalence<LinMeasure, FlatLinKernel>(d);
-    CheckSimEquivalence<ResnikMeasure, FlatResnikKernel>(d);
-    CheckSimEquivalence<WuPalmerMeasure, FlatWuPalmerKernel>(d);
-    CheckSimEquivalence<PathMeasure, FlatPathKernel>(d);
-  }
-}
-
-TEST(MeasureClassification, DetectsFlattenableMeasures) {
+TEST(MeasureClassification, ReturnsTheContextOfGroupableMeasures) {
   Dataset d = Figure1();
   LinMeasure lin(&d.context);
   ResnikMeasure resnik(&d.context);
@@ -103,35 +59,33 @@ TEST(MeasureClassification, DetectsFlattenableMeasures) {
   PathMeasure path(&d.context);
   JiangConrathMeasure jc(&d.context);
   ConstantMeasure constant;
-  EXPECT_EQ(kernels::ClassifyMeasure(&lin).kind, kernels::SemKind::kLin);
-  EXPECT_EQ(kernels::ClassifyMeasure(&resnik).kind,
-            kernels::SemKind::kResnik);
-  EXPECT_EQ(kernels::ClassifyMeasure(&wp).kind, kernels::SemKind::kWuPalmer);
-  EXPECT_EQ(kernels::ClassifyMeasure(&path).kind, kernels::SemKind::kPath);
-  EXPECT_EQ(kernels::ClassifyMeasure(&jc).kind, kernels::SemKind::kVirtual);
-  EXPECT_EQ(kernels::ClassifyMeasure(&constant).kind,
-            kernels::SemKind::kVirtual);
-  EXPECT_EQ(kernels::ClassifyMeasure(&lin).context, &d.context);
+  EXPECT_EQ(kernels::ClassifyMeasure(&lin), &d.context);
+  EXPECT_EQ(kernels::ClassifyMeasure(&resnik), &d.context);
+  EXPECT_EQ(kernels::ClassifyMeasure(&wp), &d.context);
+  EXPECT_EQ(kernels::ClassifyMeasure(&path), &d.context);
+  EXPECT_EQ(kernels::ClassifyMeasure(&jc), nullptr);
+  EXPECT_EQ(kernels::ClassifyMeasure(&constant), nullptr);
 }
 
 // ---------------------------------------------------------------------------
 // Layer 2: estimator-level agreement — single-pair, single-source and
-// top-k answers with devirtualized semantics match the virtual d² oracle
-// within OracleTolerance at θ = 0; with pruning, they stay within the
-// Prop. 4.6 band (θ) of the unpruned oracle.
+// top-k answers with taxonomy groups (S table, grouped normalizers)
+// match the virtual d² oracle within OracleTolerance at θ = 0; with
+// pruning, they stay within the Prop. 4.6 band (θ) of the unpruned
+// oracle.
 // ---------------------------------------------------------------------------
 
 template <typename Measure>
-void CheckEstimatorEquivalence(const Dataset& d, const char* flat_name) {
+void CheckEstimatorEquivalence(const Dataset& d,
+                               const char* grouped_name = "group-table") {
   Measure measure(&d.context);
   WalkIndex index = WalkIndex::Build(d.graph,
                                      WalkIndexOptions{40, 8, 13, false});
-  FlatSemanticTable semantics = FlatSemanticTable::Build(d.context);
 
   SemSimMcEstimator virt(&d.graph, &measure, &index);
   SemSimMcEstimator flat(&d.graph, &measure, &index);
-  ASSERT_TRUE(flat.AttachFlatKernel(&semantics));
-  EXPECT_EQ(flat.sem_kernel_name(), flat_name);
+  ASSERT_TRUE(flat.AttachGroups());
+  EXPECT_EQ(flat.sem_kernel_name(), grouped_name);
   EXPECT_EQ(virt.sem_kernel_name(), "virtual");
   EXPECT_EQ(flat.transition_table().num_nodes(), d.graph.num_nodes());
 
@@ -177,45 +131,52 @@ void CheckEstimatorEquivalence(const Dataset& d, const char* flat_name) {
     }
   }
 
-  // Re-attaching nothing restores the virtual path, bit for bit.
-  EXPECT_FALSE(flat.AttachFlatKernel(nullptr));
-  EXPECT_EQ(flat.sem_kernel_name(), "virtual");
-  ASSERT_EQ(flat.Query(pairs[0].first, pairs[0].second, pruned),
-            virt.Query(pairs[0].first, pairs[0].second, pruned));
+  // Attaching again rebuilds the same groups, bit for bit.
+  const double before = flat.Query(pairs[0].first, pairs[0].second, pruned);
+  ASSERT_TRUE(flat.AttachGroups());
+  EXPECT_EQ(flat.sem_kernel_name(), grouped_name);
+  ASSERT_EQ(flat.Query(pairs[0].first, pairs[0].second, pruned), before);
 }
 
 TEST(FlatKernelEstimator, LinMatchesVirtualOracle) {
-  CheckEstimatorEquivalence<LinMeasure>(Figure1(), "flat-lin");
-  CheckEstimatorEquivalence<LinMeasure>(Aminer(), "flat-lin");
+  CheckEstimatorEquivalence<LinMeasure>(Figure1());
+  CheckEstimatorEquivalence<LinMeasure>(Aminer());
 }
 
 TEST(FlatKernelEstimator, ResnikMatchesVirtualOracle) {
-  CheckEstimatorEquivalence<ResnikMeasure>(Figure1(), "flat-resnik");
-  CheckEstimatorEquivalence<ResnikMeasure>(Aminer(), "flat-resnik");
+  CheckEstimatorEquivalence<ResnikMeasure>(Figure1());
+  CheckEstimatorEquivalence<ResnikMeasure>(Aminer());
 }
 
 TEST(FlatKernelEstimator, WuPalmerMatchesVirtualOracle) {
-  CheckEstimatorEquivalence<WuPalmerMeasure>(Figure1(), "flat-wupalmer");
-  CheckEstimatorEquivalence<WuPalmerMeasure>(Aminer(), "flat-wupalmer");
+  CheckEstimatorEquivalence<WuPalmerMeasure>(Figure1());
+  CheckEstimatorEquivalence<WuPalmerMeasure>(Aminer());
 }
 
 TEST(FlatKernelEstimator, PathMatchesVirtualOracle) {
-  CheckEstimatorEquivalence<PathMeasure>(Figure1(), "flat-path");
-  CheckEstimatorEquivalence<PathMeasure>(Aminer(), "flat-path");
+  CheckEstimatorEquivalence<PathMeasure>(Figure1());
+  CheckEstimatorEquivalence<PathMeasure>(Aminer());
+}
+
+// Above the table's cap the IS steps call the measure and S(g,h) is one
+// measure call per use: estimates still match the d² oracle, and
+// SemValue is the measure's bits.
+TEST(FlatKernelEstimator, AboveTheCapMatchesVirtualOracle) {
+  Dataset chain = MakeAboveCapChain();
+  CheckEstimatorEquivalence<LinMeasure>(chain, "virtual-grouped");
 }
 
 TEST(FlatKernelEstimator, JiangConrathStaysVirtual) {
-  // JiangConrath has no flat kernel: AttachFlatKernel must keep the
-  // virtual semantics even when handed a table.
+  // JiangConrath is not grouped: AttachGroups must keep the d² loop and
+  // the virtual semantics.
   Dataset d = Figure1();
   JiangConrathMeasure measure(&d.context);
   WalkIndex index = WalkIndex::Build(d.graph,
                                      WalkIndexOptions{40, 8, 13, false});
-  FlatSemanticTable semantics = FlatSemanticTable::Build(d.context);
 
   SemSimMcEstimator virt(&d.graph, &measure, &index);
   SemSimMcEstimator flat(&d.graph, &measure, &index);
-  EXPECT_FALSE(flat.AttachFlatKernel(&semantics));
+  EXPECT_FALSE(flat.AttachGroups());
   EXPECT_EQ(flat.sem_kernel_name(), "virtual");
 
   SemSimMcOptions opt{0.6, 0.05};
@@ -226,8 +187,8 @@ TEST(FlatKernelEstimator, JiangConrathStaysVirtual) {
 }
 
 // ---------------------------------------------------------------------------
-// Layer 3: engine-level agreement — a BatchQueryEngine (devirtualized
-// semantics, grouped normalizers, shared normalizer cache) returns the
+// Layer 3: engine-level agreement — a BatchQueryEngine (S table,
+// grouped normalizers, shared normalizer cache) returns the
 // same bits at 1, 2 and 8 threads across repeated rounds (cache history
 // must not matter), and those answers match a bare estimator with
 // virtual semantics within OracleTolerance.
@@ -281,9 +242,9 @@ TEST(FlatKernelEngine, BatchesMatchVirtualEstimatorAcrossThreads) {
     for (int threads : {1, 2, 8}) {
       BatchQueryEngine engine = EngineOver(d, lin, index, threads, mc);
       const EngineSnapshot& snap = *engine.snapshot();
-      EXPECT_EQ(snap.kernel_name(), "flat+flat-lin");
+      EXPECT_EQ(snap.kernel_name(), "flat+group-table");
       ASSERT_NE(snap.transition_table(), nullptr);
-      ASSERT_NE(snap.flat_semantic_table(), nullptr);
+      ASSERT_TRUE(snap.estimator().normalizer_groups().has_table());
 
       for (int round = 0; round < 2; ++round) {
         std::vector<double> got = engine.QueryBatch(pairs).values;
@@ -332,7 +293,7 @@ TEST(FlatKernelEngine, ConstantMeasureFallsBackToVirtual) {
   BatchQueryEngine engine = EngineOver(d, constant, index, 2);
   const EngineSnapshot& snap = *engine.snapshot();
   EXPECT_EQ(snap.kernel_name(), "flat+virtual");
-  EXPECT_EQ(snap.flat_semantic_table(), nullptr);
+  EXPECT_FALSE(snap.estimator().normalizer_groups().has_groups());
   ASSERT_NE(snap.transition_table(), nullptr);
 
   SemSimMcEstimator virt(&d.graph, &constant, &index);

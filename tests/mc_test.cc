@@ -149,7 +149,7 @@ TEST(SemSimMcIs, CacheGivesIdenticalScores) {
   LinMeasure lin(&w.context);
   WalkIndex index = WalkIndex::Build(w.graph, BigIndex(23));
   // Pre-fill a shared cache with every pair's normalizer, the way the
-  // SLING experiment does. Neither estimator attaches a flat kernel, so
+  // SLING experiment does. Neither estimator attaches groups, so
   // both sum the d² loop in PairGraph::Normalizer's order: bit-exact.
   PairGraph pg(&w.graph, &lin);
   const NodeId n = static_cast<NodeId>(w.graph.num_nodes());
@@ -352,10 +352,9 @@ TEST(SemSimMcIs, CachelessEstimatorComputesFirstStepNormalizerOncePerPair) {
   wopt.walk_length = 4;
   wopt.seed = 5;
   WalkIndex index = WalkIndex::Build(g, wopt);
-  FlatSemanticTable flat_table = FlatSemanticTable::Build(ctx);
   SemSimMcEstimator virt(&g, &lin, &index);
   SemSimMcEstimator flat(&g, &lin, &index);
-  ASSERT_TRUE(flat.AttachFlatKernel(&flat_table));
+  ASSERT_TRUE(flat.AttachGroups());
   SingleSourceIndex inverted = SingleSourceIndex::Build(index);
   SemSimMcOptions mc{0.6, 0.0};
   for (const SemSimMcEstimator* est : {&virt, &flat}) {

@@ -14,7 +14,6 @@
 #include "core/mc_semsim.h"
 #include "datasets/amazon_gen.h"
 #include "datasets/aminer_gen.h"
-#include "taxonomy/flat_semantic_table.h"
 #include "taxonomy/semantic_measure.h"
 #include "testing/random_hin.h"
 #include "testing/random_taxonomy.h"
@@ -38,23 +37,14 @@ double D2Normalizer(const Hin& g, const SemanticMeasure& m, NodeId lo,
   return norm;
 }
 
-template <typename Kernel>
-NormalizerGroups BuildGroups(const Hin& g, const FlatSemanticTable& table) {
-  Kernel kernel{&table};
-  return NormalizerGroups::Build(
-      g, table, [&](NodeId a, NodeId b) { return kernel.Sim(a, b); });
-}
-
 // Grouped sum vs the d² sum for the ordered pairs (lo, hi), lo <= hi, of
 // `nodes` (all nodes when empty).
-template <typename Measure, typename Kernel>
+template <typename Measure>
 void ExpectGroupedMatchesD2(const Hin& g, const SemanticContext& ctx,
-                              const std::string& tag,
-                              std::vector<NodeId> nodes = {}) {
+                            const std::string& tag,
+                            std::vector<NodeId> nodes = {}) {
   Measure measure(&ctx);
-  FlatSemanticTable table = FlatSemanticTable::Build(ctx);
-  NormalizerGroups groups = BuildGroups<Kernel>(g, table);
-  Kernel kernel{&table};
+  NormalizerGroups groups = NormalizerGroups::Build(g, ctx, measure);
   if (nodes.empty()) {
     for (NodeId v = 0; v < g.num_nodes(); ++v) nodes.push_back(v);
   }
@@ -64,7 +54,7 @@ void ExpectGroupedMatchesD2(const Hin& g, const SemanticContext& ctx,
       const NodeId lo = nodes[i];
       const NodeId hi = nodes[j];
       const double want = D2Normalizer(g, measure, lo, hi);
-      const double got = groups.Sum(kernel, lo, hi);
+      const double got = groups.Sum(lo, hi);
       EXPECT_NEAR(got, want, 1e-12 + 1e-10 * want)
           << tag << " " << measure.name() << " pair (" << lo << "," << hi
           << ")";
@@ -77,10 +67,10 @@ void ExpectGroupedMatchesD2(const Hin& g, const SemanticContext& ctx,
 
 void ExpectAllMeasures(const Hin& g, const SemanticContext& ctx,
                        const std::string& tag) {
-  ExpectGroupedMatchesD2<LinMeasure, FlatLinKernel>(g, ctx, tag);
-  ExpectGroupedMatchesD2<ResnikMeasure, FlatResnikKernel>(g, ctx, tag);
-  ExpectGroupedMatchesD2<WuPalmerMeasure, FlatWuPalmerKernel>(g, ctx, tag);
-  ExpectGroupedMatchesD2<PathMeasure, FlatPathKernel>(g, ctx, tag);
+  ExpectGroupedMatchesD2<LinMeasure>(g, ctx, tag);
+  ExpectGroupedMatchesD2<ResnikMeasure>(g, ctx, tag);
+  ExpectGroupedMatchesD2<WuPalmerMeasure>(g, ctx, tag);
+  ExpectGroupedMatchesD2<PathMeasure>(g, ctx, tag);
 }
 
 // Random HINs (parallel edges, self-loops, dangling nodes, skewed
@@ -214,12 +204,11 @@ TEST(NormalizerGroups, HandmadeCasesMatchD2Sum) {
 
 TEST(NormalizerGroups, HandmadeGroupStructure) {
   Handmade h = MakeHandmade();
-  FlatSemanticTable table = FlatSemanticTable::Build(h.context);
-  NormalizerGroups groups = BuildGroups<FlatLinKernel>(h.graph, table);
-  FlatLinKernel lin{&table};
+  LinMeasure lin(&h.context);
+  NormalizerGroups groups = NormalizerGroups::Build(h.graph, h.context, lin);
   // The entry of In(u) holding `node`'s group.
   auto group_of = [&](NodeId node) {
-    const uint32_t g = groups.group_of(table.concept_of(node));
+    const uint32_t g = groups.group_of(h.context.concept_of(node));
     for (const NormalizerGroups::GroupWeight& gw : groups.Groups(h.u)) {
       if (gw.group == g) return gw;
     }
@@ -247,16 +236,16 @@ TEST(NormalizerGroups, HandmadeGroupStructure) {
   // concept order.
   auto corr = groups.Corrections(h.u);
   ASSERT_EQ(corr.size(), 2u);
-  EXPECT_EQ(corr[0].concept_id, table.concept_of(h.a1));
+  EXPECT_EQ(corr[0].concept_id, h.context.concept_of(h.a1));
   EXPECT_EQ(corr[0].weight, 2.0 + 0.5 + 1.0);
-  EXPECT_EQ(corr[1].concept_id, table.concept_of(h.b1));
+  EXPECT_EQ(corr[1].concept_id, h.context.concept_of(h.b1));
   EXPECT_EQ(corr[1].weight, 1.5);
 
   // A node without in-neighbours has no groups and a zero normalizer.
   EXPECT_TRUE(groups.Groups(h.z).empty());
   EXPECT_TRUE(groups.Corrections(h.z).empty());
-  EXPECT_EQ(groups.Sum(lin, h.u, h.z), 0.0);
-  EXPECT_EQ(groups.Sum(lin, h.z, h.z), 0.0);
+  EXPECT_EQ(groups.Sum(h.u, h.z), 0.0);
+  EXPECT_EQ(groups.Sum(h.z, h.z), 0.0);
   // z has no correction entries, so the merge reads none of u's.
   EXPECT_EQ(groups.Work(h.u, h.z), 0u);
 }
@@ -284,33 +273,29 @@ TEST(NormalizerGroups, GeneratedAminerHubsMatchD2Sum) {
   nodes.erase(std::unique(nodes.begin(), nodes.end()), nodes.end());
   ASSERT_GT(d.graph.InDegree(by_degree[0]), 100u);
 
-  ExpectGroupedMatchesD2<LinMeasure, FlatLinKernel>(d.graph, d.context,
-                                                    "aminer", nodes);
-  ExpectGroupedMatchesD2<ResnikMeasure, FlatResnikKernel>(d.graph, d.context,
-                                                          "aminer", nodes);
-  ExpectGroupedMatchesD2<WuPalmerMeasure, FlatWuPalmerKernel>(
-      d.graph, d.context, "aminer", nodes);
-  ExpectGroupedMatchesD2<PathMeasure, FlatPathKernel>(d.graph, d.context,
-                                                      "aminer", nodes);
+  ExpectGroupedMatchesD2<LinMeasure>(d.graph, d.context, "aminer", nodes);
+  ExpectGroupedMatchesD2<ResnikMeasure>(d.graph, d.context, "aminer", nodes);
+  ExpectGroupedMatchesD2<WuPalmerMeasure>(d.graph, d.context, "aminer",
+                                          nodes);
+  ExpectGroupedMatchesD2<PathMeasure>(d.graph, d.context, "aminer", nodes);
 
-  FlatSemanticTable table = FlatSemanticTable::Build(d.context);
-  NormalizerGroups groups = BuildGroups<FlatLinKernel>(d.graph, table);
+  LinMeasure lin(&d.context);
+  NormalizerGroups groups = NormalizerGroups::Build(d.graph, d.context, lin);
   const NodeId hub = by_degree[0];
   EXPECT_LT(groups.Groups(hub).size() * 10, d.graph.InDegree(hub));
 }
 
 // Reference for Sum(): the group double loop, then a linear merge of
 // both correction lists in full.
-template <typename Kernel>
-double LinearMergeSum(const NormalizerGroups& groups, const Kernel& kernel,
-                      NodeId lo, NodeId hi) {
+double LinearMergeSum(const NormalizerGroups& groups,
+                      const SemanticMeasure& measure, NodeId lo, NodeId hi) {
   double norm = 0;
   for (const NormalizerGroups::GroupWeight& a : groups.Groups(lo)) {
     for (const NormalizerGroups::GroupWeight& b : groups.Groups(hi)) {
       const double s = a.group == b.group
                            ? groups.self_sim(a.group)
-                           : kernel.Sim(groups.representative(a.group),
-                                        groups.representative(b.group));
+                           : measure.Sim(groups.representative(a.group),
+                                         groups.representative(b.group));
       norm += a.weight * b.weight * s;
     }
   }
@@ -340,9 +325,8 @@ TEST(NormalizerGroups, GallopingMergeIsBitIdenticalToLinearMerge) {
   opt.num_authors = 600;
   opt.seed = 1;
   Dataset d = Unwrap(GenerateAminer(opt));
-  FlatSemanticTable table = FlatSemanticTable::Build(d.context);
-  NormalizerGroups groups = BuildGroups<FlatLinKernel>(d.graph, table);
-  FlatLinKernel lin{&table};
+  LinMeasure lin(&d.context);
+  NormalizerGroups groups = NormalizerGroups::Build(d.graph, d.context, lin);
   std::vector<NodeId> by_corrections(d.graph.num_nodes());
   for (NodeId v = 0; v < d.graph.num_nodes(); ++v) by_corrections[v] = v;
   std::sort(by_corrections.begin(), by_corrections.end(),
@@ -372,7 +356,7 @@ TEST(NormalizerGroups, GallopingMergeIsBitIdenticalToLinearMerge) {
       const NodeId lo = std::min(hub, leaf);
       const NodeId hi = std::max(hub, leaf);
       uint64_t work = 0;
-      const double got = groups.Sum(lin, lo, hi, &work);
+      const double got = groups.Sum(lo, hi, &work);
       EXPECT_EQ(got, LinearMergeSum(groups, lin, lo, hi))
           << "hub " << hub << " leaf " << leaf;
       EXPECT_EQ(work, groups.Work(lo, hi));
@@ -389,7 +373,7 @@ TEST(NormalizerGroups, GallopingMergeIsBitIdenticalToLinearMerge) {
     for (NodeId other : hubs) {
       const NodeId lo = std::min(hub, other);
       const NodeId hi = std::max(hub, other);
-      EXPECT_EQ(groups.Sum(lin, lo, hi), LinearMergeSum(groups, lin, lo, hi))
+      EXPECT_EQ(groups.Sum(lo, hi), LinearMergeSum(groups, lin, lo, hi))
           << "hubs " << lo << "," << hi;
     }
   }
@@ -400,21 +384,19 @@ TEST(NormalizerGroups, GallopingMergeIsBitIdenticalToLinearMerge) {
 
 uint64_t Bits(double x) { return std::bit_cast<uint64_t>(x); }
 
-// With the table: NodeSim equals the kernel bit for bit on every pair of
-// `sim_nodes` (all nodes when empty), and Sum with the table equals Sum
-// evaluating S through the kernel on every pair (lo, hi), lo <= hi, of
-// `sum_nodes` (`sim_nodes` when empty), in bits and work.
-template <typename Kernel>
-void ExpectTableMatchesKernel(const Hin& g, const SemanticContext& ctx,
-                              const std::string& tag,
-                              std::vector<NodeId> sim_nodes = {},
-                              std::vector<NodeId> sum_nodes = {}) {
-  FlatSemanticTable table = FlatSemanticTable::Build(ctx);
-  Kernel kernel{&table};
-  auto sim = [&](NodeId a, NodeId b) { return kernel.Sim(a, b); };
-  NormalizerGroups tabled = NormalizerGroups::Build(g, table, sim);
-  NormalizerGroups untabled =
-      NormalizerGroups::BuildForTesting(g, table, sim, /*max_table_groups=*/0);
+// With the table: NodeSim equals the measure bit for bit on every pair
+// of `sim_nodes` (all nodes when empty), and Sum with the table equals
+// Sum evaluating S through the measure on every pair (lo, hi), lo <= hi,
+// of `sum_nodes` (`sim_nodes` when empty), in bits and work.
+template <typename Measure>
+void ExpectTableMatchesMeasure(const Hin& g, const SemanticContext& ctx,
+                               const std::string& tag,
+                               std::vector<NodeId> sim_nodes = {},
+                               std::vector<NodeId> sum_nodes = {}) {
+  Measure measure(&ctx);
+  NormalizerGroups tabled = NormalizerGroups::Build(g, ctx, measure);
+  NormalizerGroups untabled = NormalizerGroups::BuildForTesting(
+      g, ctx, measure, /*max_table_groups=*/0);
   ASSERT_TRUE(tabled.has_table()) << tag;
   ASSERT_FALSE(untabled.has_table()) << tag;
   ASSERT_EQ(tabled.num_groups(), untabled.num_groups()) << tag;
@@ -424,7 +406,7 @@ void ExpectTableMatchesKernel(const Hin& g, const SemanticContext& ctx,
   if (sum_nodes.empty()) sum_nodes = sim_nodes;
   for (NodeId a : sim_nodes) {
     for (NodeId b : sim_nodes) {
-      ASSERT_EQ(Bits(tabled.NodeSim(a, b)), Bits(kernel.Sim(a, b)))
+      ASSERT_EQ(Bits(tabled.NodeSim(a, b)), Bits(measure.Sim(a, b)))
           << tag << " pair (" << a << "," << b << ")";
     }
   }
@@ -438,8 +420,8 @@ void ExpectTableMatchesKernel(const Hin& g, const SemanticContext& ctx,
       const NodeId hi = sum_nodes[j];
       uint64_t work_tabled = 0;
       uint64_t work_untabled = 0;
-      const double with = tabled.Sum(kernel, lo, hi, &work_tabled);
-      const double without = untabled.Sum(kernel, lo, hi, &work_untabled);
+      const double with = tabled.Sum(lo, hi, &work_tabled);
+      const double without = untabled.Sum(lo, hi, &work_untabled);
       ASSERT_EQ(Bits(with), Bits(without))
           << tag << " pair (" << lo << "," << hi << ")";
       ASSERT_EQ(work_tabled, work_untabled) << tag;
@@ -448,21 +430,21 @@ void ExpectTableMatchesKernel(const Hin& g, const SemanticContext& ctx,
   EXPECT_GT(tabled.MemoryBytes(), untabled.MemoryBytes());
 }
 
-void ExpectTableMatchesAllKernels(const Hin& g, const SemanticContext& ctx,
-                                  const std::string& tag,
-                                  const std::vector<NodeId>& sim_nodes = {},
-                                  const std::vector<NodeId>& sum_nodes = {}) {
-  ExpectTableMatchesKernel<FlatLinKernel>(g, ctx, tag + " lin", sim_nodes,
-                                          sum_nodes);
-  ExpectTableMatchesKernel<FlatResnikKernel>(g, ctx, tag + " resnik",
-                                             sim_nodes, sum_nodes);
-  ExpectTableMatchesKernel<FlatWuPalmerKernel>(g, ctx, tag + " wupalmer",
-                                               sim_nodes, sum_nodes);
-  ExpectTableMatchesKernel<FlatPathKernel>(g, ctx, tag + " path", sim_nodes,
+void ExpectTableMatchesAllMeasures(const Hin& g, const SemanticContext& ctx,
+                                   const std::string& tag,
+                                   const std::vector<NodeId>& sim_nodes = {},
+                                   const std::vector<NodeId>& sum_nodes = {}) {
+  ExpectTableMatchesMeasure<LinMeasure>(g, ctx, tag + " lin", sim_nodes,
+                                        sum_nodes);
+  ExpectTableMatchesMeasure<ResnikMeasure>(g, ctx, tag + " resnik", sim_nodes,
                                            sum_nodes);
+  ExpectTableMatchesMeasure<WuPalmerMeasure>(g, ctx, tag + " wupalmer",
+                                             sim_nodes, sum_nodes);
+  ExpectTableMatchesMeasure<PathMeasure>(g, ctx, tag + " path", sim_nodes,
+                                         sum_nodes);
 }
 
-TEST(NormalizerGroupsTable, RandomInstancesMatchKernelBits) {
+TEST(NormalizerGroupsTable, RandomInstancesMatchMeasureBits) {
   for (uint64_t seed = 1; seed <= 16; ++seed) {
     Rng r(seed * 0xD1B54A32D192ED03ULL);
     testing::RandomHinOptions hin;
@@ -489,17 +471,16 @@ TEST(NormalizerGroupsTable, RandomInstancesMatchKernelBits) {
     }
     SemanticContext ctx = Unwrap(SemanticContext::FromTaxonomyWithIc(
         std::move(taxonomy), std::move(node_concept), std::move(ic)));
-    ExpectTableMatchesAllKernels(g, ctx, "seed " + std::to_string(seed));
+    ExpectTableMatchesAllMeasures(g, ctx, "seed " + std::to_string(seed));
     SemanticContext seco = Unwrap(testing::GenerateRandomContext(g, tax));
-    ExpectTableMatchesAllKernels(g, seco, "seco seed " + std::to_string(seed));
+    ExpectTableMatchesAllMeasures(g, seco, "seco seed " + std::to_string(seed));
   }
 }
 
 TEST(NormalizerGroupsTable, HandmadeTableEntries) {
   Handmade h = MakeHandmade();
-  FlatSemanticTable table = FlatSemanticTable::Build(h.context);
-  NormalizerGroups groups = BuildGroups<FlatLinKernel>(h.graph, table);
-  FlatLinKernel lin{&table};
+  LinMeasure lin(&h.context);
+  NormalizerGroups groups = NormalizerGroups::Build(h.graph, h.context, lin);
   ASSERT_TRUE(groups.has_table());
   // One concept: 1. Two concepts of the L1/L2 group: S(g,g) < 1.
   EXPECT_EQ(groups.NodeSim(h.a1, h.a2), 1.0);
@@ -509,7 +490,7 @@ TEST(NormalizerGroupsTable, HandmadeTableEntries) {
   // Across groups, in both orders.
   EXPECT_EQ(groups.NodeSim(h.c1, h.q1), lin.Sim(h.c1, h.q1));
   EXPECT_EQ(groups.NodeSim(h.q1, h.a2), lin.Sim(h.q1, h.a2));
-  ExpectTableMatchesAllKernels(h.graph, h.context, "handmade");
+  ExpectTableMatchesAllMeasures(h.graph, h.context, "handmade");
 }
 
 std::vector<NodeId> SampleNodes(size_t num_nodes, size_t count,
@@ -525,95 +506,63 @@ std::vector<NodeId> SampleNodes(size_t num_nodes, size_t count,
 }
 
 // Every pair of a generated graph for NodeSim; sampled pairs for Sum.
-TEST(NormalizerGroupsTable, GeneratedAminerAndAmazonMatchKernelBits) {
+TEST(NormalizerGroupsTable, GeneratedAminerAndAmazonMatchMeasureBits) {
   AminerOptions aminer;
   aminer.num_authors = 600;
   aminer.seed = 1;
   Dataset a = Unwrap(GenerateAminer(aminer));
-  ExpectTableMatchesAllKernels(a.graph, a.context, "aminer", {},
+  ExpectTableMatchesAllMeasures(a.graph, a.context, "aminer", {},
                                SampleNodes(a.graph.num_nodes(), 120, 3));
 
   AmazonOptions amazon;
   amazon.num_items = 800;
   Dataset z = Unwrap(GenerateAmazon(amazon));
-  ExpectTableMatchesAllKernels(z.graph, z.context, "amazon", {},
+  ExpectTableMatchesAllMeasures(z.graph, z.context, "amazon", {},
                                SampleNodes(z.graph.num_nodes(), 120, 4));
 }
 
-// A chain of 1100 internal concepts, each with a leaf child, and one
-// node per concept: 2200 singleton groups, above the cap. Build keeps no
-// table, and the per-call evaluation gives the bits a table built past
-// the cap gives.
+// The above-cap chain (testutil::MakeAboveCapChain): 2200 singleton
+// groups. Build keeps no table, and the per-call evaluation gives the
+// bits a table built past the cap gives.
 TEST(NormalizerGroupsTable, AboveTheCapFallsBackToTheSameBits) {
-  constexpr int kDepth = 1100;
-  TaxonomyBuilder tb;
-  std::vector<ConceptId> chain = {tb.AddConcept("c0")};
-  std::vector<ConceptId> concepts = {chain[0]};
-  for (int i = 1; i < kDepth; ++i) {
-    chain.push_back(tb.AddConcept("c" + std::to_string(i), chain.back()));
-    concepts.push_back(chain.back());
-  }
-  for (int i = 0; i < kDepth; ++i) {
-    concepts.push_back(tb.AddConcept("l" + std::to_string(i), chain[i]));
-  }
-  Taxonomy taxonomy = Unwrap(std::move(tb).Build());
-  std::vector<double> ic(taxonomy.num_concepts());
-  for (int i = 0; i < kDepth; ++i) {
-    ic[chain[i]] = 0.05 + 0.9 * i / kDepth;
-    ic[concepts[kDepth + i]] = 0.96;
-  }
-  HinBuilder hb;
-  for (size_t i = 0; i < concepts.size(); ++i) {
-    hb.AddNode("n" + std::to_string(i), "t");
-  }
-  Rng rng(11);
-  const size_t n = concepts.size();
-  for (size_t e = 0; e < 4 * n; ++e) {
-    const NodeId from = static_cast<NodeId>(rng.NextIndex(n));
-    const NodeId to = static_cast<NodeId>(rng.NextIndex(n));
-    ASSERT_TRUE(hb.AddEdge(from, to, "e", 0.5 + rng.NextDouble()).ok());
-  }
-  Hin g = Unwrap(std::move(hb).Build());
-  SemanticContext ctx = Unwrap(SemanticContext::FromTaxonomyWithIc(
-      std::move(taxonomy), concepts, std::move(ic)));
-  FlatSemanticTable table = FlatSemanticTable::Build(ctx);
-  const std::vector<NodeId> nodes = SampleNodes(n, 150, 12);
+  Dataset d = testutil::MakeAboveCapChain();
+  const Hin& g = d.graph;
+  const std::vector<NodeId> nodes = SampleNodes(g.num_nodes(), 150, 12);
 
-  auto check = [&](const auto& kernel, const char* name) {
-    auto sim = [&](NodeId a, NodeId b) { return kernel.Sim(a, b); };
-    NormalizerGroups capped = NormalizerGroups::Build(g, table, sim);
-    ASSERT_FALSE(capped.has_table()) << name;
+  auto check = [&](const SemanticMeasure& measure) {
+    NormalizerGroups capped = NormalizerGroups::Build(g, d.context, measure);
+    ASSERT_FALSE(capped.has_table()) << measure.name();
     ASSERT_GT(capped.num_groups(), NormalizerGroups::kMaxTableGroups);
     NormalizerGroups tabled = NormalizerGroups::BuildForTesting(
-        g, table, sim, std::numeric_limits<size_t>::max());
-    ASSERT_TRUE(tabled.has_table()) << name;
+        g, d.context, measure, std::numeric_limits<size_t>::max());
+    ASSERT_TRUE(tabled.has_table()) << measure.name();
     for (NodeId a : nodes) {
       for (NodeId b : nodes) {
-        ASSERT_EQ(Bits(tabled.NodeSim(a, b)), Bits(kernel.Sim(a, b)))
-            << name << " (" << a << "," << b << ")";
+        ASSERT_EQ(Bits(tabled.NodeSim(a, b)), Bits(measure.Sim(a, b)))
+            << measure.name() << " (" << a << "," << b << ")";
         if (a > b) continue;
-        ASSERT_EQ(Bits(capped.Sum(kernel, a, b)),
-                  Bits(tabled.Sum(kernel, a, b)))
-            << name << " (" << a << "," << b << ")";
+        ASSERT_EQ(Bits(capped.Sum(a, b)), Bits(tabled.Sum(a, b)))
+            << measure.name() << " (" << a << "," << b << ")";
       }
     }
   };
-  check(FlatLinKernel{&table}, "lin");
-  check(FlatResnikKernel{&table}, "resnik");
-  check(FlatWuPalmerKernel{&table}, "wupalmer");
-  check(FlatPathKernel{&table}, "path");
+  LinMeasure lin(&d.context);
+  check(lin);
+  check(ResnikMeasure(&d.context));
+  check(WuPalmerMeasure(&d.context));
+  check(PathMeasure(&d.context));
 
-  // An estimator over this taxonomy keeps the LCA kernel: sem(u,v) is
-  // still the measure's bits.
-  LinMeasure lin(&ctx);
+  // An estimator over this taxonomy keeps grouped normalizers but calls
+  // the measure for sem(u,v), which stays the measure's bits.
   WalkIndexOptions wopt;
   wopt.num_walks = 8;
   wopt.walk_length = 4;
   WalkIndex index = WalkIndex::Build(g, wopt);
   SemSimMcEstimator estimator(&g, &lin, &index);
-  ASSERT_TRUE(estimator.AttachFlatKernel(&table));
+  ASSERT_TRUE(estimator.AttachGroups());
+  EXPECT_TRUE(estimator.normalizer_groups().has_groups());
   EXPECT_FALSE(estimator.normalizer_groups().has_table());
-  EXPECT_EQ(estimator.sem_kernel_name(), "flat-lin");
+  EXPECT_EQ(estimator.sem_kernel_name(), "virtual-grouped");
   for (NodeId a : nodes) {
     for (NodeId b : nodes) {
       ASSERT_EQ(Bits(estimator.SemValue(a, b)), Bits(lin.Sim(a, b)));

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <utility>
 
 #include "core/iterative.h"
@@ -149,6 +150,34 @@ TEST(PairGraph, PathStatsAreFiniteAndBounded) {
   EXPECT_GE(stats.avg_paths_to_singleton, 0);
   EXPECT_GE(stats.avg_path_length, 0);
   EXPECT_LE(stats.avg_path_length, 4);
+}
+
+TEST(ExactSinglePair, MatchesFullMatrixEvaluation) {
+  auto w = MakeSmallWorld();
+  LinMeasure lin(&w.context);
+  PairGraph pg(&w.graph, &lin);
+  ScoreMatrix full = pg.ExactScores(0.6, 60);
+  for (NodeId u = 0; u < w.graph.num_nodes(); ++u) {
+    for (NodeId v = 0; v <= u; ++v) {
+      double single = pg.ExactSinglePair(u, v, 0.6, /*depth=*/40);
+      EXPECT_NEAR(single, full.at(u, v), 1e-8)
+          << "(" << u << "," << v << ")";
+    }
+  }
+}
+
+TEST(ExactSinglePair, TruncationErrorBoundedByDecayPower) {
+  auto w = MakeSmallWorld();
+  LinMeasure lin(&w.context);
+  PairGraph pg(&w.graph, &lin);
+  double exact = pg.ExactSinglePair(w.a0, w.a1, 0.6, 50);
+  for (int depth : {1, 2, 4, 8}) {
+    double truncated = pg.ExactSinglePair(w.a0, w.a1, 0.6, depth);
+    EXPECT_LE(truncated, exact + 1e-12);
+    EXPECT_LE(exact - truncated,
+              lin.Sim(w.a0, w.a1) * std::pow(0.6, depth + 1) + 1e-12)
+        << "depth=" << depth;
+  }
 }
 
 }  // namespace

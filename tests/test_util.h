@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "common/logging.h"
+#include "common/rng.h"
 #include "datasets/dataset.h"
 #include "graph/hin.h"
 #include "taxonomy/semantic_context.h"
@@ -114,6 +115,47 @@ inline JehWidomWorld MakeJehWidomWorld() {
   e(w.student_b, w.prof_b);
   w.graph = Unwrap(std::move(hin).Build());
   return w;
+}
+
+/// A taxonomy with more groups than NormalizerGroups' table cap: a chain
+/// of 1100 internal concepts, each with a leaf child, one node per
+/// concept (2200 singleton groups, since each leaf has its own parent),
+/// and 4 random weighted edges per node.
+inline Dataset MakeAboveCapChain() {
+  constexpr int kDepth = 1100;
+  TaxonomyBuilder tb;
+  std::vector<ConceptId> chain = {tb.AddConcept("c0")};
+  std::vector<ConceptId> concepts = {chain[0]};
+  for (int i = 1; i < kDepth; ++i) {
+    chain.push_back(tb.AddConcept("c" + std::to_string(i), chain.back()));
+    concepts.push_back(chain.back());
+  }
+  for (int i = 0; i < kDepth; ++i) {
+    concepts.push_back(tb.AddConcept("l" + std::to_string(i), chain[i]));
+  }
+  Taxonomy taxonomy = Unwrap(std::move(tb).Build());
+  std::vector<double> ic(taxonomy.num_concepts());
+  for (int i = 0; i < kDepth; ++i) {
+    ic[chain[i]] = 0.05 + 0.9 * i / kDepth;
+    ic[concepts[kDepth + i]] = 0.96;
+  }
+  HinBuilder hb;
+  for (size_t i = 0; i < concepts.size(); ++i) {
+    hb.AddNode("n" + std::to_string(i), "t");
+  }
+  Rng rng(11);
+  const size_t n = concepts.size();
+  for (size_t e = 0; e < 4 * n; ++e) {
+    const NodeId from = static_cast<NodeId>(rng.NextIndex(n));
+    const NodeId to = static_cast<NodeId>(rng.NextIndex(n));
+    SEMSIM_CHECK(hb.AddEdge(from, to, "e", 0.5 + rng.NextDouble()).ok());
+  }
+  Dataset d;
+  d.name = "above-cap chain";
+  d.graph = Unwrap(std::move(hb).Build());
+  d.context = Unwrap(SemanticContext::FromTaxonomyWithIc(
+      std::move(taxonomy), concepts, std::move(ic)));
+  return d;
 }
 
 }  // namespace testutil

@@ -331,5 +331,46 @@ TEST(WalkIndex, WeightedProposalProbability) {
   }
 }
 
+TEST(WalkIndexIo, RoundTripPreservesWalksAndOptions) {
+  auto w = MakeSmallWorld();
+  WalkIndexOptions opt;
+  opt.num_walks = 25;
+  opt.walk_length = 9;
+  opt.seed = 77;
+  WalkIndex original = WalkIndex::Build(w.graph, opt);
+  std::string path = ::testing::TempDir() + "semsim_walks.bin";
+  ASSERT_TRUE(original.Save(path).ok());
+  WalkIndex loaded = Unwrap(WalkIndex::Load(path, w.graph.num_nodes()));
+  EXPECT_EQ(loaded.num_walks(), 25);
+  EXPECT_EQ(loaded.walk_length(), 9);
+  EXPECT_EQ(loaded.options().seed, 77u);
+  for (NodeId v = 0; v < w.graph.num_nodes(); ++v) {
+    for (int k = 0; k < opt.num_walks; ++k) {
+      auto a = original.Walk(v, k);
+      auto b = loaded.Walk(v, k);
+      for (int s = 0; s < opt.walk_length; ++s) ASSERT_EQ(a[s], b[s]);
+    }
+  }
+  std::remove(path.c_str());
+}
+
+TEST(WalkIndexIo, RejectsWrongGraphAndGarbage) {
+  auto w = MakeSmallWorld();
+  WalkIndexOptions opt;
+  opt.num_walks = 5;
+  opt.walk_length = 5;
+  WalkIndex index = WalkIndex::Build(w.graph, opt);
+  std::string path = ::testing::TempDir() + "semsim_walks2.bin";
+  ASSERT_TRUE(index.Save(path).ok());
+  EXPECT_FALSE(WalkIndex::Load(path, w.graph.num_nodes() + 1).ok());
+  EXPECT_FALSE(WalkIndex::Load("/nonexistent/walks.bin", 8).ok());
+  {
+    std::ofstream out(path, std::ios::binary);
+    out << "garbage";
+  }
+  EXPECT_FALSE(WalkIndex::Load(path, w.graph.num_nodes()).ok());
+  std::remove(path.c_str());
+}
+
 }  // namespace
 }  // namespace semsim
