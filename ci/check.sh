@@ -4,7 +4,8 @@
 #   asan  — AddressSanitizer over the query-kernel paths (transition
 #           table, taxonomy groups and their group-pair table, the
 #           estimator's inner loops under both semantic policies,
-#           walk-index compact layout).
+#           walk-index compact layout, the single-source sweep's
+#           concept-indexed correction row).
 #   tsan  — ThreadSanitizer over the concurrency surface (pool,
 #           concurrent pair cache, batch query engine, metrics registry,
 #           query service, snapshot swaps) plus the grouped-vs-virtual
@@ -94,9 +95,11 @@ asan() {
     --target flat_kernel_test normalizer_groups_test transition_table_test \
     walk_index_test dynamic_walk_index_test batch_query_test \
     walk_index_corruption_test mapped_file_test differential_test \
-    rng_test node_sampler_test mc_test
+    rng_test node_sampler_test mc_test single_source_test
+  # single_source_test drives the sweep's correction row (indexed by
+  # concept_id) and its live-walk list.
   ctest --test-dir build-asan --output-on-failure \
-    -R 'flat_kernel_test|normalizer_groups_test|transition_table_test|walk_index_test|batch_query_test|walk_index_corruption_test|mapped_file_test|differential_test|rng_test|node_sampler_test|mc_test'
+    -R 'flat_kernel_test|normalizer_groups_test|transition_table_test|walk_index_test|batch_query_test|walk_index_corruption_test|mapped_file_test|differential_test|rng_test|node_sampler_test|mc_test|single_source_test'
 }
 
 tsan() {

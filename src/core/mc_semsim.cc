@@ -184,16 +184,12 @@ double SemSimMcEstimator::CoupledWalkScoreT(
     NodeId next_v = walk_v[j];
     const double so =
         j == 0 ? so_uv : NormalizerT(sem, cur_u, cur_v, stats);
-    SEMSIM_DCHECK(so > 0);
     // One O(1) probe per side returns the collapsed in-edge group with
     // its q quotient precomputed (TransitionTable), so a step is loads.
-    const TransitionTable::Group& gu = transitions_.InGroup(cur_u, next_u);
-    const TransitionTable::Group& gv = transitions_.InGroup(cur_v, next_v);
-    double p_step =
-        sem.Sim(next_u, next_v) * gu.total_weight * gv.total_weight / so;
-    double q_step = weighted ? gu.q_weighted * gv.q_weighted
-                             : gu.q_uniform * gv.q_uniform;
-    score *= p_step * c / q_step;
+    score *= IsStepFactor(sem.Sim(next_u, next_v),
+                          transitions_.InGroup(cur_u, next_u),
+                          transitions_.InGroup(cur_v, next_v), so, c,
+                          weighted);
     cur_u = next_u;
     cur_v = next_v;
     // Lines 17-18: once the partial product falls to θ the final score

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "common/cancel.h"
+#include "common/logging.h"
 #include "common/rng.h"
 #include "common/thread_pool.h"
 #include "core/concurrent_cache.h"
@@ -96,7 +97,10 @@ struct McQueryStats {
   /// plus the correction-list entries the same-concept merge actually
   /// read — both lists in full when merged linearly, O(s·log(l/s)) when
   /// the short list gallops through the long one
-  /// (NormalizerGroups::Work); |In(lo)|·|In(hi)| on the d² path.
+  /// (NormalizerGroups::Work); g_x·g_y + |Corrections(y)| for a sweep
+  /// normalizer read against x's correction row
+  /// (NormalizerGroups::SumAgainstRow); |In(lo)|·|In(hi)| on the d²
+  /// path.
   int64_t normalizer_work = 0;
 
   /// Accumulates `other` into this record (counter sums; sem_pruned
@@ -137,6 +141,23 @@ inline double ProjectOntoSemBound(double estimate, double sem_uv) {
   return estimate < 0 ? 0.0 : (estimate > sem_uv ? sem_uv : estimate);
 }
 
+/// The factor one IS step multiplies into a coupled walk's running
+/// score (Algorithm 1 lines 10-18): P_j/Q_j · c, with
+/// P_j = sem(u_{j+1}, v_{j+1})·W_gu·W_gv / SO(u_j, v_j) and Q_j the
+/// proposal's probability of the same two steps. `gu`/`gv` are the
+/// collapsed in-edge groups of the two steps (TransitionTable::InGroup).
+/// The one definition of the step, shared by the pair estimator and the
+/// single-source sweep so both produce the same bits.
+inline double IsStepFactor(double sem, const TransitionTable::Group& gu,
+                           const TransitionTable::Group& gv, double so,
+                           double decay, bool weighted) {
+  SEMSIM_DCHECK(so > 0);
+  const double p_step = sem * gu.total_weight * gv.total_weight / so;
+  const double q_step = weighted ? gu.q_weighted * gv.q_weighted
+                                 : gu.q_uniform * gv.q_uniform;
+  return p_step * decay / q_step;
+}
+
 /// Single-pair SemSim estimator implementing the paper's Algorithm 1:
 /// walks are drawn once from the proposal distribution Q (the WalkIndex),
 /// and Importance Sampling reweights each coupled walk by P(w)/Q(w) under
@@ -167,11 +188,15 @@ class SemSimMcEstimator {
                     const WalkIndex* index);
 
   /// Installs a cross-query normalizer cache shared by every thread and
-  /// every subsequent query. Consulted before computing a normalizer;
-  /// computed normalizers are published to it. Values are deterministic
-  /// functions of the pair, so cache history never changes results.
-  /// Pass nullptr to detach (every miss is then computed on the fly).
-  /// The cache must outlive the estimator (or the detach).
+  /// every subsequent query. Normalizer() consults it before computing
+  /// and publishes what it computes, so it serves the pair path (Query,
+  /// QueryBatch) and, without groups, the single-source sweep; a sweep
+  /// over grouped normalizers computes every SO from its correction row
+  /// and never probes it (SingleSourceIndex::SemSimFromInto). Values
+  /// are deterministic functions of the pair, so cache history never
+  /// changes results. Pass nullptr to detach (every miss is then
+  /// computed on the fly). The cache must outlive the estimator (or the
+  /// detach).
   void set_shared_cache(ConcurrentPairCache* cache) { shared_cache_ = cache; }
   const ConcurrentPairCache* shared_cache() const { return shared_cache_; }
 
@@ -239,8 +264,9 @@ class SemSimMcEstimator {
   /// FirstMeetingStep) and so_uv = Normalizer(u, v), the normalizer of
   /// the first step, which every met walk of the pair shares: the
   /// running product Π_j (P_j/Q_j)·c over the prefix, stopped at the θ
-  /// bound per Def. 4.5. Building block of Query() and of the
-  /// single-source engine, which both compute so_uv once per pair.
+  /// bound per Def. 4.5. Building block of Query(), which computes so_uv
+  /// once per pair; the single-source sweep runs the same steps
+  /// (IsStepFactor) walk by walk for all candidates at once.
   double CoupledWalkScore(NodeId u, NodeId v, double so_uv, int walk,
                           int meeting_step, const SemSimMcOptions& options,
                           McQueryStats* stats = nullptr) const;

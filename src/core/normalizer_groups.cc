@@ -101,6 +101,10 @@ NormalizerGroups NormalizerGroups::BuildForTesting(
     groups.self_sim_.clear();
     groups.self_sim_.shrink_to_fit();
   }
+  groups.one_minus_self_.resize(num_groups);
+  for (uint32_t g = 0; g < num_groups; ++g) {
+    groups.one_minus_self_[g] = 1.0 - groups.self_sim(g);
+  }
   groups.node_groups_.resize(num_nodes);
   for (NodeId v = 0; v < num_nodes; ++v) {
     const ConceptId c = context.concept_of(v);

@@ -100,20 +100,46 @@ class NormalizerGroups {
   /// there is no table. When `work` is not null it receives
   /// Work(lo, hi). Requires has_groups().
   double Sum(NodeId lo, NodeId hi, uint64_t* work = nullptr) const {
-    if (has_table()) {
-      const double* table = table_.data();
-      const size_t stride = num_groups();
-      return SumOver(
-          [&](uint32_t g, uint32_t h) { return table[g * stride + h]; }, lo,
-          hi, work);
-    }
-    return SumOver(
-        [&](uint32_t g, uint32_t h) {
-          return g == h ? self_sim_[g]
-                        : measure_->Sim(representative_[g],
-                                        representative_[h]);
-        },
-        lo, hi, work);
+    return WithGroupSim([&](const auto& group_sim) {
+      return SumOver(group_sim, lo, hi, work);
+    });
+  }
+
+  /// Sum(min(x,y), max(x,y)) to the bit, with x's corrections scattered
+  /// into `row` (row[c] = x's weight of concept c, 0.0 for every concept
+  /// not on x's list; see ScatterCorrections). The group double loop
+  /// runs in Sum's (lo, hi) orientation; the correction term walks y's
+  /// sorted list alone, so the concepts both lists hold are added in
+  /// Sum's ascending order, x·y == y·x, and a concept only y holds adds
+  /// +0.0, which leaves the sum as it is. No merge: a caller that holds
+  /// x fixed across many y pays x's list once, in the scatter. When
+  /// `work` is not null it receives g_x·g_y + |Corrections(y)|.
+  /// Requires has_groups().
+  double SumAgainstRow(NodeId x, NodeId y, const double* row,
+                       uint64_t* work = nullptr) const {
+    return WithGroupSim([&](const auto& group_sim) {
+      double norm = x <= y ? GroupPairSum(group_sim, x, y)
+                           : GroupPairSum(group_sim, y, x);
+      const std::span<const ConceptWeight> corrections = Corrections(y);
+      for (const ConceptWeight& e : corrections) {
+        norm += row[e.concept_id] * e.weight * one_minus_self_[e.group];
+      }
+      if (work != nullptr) {
+        *work = static_cast<uint64_t>(Groups(x).size()) * Groups(y).size() +
+                corrections.size();
+      }
+      return norm;
+    });
+  }
+
+  /// Writes x's correction weights into the concept-indexed `row`
+  /// (num_concepts() entries, all 0.0 outside x's list), the form
+  /// SumAgainstRow reads; ClearCorrections(x, row) restores the zeros.
+  void ScatterCorrections(NodeId x, double* row) const {
+    for (const ConceptWeight& e : Corrections(x)) row[e.concept_id] = e.weight;
+  }
+  void ClearCorrections(NodeId x, double* row) const {
+    for (const ConceptWeight& e : Corrections(x)) row[e.concept_id] = 0.0;
   }
 
   /// sem(a, b) under the measure Build was given, from the table: 1 when
@@ -132,6 +158,8 @@ class NormalizerGroups {
   /// Whether S is tabulated (at most kMaxTableGroups groups).
   bool has_table() const { return !table_.empty(); }
   size_t num_groups() const { return representative_.size(); }
+  /// Concept ids run below this bound (the taxonomy's concept count).
+  size_t num_concepts() const { return concept_group_.size(); }
 
   /// The work Sum(lo, hi) does: g_lo·g_hi group pairs plus the
   /// correction-list entries the same-concept merge reads.
@@ -174,7 +202,8 @@ class NormalizerGroups {
            concept_group_.size() * sizeof(uint32_t) +
            representative_.size() * sizeof(NodeId) +
            node_groups_.size() * sizeof(NodeGroup) +
-           (table_.size() + self_sim_.size()) * sizeof(double);
+           (table_.size() + self_sim_.size() + one_minus_self_.size()) *
+               sizeof(double);
   }
 
  private:
@@ -184,20 +213,45 @@ class NormalizerGroups {
     uint32_t group;
   };
 
-  /// Sum() over S given as group_sim(g, h).
+  /// Returns f(group_sim) with S as group_sim(g, h): a table read, or
+  /// above the cap S(g,g) from self_sim_ and one measure call otherwise.
+  template <typename F>
+  double WithGroupSim(F&& f) const {
+    if (has_table()) {
+      const double* table = table_.data();
+      const size_t stride = num_groups();
+      return f([table, stride](uint32_t g, uint32_t h) {
+        return table[g * stride + h];
+      });
+    }
+    return f([this](uint32_t g, uint32_t h) {
+      return g == h ? self_sim_[g]
+                    : measure_->Sim(representative_[g], representative_[h]);
+    });
+  }
+
+  /// Σ_{g∈G_lo, h∈G_hi} W^lo_g·W^hi_h·S(g,h), lo's groups outermost.
   template <typename GroupSim>
-  double SumOver(const GroupSim& group_sim, NodeId lo, NodeId hi,
-                 uint64_t* work) const {
+  double GroupPairSum(const GroupSim& group_sim, NodeId lo,
+                      NodeId hi) const {
     double norm = 0;
     for (const GroupWeight& a : Groups(lo)) {
       for (const GroupWeight& b : Groups(hi)) {
         norm += a.weight * b.weight * group_sim(a.group, b.group);
       }
     }
+    return norm;
+  }
+
+  /// Sum() over S given as group_sim(g, h).
+  template <typename GroupSim>
+  double SumOver(const GroupSim& group_sim, NodeId lo, NodeId hi,
+                 uint64_t* work) const {
+    double norm = GroupPairSum(group_sim, lo, hi);
     const uint64_t probes = MergeCorrections(
         Corrections(lo), Corrections(hi),
         [&](const ConceptWeight& x, const ConceptWeight& y) {
-          norm += x.weight * y.weight * (1.0 - group_sim(x.group, x.group));
+          norm += x.weight * y.weight * one_minus_self_[x.group];
         });
     if (work != nullptr) {
       *work = static_cast<uint64_t>(Groups(lo).size()) * Groups(hi).size() +
@@ -297,6 +351,8 @@ class NormalizerGroups {
   std::vector<double> table_;
   // S(g,g) per group; empty when table_ holds the diagonal.
   std::vector<double> self_sim_;
+  // 1 − S(g,g) per group, the factor of every correction term.
+  std::vector<double> one_minus_self_;
 };
 
 /// Semantic policy for the estimator loops when the groups tabulate S

@@ -21,27 +21,44 @@ struct WalkMeeting {
   int step;  // 1-based first-meeting step τ
 };
 
+/// A coupled walk of the single-source sweep that has not yet met nor
+/// been pruned: its candidate v, v's walk, the first-meeting step and
+/// the running IS score.
+struct LiveWalk {
+  NodeId node;
+  int meet_step;
+  const NodeId* walk_v;
+  double score;
+};
+
 /// Reusable per-query scratch arena for the single-source sweeps
 /// (DESIGN.md §10). One single-source sweep over n nodes needs
-/// six O(n) vectors; with an arena those buffers persist across
-/// queries, and per-query "clearing" is an epoch bump instead of an O(n)
-/// reset:
+/// seven O(n) vectors, one concept-indexed row and a short live-walk
+/// list; with an arena those buffers persist across queries, and
+/// per-query "clearing" is an epoch bump instead of an O(n) reset:
 ///
 ///  - met_stamp[v] holds epoch·(n_w+1) + walk+1 when v's first meeting
 ///    with that walk was already recorded this query — stale values from
 ///    earlier epochs are strictly smaller and never collide.
 ///  - sem_epoch[v] == epoch gates the validity of sem_ok[v]/sem_val[v]
-///    (the lazily evaluated semantic-pruning state).
+///    (the lazily evaluated semantic-pruning state) and of so_uv[v],
+///    the candidate's first-step normalizer SO(u,v).
 ///  - scores is kept all-zero *between* queries: after a sweep copies
 ///    its result out, it re-zeroes exactly the entries its meetings
 ///    touched, so the next query starts clean without a memset.
+///  - correction_row is all-zero between steps: the sweep scatters one
+///    u-side node's taxonomy corrections into it by concept id, reads
+///    it for every live candidate's SO normalizer, and clears exactly
+///    those entries again (NormalizerGroups::SumAgainstRow).
 ///
 /// Results are bit-identical to the allocate-per-query path: the meeting
 /// enumeration order, the accumulation order, and every intermediate
-/// value are unchanged, and so are the stage counts, since no normalizer
-/// state lives here (SO normalizers come from the estimator's shared
-/// cache or are computed). A scratch is single-threaded state; concurrent
-/// sweeps take one each from a ScratchPool.
+/// value are unchanged, and so are the stage counts. No state crosses
+/// queries: a sweep computes every SO normalizer it needs from this
+/// arena and the estimator's groups, and never reads or fills the
+/// shared normalizer cache (without groups it asks the estimator,
+/// whose Normalizer does). A scratch is single-threaded state;
+/// concurrent sweeps take one each from a ScratchPool.
 class QueryScratch {
  public:
   /// Sizes the arrays for an index shape; no-op (and no reset) when the
@@ -55,6 +72,7 @@ class QueryScratch {
     sem_epoch.assign(num_nodes, 0);
     sem_ok.assign(num_nodes, 0);
     sem_val.assign(num_nodes, 0.0);
+    so_uv.assign(num_nodes, 0.0);
     scores.assign(num_nodes, 0.0);
     node_cursor.assign(num_nodes, 0);
     meetings.clear();
@@ -77,10 +95,13 @@ class QueryScratch {
            sem_epoch.capacity() * sizeof(uint64_t) +
            sem_ok.capacity() * sizeof(int8_t) +
            sem_val.capacity() * sizeof(double) +
+           so_uv.capacity() * sizeof(double) +
            scores.capacity() * sizeof(double) +
            node_cursor.capacity() * sizeof(uint32_t) +
            meetings.capacity() * sizeof(WalkMeeting) +
            walk_order_meetings.capacity() * sizeof(WalkMeeting) +
+           correction_row.capacity() * sizeof(double) +
+           live_walks.capacity() * sizeof(LiveWalk) +
            result.capacity() * sizeof(double);
   }
 
@@ -90,15 +111,24 @@ class QueryScratch {
   std::vector<uint64_t> sem_epoch;
   std::vector<int8_t> sem_ok;
   std::vector<double> sem_val;
+  std::vector<double> so_uv;   // SO(u,v) per candidate, gated by sem_epoch
   std::vector<double> scores;  // all-zero between queries
-  /// The meetings of the current query, grouped by node (walks ascending
-  /// inside a node).
-  std::vector<WalkMeeting> meetings;
-  /// Meeting enumeration stages walk-major here; a stable counting pass
-  /// over node_cursor (per-node start, then write cursor) groups it into
-  /// `meetings` without a comparison sort.
+  /// The meetings of the current query, walk-major: walks ascending,
+  /// and inside a walk by step, then by node. The sweep reads them in
+  /// this order.
   std::vector<WalkMeeting> walk_order_meetings;
+  /// FirstMeetingsInto's result: walk_order_meetings grouped by node
+  /// (walks ascending inside a node) by a stable counting pass over
+  /// node_cursor (per-node start, then write cursor), without a
+  /// comparison sort.
+  std::vector<WalkMeeting> meetings;
   std::vector<uint32_t> node_cursor;
+  /// One u-side node's correction weights by concept id, all-zero
+  /// between sweep steps; sized to the estimator's concept count by the
+  /// first sweep that needs it.
+  std::vector<double> correction_row;
+  /// The coupled walks of the current walk still stepping.
+  std::vector<LiveWalk> live_walks;
   /// Result staging buffer for callers that consume scores in place
   /// (top-k) instead of keeping the vector.
   std::vector<double> result;

@@ -119,8 +119,7 @@ void SingleSourceIndex::EnumerateMeetings(NodeId u, int walk_cap,
   // earlier queries are invalidated by the epoch bump alone.
   uint64_t stamp_base =
       scratch.epoch() * (static_cast<uint64_t>(num_walks_) + 1);
-  // Enumerated walk-major into the staging buffer; the counting pass
-  // below groups them by node.
+  // Walk-major: walks ascending, steps ascending inside a walk.
   std::vector<WalkMeeting>& found = scratch.walk_order_meetings;
   found.clear();
   for (int w = 0; w < walk_cap; ++w) {
@@ -147,9 +146,17 @@ void SingleSourceIndex::EnumerateMeetings(NodeId u, int walk_cap,
       }
     }
   }
+}
+
+void SingleSourceIndex::FirstMeetingsInto(NodeId u,
+                                          QueryScratch& scratch) const {
+  scratch.BindShape(num_nodes_, num_walks_);
+  scratch.BeginQuery();
+  EnumerateMeetings(u, num_walks_, nullptr, scratch);
   // Stable counting pass by node. A node meets each walk at most once
   // and walks were enumerated in ascending order, so the result is
   // strictly increasing in (node, walk).
+  const std::vector<WalkMeeting>& found = scratch.walk_order_meetings;
   SEMSIM_DCHECK(found.size() <= std::numeric_limits<uint32_t>::max());
   std::vector<uint32_t>& start = scratch.node_cursor;
   std::fill(start.begin(), start.end(), 0);
@@ -163,13 +170,6 @@ void SingleSourceIndex::EnumerateMeetings(NodeId u, int walk_cap,
   std::vector<WalkMeeting>& meetings = scratch.meetings;
   meetings.resize(found.size());
   for (const WalkMeeting& m : found) meetings[start[m.node]++] = m;
-}
-
-void SingleSourceIndex::FirstMeetingsInto(NodeId u,
-                                          QueryScratch& scratch) const {
-  scratch.BindShape(num_nodes_, num_walks_);
-  scratch.BeginQuery();
-  EnumerateMeetings(u, num_walks_, nullptr, scratch);
 }
 
 std::vector<SingleSourceIndex::Meeting> SingleSourceIndex::FirstMeetings(
@@ -212,46 +212,112 @@ void SingleSourceIndex::SemSimFromInto(NodeId u,
   const int budget = EffectiveWalkBudget(options, num_walks_);
   const CancelToken* cancel = options.cancel;
   EnumerateMeetings(u, budget, cancel, scratch);
-  uint64_t epoch = scratch.epoch();
+  const std::vector<WalkMeeting>& meetings = scratch.walk_order_meetings;
+  const uint64_t epoch = scratch.epoch();
   // Stage counts for the whole sweep; published to the registry once at
   // the end (TopKFrom rides on this publish — it adds no queries of its
   // own), merged into the legacy out-param when one was passed.
   McQueryStats local;
+
+  // SO normalizers. With groups, every SO(x, y) of the sweep holds one
+  // u-side node x fixed across many candidates y: x's corrections are
+  // scattered into the concept-indexed row once and each y reads its
+  // own list against it, bit-identical to NormalizerGroups::Sum and
+  // with no cache probe. Without groups, Normalizer runs the d² loop
+  // (behind the shared cache when one is attached).
+  const NormalizerGroups& groups = estimator.normalizer_groups();
+  const bool grouped = groups.has_groups();
+  std::vector<double>& row = scratch.correction_row;
+  if (grouped && row.size() < groups.num_concepts()) {
+    row.assign(groups.num_concepts(), 0.0);
+  }
+  auto normalizer = [&](NodeId x, NodeId y) {
+    if (!grouped) return estimator.Normalizer(x, y, &local);
+    uint64_t work = 0;
+    const double so = groups.SumAgainstRow(x, y, row.data(), &work);
+    ++local.normalizers_computed;
+    local.normalizer_work += static_cast<int64_t>(work);
+    return so;
+  };
+
   // Candidate-level semantic pruning (Algorithm 1 lines 2-3), evaluated
-  // lazily at the first meeting of each candidate. The sem(u,v) computed
-  // for the pruning decision is kept, so the final scaling loop reads it
-  // back instead of evaluating it a second time per candidate.
-  // Validity of sem_ok/sem_val is gated by the epoch stamp — no O(n)
-  // reset between queries. A candidate that survives the test gets its
-  // SO(u,v) there too: its meetings are contiguous, and every one of
-  // them opens with that normalizer.
-  double so_uv = 0;
-  size_t processed = 0;
-  for (const WalkMeeting& m : scratch.meetings) {
-    // Mid-sweep cancellation poll: cheap relative to the per-meeting
-    // IS reweighting (each CoupledWalkScore pays SO normalizers).
-    if (cancel != nullptr && (processed++ & 255) == 0 &&
-        cancel->ShouldStop()) {
-      break;
+  // once per candidate at its first meeting. The sem(u,v) computed for
+  // the pruning decision is kept, so the final scaling loop reads it
+  // back instead of evaluating it a second time per candidate. A
+  // candidate that survives gets SO(u,v), which opens each of its met
+  // walks, from u's row. Validity of sem_ok/sem_val/so_uv is gated by
+  // the epoch stamp — no O(n) reset between queries.
+  if (grouped) groups.ScatterCorrections(u, row.data());
+  for (const WalkMeeting& m : meetings) {
+    const NodeId v = m.node;
+    if (scratch.sem_epoch[v] == epoch) continue;
+    scratch.sem_epoch[v] = epoch;
+    const double s_uv = estimator.SemValue(u, v);
+    scratch.sem_val[v] = s_uv;
+    if (options.theta > 0 && s_uv <= options.theta) {
+      scratch.sem_ok[v] = 0;
+      local.sem_pruned = true;
+      ++local.sem_pruned_queries;
+    } else {
+      scratch.sem_ok[v] = 1;
+      scratch.so_uv[v] = normalizer(u, v);
     }
-    NodeId v = m.node;
-    if (scratch.sem_epoch[v] != epoch) {
-      scratch.sem_epoch[v] = epoch;
-      double s_uv = estimator.SemValue(u, v);
-      scratch.sem_val[v] = s_uv;
-      if (options.theta > 0 && s_uv <= options.theta) {
-        scratch.sem_ok[v] = 0;
-        local.sem_pruned = true;
-        ++local.sem_pruned_queries;
-      } else {
-        scratch.sem_ok[v] = 1;
-        so_uv = estimator.Normalizer(u, v, &local);
+  }
+  if (grouped) groups.ClearCorrections(u, row.data());
+
+  // Walk-major IS sweep: the met walks of walk w step together, since
+  // at step j every one of them stands on u's node u_j = walk_u[j-1] on
+  // the u side. u_j's in-edge group and correction row are set up once
+  // per step; each live candidate then pays its own v-side reads. Per
+  // candidate the walks still add up in ascending w, and every step is
+  // the pair estimator's IsStepFactor on the same operands, so scores
+  // equal CoupledWalkScore's to the bit.
+  const TransitionTable& transitions = estimator.transition_table();
+  const bool weighted = index_->options().weighted;
+  const double c = options.decay;
+  std::vector<LiveWalk>& live = scratch.live_walks;
+  size_t next = 0;
+  for (int w = 0; w < budget && next < meetings.size(); ++w) {
+    // Between-walk cancellation poll (meeting enumeration polls every
+    // walk too).
+    if (cancel != nullptr && (w & 7) == 0 && cancel->ShouldStop()) break;
+    live.clear();
+    for (; next < meetings.size() && meetings[next].walk == w; ++next) {
+      const WalkMeeting& m = meetings[next];
+      if (!scratch.sem_ok[m.node]) continue;
+      ++local.met_walks;
+      live.push_back(LiveWalk{m.node, m.step, index_->WalkData(m.node, w),
+                              1.0});
+    }
+    const NodeId* walk_u = index_->WalkData(u, w);
+    NodeId cur_u = u;
+    for (int j = 0; !live.empty(); ++j) {
+      const NodeId next_u = walk_u[j];
+      const TransitionTable::Group& gu = transitions.InGroup(cur_u, next_u);
+      if (j > 0 && grouped) groups.ScatterCorrections(cur_u, row.data());
+      size_t kept = 0;
+      for (LiveWalk& lw : live) {
+        const NodeId cur_v = j == 0 ? lw.node : lw.walk_v[j - 1];
+        const NodeId next_v = lw.walk_v[j];
+        const double so =
+            j == 0 ? scratch.so_uv[lw.node] : normalizer(cur_u, cur_v);
+        lw.score *= IsStepFactor(estimator.SemValue(next_u, next_v), gu,
+                                 transitions.InGroup(cur_v, next_v), so, c,
+                                 weighted);
+        // Lines 17-18 (Def. 4.5): a walk pruned at the θ bound keeps
+        // its bound, like a walk that has met.
+        const bool pruned = options.theta > 0 && lw.score <= options.theta;
+        if (pruned) ++local.pruned_walks;
+        if (pruned || j + 1 == lw.meet_step) {
+          scratch.scores[lw.node] += lw.score;
+        } else {
+          live[kept++] = lw;
+        }
       }
+      live.resize(kept);
+      if (j > 0 && grouped) groups.ClearCorrections(cur_u, row.data());
+      cur_u = next_u;
     }
-    if (!scratch.sem_ok[v]) continue;
-    ++local.met_walks;
-    scratch.scores[v] += estimator.CoupledWalkScore(u, v, so_uv, m.walk,
-                                                    m.step, options, &local);
   }
   // Copy out with the final sem·(1/n_w) scaling, projected onto
   // [0, sem(u,v)] as Query does, then restore the all-zero invariant of
@@ -266,7 +332,7 @@ void SingleSourceIndex::SemSimFromInto(NodeId u,
                    : s;
   }
   out[u] = 1.0;
-  for (const WalkMeeting& m : scratch.meetings) scratch.scores[m.node] = 0.0;
+  for (const WalkMeeting& m : meetings) scratch.scores[m.node] = 0.0;
   PublishQueryStats(local);
   if (stats != nullptr) stats->Merge(local);
 }

@@ -60,7 +60,10 @@ class SingleSourceIndex {
 
   /// Allocation-free form: binds `scratch` to this index's shape,
   /// starts a fresh query epoch, and leaves the meetings (same order as
-  /// FirstMeetings) in scratch.meetings.
+  /// FirstMeetings) in scratch.meetings, with their walk-major
+  /// enumeration order in scratch.walk_order_meetings. Only this entry
+  /// point pays the by-node counting pass; SemSimFromInto reads the
+  /// walk-major order directly.
   void FirstMeetingsInto(NodeId u, QueryScratch& scratch) const;
 
   /// Single-source SimRank: scores[v] = (1/n_w)·Σ c^{τ} over the first
@@ -70,10 +73,21 @@ class SingleSourceIndex {
   /// Single-source SemSim via the IS estimator: equivalent to calling
   /// estimator.Query(u, v, options) for every v, but meeting detection is
   /// shared through this index and SO(u,v) is computed once per
-  /// candidate. `estimator` must wrap the same WalkIndex this index was
-  /// built from. All transient state lives in `scratch` (reusable
-  /// across queries and sources); the result lands in `out` (resized to
-  /// n; its capacity is reused on repeat calls).
+  /// candidate. The IS steps run walk-major: the met walks of one walk
+  /// advance together, because at step j all of them share u's node
+  /// u_j. With groups (AttachGroups), u_j's taxonomy corrections are
+  /// scattered once into a concept-indexed row in `scratch` and every
+  /// candidate's SO(u_j, v_j) is summed against it
+  /// (NormalizerGroups::SumAgainstRow): no merge, and no probe of the
+  /// estimator's shared cache, whose contents therefore never change
+  /// here. Without groups each SO comes from estimator.Normalizer (the
+  /// d² loop behind the shared cache). Every score equals, to the bit,
+  /// replaying FirstMeetings through Normalizer and CoupledWalkScore
+  /// with the same final scaling, and so do met_walks, pruned_walks
+  /// and sem_pruned_queries. `estimator` must wrap the same WalkIndex
+  /// this index was built from. All transient state lives in `scratch`
+  /// (reusable across queries and sources); the result lands in `out`
+  /// (resized to n; its capacity is reused on repeat calls).
   /// Scores and stats do not depend on the scratch's history.
   /// Instrumentation for the whole sweep accumulates into *stats when
   /// given.
@@ -113,13 +127,13 @@ class SingleSourceIndex {
     NodeId origin;  // walk owner
   };
 
-  /// Meeting enumeration under the current epoch, grouped by node into
-  /// scratch.meetings (see FirstMeetings for the order); shared by
-  /// FirstMeetingsInto and SemSimFromInto (scratch must be bound and
-  /// BeginQuery'd). Only walks < walk_cap are enumerated (the
-  /// serving layer's walk-budget degradation; pass num_walks_ for the
-  /// full index) and a fired `cancel` token stops the enumeration
-  /// between walks.
+  /// Meeting enumeration under the current epoch, walk-major into
+  /// scratch.walk_order_meetings (walks ascending, then steps, then
+  /// nodes); shared by FirstMeetingsInto and SemSimFromInto (scratch
+  /// must be bound and BeginQuery'd). Only walks < walk_cap are
+  /// enumerated (the serving layer's walk-budget degradation; pass
+  /// num_walks_ for the full index) and a fired `cancel` token stops
+  /// the enumeration between walks.
   void EnumerateMeetings(NodeId u, int walk_cap, const CancelToken* cancel,
                          QueryScratch& scratch) const;
 

@@ -197,18 +197,59 @@ TEST(BatchQuery, TopKBatchMatchesSerialTopK) {
   }
 }
 
-TEST(BatchQuery, SharedCacheHitsAccumulateAcrossRepeatedSingleSource) {
+// A single-source sweep sums every SO normalizer against its correction
+// row (SingleSourceIndex::SemSimFromInto), so repeated SingleSourceBatch
+// and TopKBatch calls neither read nor fill the snapshot's shared cache,
+// and each repeat returns the same bits and stage counts.
+TEST(BatchQuery, SingleSourceSweepLeavesTheSharedCacheUntouched) {
+  Fixture f = AminerFixture();
+  BatchQueryEngine engine = f.Engine(2, SemSimMcOptions{0.6, 0.05});
+  const ConcurrentPairCache& cache = *engine.snapshot()->normalizer_cache();
+
+  std::vector<NodeId> sources = {1, 2, 5};
+  BatchResult<std::vector<double>> first = engine.SingleSourceBatch(sources);
+  BatchResult<std::vector<double>> second = engine.SingleSourceBatch(sources);
+  BatchResult<std::vector<Scored>> top_first = engine.TopKBatch(sources, 5);
+  BatchResult<std::vector<Scored>> top_second = engine.TopKBatch(sources, 5);
+  EXPECT_EQ(cache.hits(), 0u);
+  EXPECT_EQ(cache.misses(), 0u);
+  EXPECT_EQ(cache.size(), 0u);
+
+  ASSERT_GT(first.stats.normalizers_computed, 0);
+  EXPECT_EQ(second.values, first.values);
+  for (const McQueryStats* s : {&second.stats, &top_first.stats,
+                                &top_second.stats}) {
+    EXPECT_EQ(s->met_walks, first.stats.met_walks);
+    EXPECT_EQ(s->pruned_walks, first.stats.pruned_walks);
+    EXPECT_EQ(s->sem_pruned_queries, first.stats.sem_pruned_queries);
+    EXPECT_EQ(s->normalizers_computed, first.stats.normalizers_computed);
+    EXPECT_EQ(s->normalizer_work, first.stats.normalizer_work);
+    EXPECT_EQ(s->shared_cache_hits, 0);
+  }
+  ASSERT_EQ(top_second.values.size(), top_first.values.size());
+  for (size_t i = 0; i < top_first.values.size(); ++i) {
+    ASSERT_EQ(top_second.values[i].size(), top_first.values[i].size());
+    for (size_t j = 0; j < top_first.values[i].size(); ++j) {
+      EXPECT_EQ(top_second.values[i][j].node, top_first.values[i][j].node);
+      EXPECT_EQ(top_second.values[i][j].score, top_first.values[i][j].score);
+    }
+  }
+}
+
+// The pair path keeps the cross-query cache: a repeated QueryBatch is
+// answered largely from it, with nonzero hits and strictly fewer
+// computed normalizers than the cold batch, and the same bits.
+TEST(BatchQuery, SharedCacheHitsAccumulateAcrossRepeatedPairBatches) {
   Fixture f = AminerFixture();
   BatchQueryEngine engine = f.Engine(2, SemSimMcOptions{0.6, 0.05});
 
-  std::vector<NodeId> sources = {1, 2, 5};
-  McQueryStats first = engine.SingleSourceBatch(sources).stats;
-  // Repeating the same sources must be answered largely from the
-  // cross-query normalizer cache: nonzero hits, and strictly fewer d²
-  // computations than a cold engine performed.
-  McQueryStats second = engine.SingleSourceBatch(sources).stats;
-  EXPECT_GT(second.shared_cache_hits, 0);
-  EXPECT_LT(second.normalizers_computed, first.normalizers_computed);
+  std::vector<NodePair> pairs = MakePairs(f.dataset.graph.num_nodes(), 150);
+  BatchResult<double> first = engine.QueryBatch(pairs);
+  BatchResult<double> second = engine.QueryBatch(pairs);
+  EXPECT_EQ(second.values, first.values);
+  EXPECT_GT(second.stats.shared_cache_hits, 0);
+  EXPECT_LT(second.stats.normalizers_computed,
+            first.stats.normalizers_computed);
   EXPECT_GT(engine.snapshot()->normalizer_cache()->hits(), 0u);
 }
 

@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <string>
+
 #include "core/mc_simrank.h"
 #include "datasets/amazon_gen.h"
+#include "datasets/aminer_gen.h"
 #include "taxonomy/semantic_measure.h"
 #include "tests/test_util.h"
 
@@ -283,6 +287,175 @@ TEST(SingleSourceGenerated, ConsistentOnLargerGraph) {
       ASSERT_NEAR(scores[v], est.Query(u, v, opt), 1e-10);
     }
   }
+}
+
+// The reference the walk-major sweep must reproduce bit for bit: the
+// by-node meetings of FirstMeetingsInto replayed one met walk at a time
+// through Normalizer and CoupledWalkScore, with SemSimFromInto's final
+// scaling. The estimator must carry no shared cache.
+std::vector<double> ReplayPerMeeting(const SingleSourceIndex& inverted,
+                                     const SemSimMcEstimator& estimator,
+                                     NodeId u, const SemSimMcOptions& opt,
+                                     QueryScratch& scratch,
+                                     McQueryStats* stats) {
+  const size_t n = estimator.graph().num_nodes();
+  const int budget = EffectiveWalkBudget(opt, estimator.index().num_walks());
+  inverted.FirstMeetingsInto(u, scratch);
+  std::vector<double> total(n, 0.0);
+  std::vector<double> sem(n, 0.0);
+  NodeId current = kInvalidNode;
+  bool kept = false;
+  double so_uv = 0;
+  for (const SingleSourceIndex::Meeting& m : scratch.meetings) {
+    if (m.walk >= budget) continue;
+    const NodeId v = m.node;
+    if (v != current) {
+      current = v;
+      sem[v] = estimator.SemValue(u, v);
+      kept = !(opt.theta > 0 && sem[v] <= opt.theta);
+      if (kept) {
+        so_uv = estimator.Normalizer(u, v, stats);
+      } else {
+        ++stats->sem_pruned_queries;
+      }
+    }
+    if (!kept) continue;
+    ++stats->met_walks;
+    total[v] += estimator.CoupledWalkScore(u, v, so_uv, m.walk, m.step, opt,
+                                           stats);
+  }
+  const double inv = 1.0 / static_cast<double>(budget);
+  std::vector<double> out(n);
+  for (NodeId v = 0; v < n; ++v) {
+    const double s = total[v];
+    out[v] = s > 0 ? ProjectOntoSemBound(s * sem[v] * inv, sem[v]) : s;
+  }
+  out[u] = 1.0;
+  return out;
+}
+
+// Every score of SemSimFromInto equals the per-meeting replay to the
+// bit, with equal stage counts, over θ ∈ {0, 0.05}, uniform and weighted
+// proposals, the full index and a 40-walk budget, and the three
+// normalizer paths: the groups' S table, groups above the table cap,
+// and no groups (the d² loop).
+TEST(SingleSourceGenerated, WalkMajorSweepMatchesPerMeetingReplay) {
+  AmazonOptions amazon;
+  amazon.num_items = 800;
+  AminerOptions aminer;
+  aminer.num_authors = 600;
+  const Dataset amazon_800 = Unwrap(GenerateAmazon(amazon));
+  const Dataset aminer_600 = Unwrap(GenerateAminer(aminer));
+  const Dataset chain = testutil::MakeAboveCapChain();
+  struct Case {
+    const Dataset* dataset;
+    bool jiang_conrath;  // else Lin
+    const char* kernel;  // the estimator's sem_kernel_name()
+    NodeId source_stride;
+  };
+  // The d² loop runs on a sample of Amazon sources only: every Amazon
+  // source takes about 45 s for the eight settings in a release build,
+  // and over the AMiner hubs it costs about 1.4 s per source.
+  const Case cases[] = {
+      {&amazon_800, false, "group-table", 1},
+      {&aminer_600, false, "group-table", 7},
+      {&chain, false, "virtual-grouped", 21},
+      {&amazon_800, true, "virtual", 37},
+  };
+  for (const Case& c : cases) {
+    const Dataset& d = *c.dataset;
+    std::unique_ptr<SemanticMeasure> measure;
+    if (c.jiang_conrath) {
+      measure = std::make_unique<JiangConrathMeasure>(&d.context);
+    } else {
+      measure = std::make_unique<LinMeasure>(&d.context);
+    }
+    for (bool weighted : {false, true}) {
+      WalkIndexOptions wopt;
+      wopt.num_walks = 60;
+      wopt.walk_length = 10;
+      wopt.seed = 23;
+      wopt.weighted = weighted;
+      const WalkIndex index = WalkIndex::Build(d.graph, wopt);
+      const SingleSourceIndex inverted = SingleSourceIndex::Build(index);
+      SemSimMcEstimator estimator(&d.graph, measure.get(), &index);
+      estimator.AttachGroups();
+      ASSERT_EQ(estimator.sem_kernel_name(), c.kernel) << d.name;
+      QueryScratch sweep_scratch, replay_scratch;
+      std::vector<double> got;
+      for (double theta : {0.0, 0.05}) {
+        for (int budget : {0, 40}) {
+          SemSimMcOptions opt{0.6, theta};
+          opt.walk_budget = budget;
+          const std::string where =
+              d.name + " " + c.kernel + (weighted ? " weighted" : "") +
+              " theta=" + std::to_string(theta) +
+              " budget=" + std::to_string(budget);
+          for (NodeId u = 0; u < d.graph.num_nodes(); u += c.source_stride) {
+            McQueryStats want_stats, got_stats;
+            const std::vector<double> want = ReplayPerMeeting(
+                inverted, estimator, u, opt, replay_scratch, &want_stats);
+            inverted.SemSimFromInto(u, estimator, opt, sweep_scratch, got,
+                                    &got_stats);
+            ASSERT_EQ(got.size(), want.size());
+            for (NodeId v = 0; v < got.size(); ++v) {
+              ASSERT_EQ(got[v], want[v]) << where << " u=" << u << " v=" << v;
+            }
+            ASSERT_EQ(got_stats.met_walks, want_stats.met_walks) << where;
+            ASSERT_EQ(got_stats.pruned_walks, want_stats.pruned_walks)
+                << where;
+            ASSERT_EQ(got_stats.sem_pruned_queries,
+                      want_stats.sem_pruned_queries)
+                << where;
+            ASSERT_EQ(got_stats.normalizers_computed,
+                      want_stats.normalizers_computed)
+                << where;
+          }
+        }
+      }
+    }
+  }
+}
+
+// QueryScratch::MemoryBytes counts every buffer a sweep grows, the
+// correction row, the per-candidate SO(u,v) array and the live-walk list
+// among them.
+TEST(SingleSourceGenerated, ScratchMemoryCountsTheSweepBuffers) {
+  AminerOptions aminer;
+  aminer.num_authors = 200;
+  const Dataset d = Unwrap(GenerateAminer(aminer));
+  LinMeasure lin(&d.context);
+  WalkIndexOptions wopt;
+  wopt.num_walks = 40;
+  wopt.walk_length = 8;
+  const WalkIndex index = WalkIndex::Build(d.graph, wopt);
+  const SingleSourceIndex inverted = SingleSourceIndex::Build(index);
+  SemSimMcEstimator estimator(&d.graph, &lin, &index);
+  ASSERT_TRUE(estimator.AttachGroups());
+  QueryScratch scratch;
+  std::vector<double> out;
+  for (NodeId u = 0; u < 20; ++u) {
+    inverted.SemSimFromInto(u, estimator, SemSimMcOptions{0.6, 0.05},
+                            scratch, out);
+  }
+  inverted.FirstMeetingsInto(0, scratch);
+  ASSERT_EQ(scratch.correction_row.size(),
+            estimator.normalizer_groups().num_concepts());
+  ASSERT_EQ(scratch.so_uv.size(), d.graph.num_nodes());
+  ASSERT_GT(scratch.live_walks.capacity(), 0u);
+  EXPECT_EQ(scratch.MemoryBytes(),
+            scratch.met_stamp.capacity() * sizeof(uint64_t) +
+                scratch.sem_epoch.capacity() * sizeof(uint64_t) +
+                scratch.sem_ok.capacity() * sizeof(int8_t) +
+                scratch.sem_val.capacity() * sizeof(double) +
+                scratch.so_uv.capacity() * sizeof(double) +
+                scratch.scores.capacity() * sizeof(double) +
+                scratch.node_cursor.capacity() * sizeof(uint32_t) +
+                scratch.meetings.capacity() * sizeof(WalkMeeting) +
+                scratch.walk_order_meetings.capacity() * sizeof(WalkMeeting) +
+                scratch.correction_row.capacity() * sizeof(double) +
+                scratch.live_walks.capacity() * sizeof(LiveWalk) +
+                scratch.result.capacity() * sizeof(double));
 }
 
 }  // namespace
