@@ -17,6 +17,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -134,7 +135,7 @@ void RunColdstart() {
   bool sweep_identical =
       inv_mapped.Fingerprint() == inv_loaded.Fingerprint();
 
-  size_t artifact_bytes = mapped.MappedBytes();
+  const size_t artifact_bytes = std::filesystem::file_size(path);
   TablePrinter open_table({"open path", "best-of-7 ms", "owned MB",
                            "mapped MB"});
   open_table.AddRow({"Load (heap copy)", TablePrinter::Num(load_ms, 3),

@@ -23,21 +23,13 @@
 #           tests under AddressSanitizer (mmap lifetime, checksum
 #           rejection, buffered fallback), then the cold-start bench
 #           gated by ci/compare_bench.py --coldstart (mapped replica
-#           bit-identical, zero heap bytes, Map >= 5x faster than Load,
-#           parallel builds reproduce the serial fingerprint).
+#           bit-identical, zero heap bytes, parallel builds reproduce
+#           the serial fingerprint).
 #   walkbuild — the weighted walk-build lane (DESIGN.md §11): the
 #           bench_preprocessing --build-only run times WalkIndex::Build
 #           on a dense weighted graph with the alias sampler, gated by
 #           ci/compare_bench.py --walkbuild (builds bit-identical across
 #           thread counts, sampler tables actually allocated).
-#   service — the serving lane (DESIGN.md §12): QueryService tests
-#           (admission overflow, deadline/cancellation boundaries,
-#           degradation determinism), then bench_service — nominal
-#           closed-loop traffic plus a 2x-capacity open-loop burst —
-#           gated by ci/compare_bench.py --service (undegraded responses
-#           bit-identical to the direct engine, zero nominal rejections,
-#           bounded admitted-request p99 under overload, overload
-#           visibly shed through rejection/degradation/deadlines).
 #   verify — randomized differential sweep (DESIGN.md §9): replays
 #           identical queries through the iterative oracle, the MC
 #           estimator with and without taxonomy groups, the batch
@@ -51,18 +43,14 @@
 #           seed sweeps replaying randomized schedules (overload bursts,
 #           deadline mixes, cancel storms, mid-flight shutdown, armed
 #           failpoints, snapshot swap storms) against the QueryService
-#           under both ASan and TSan. Failing seeds dump replayable
+#           under both ASan and TSan; every OK response must replay bit
+#           for bit and finish inside its deadline. Failing seeds dump replayable
 #           schedules under build-{asan,tsan}/stress-artifacts/; replay
 #           any of them with semsim_stress --seed=<N>.
 #   reload — the hot-swap lane (DESIGN.md §14): snapshot lifetime and
 #           swap-during-query tests under ASan (use-after-free /
-#           destruction-order half), the same surface plus the
-#           swap-storm stress seeds under TSan (publication-race half),
-#           then bench_service's reload phase — background snapshot
-#           publishes racing live traffic — gated by
-#           ci/compare_bench.py --service (zero failed queries, every
-#           response tagged with a published version, bounded p99
-#           during the swap window).
+#           destruction-order half), then the same surface plus the
+#           swap-storm stress seeds under TSan (publication-race half).
 #   servebench — the serving benchmark's own build and correctness
 #           checks (servebench/README.md): its driver self-test, then a
 #           20 s run of each gated workload. Each run replays responses
@@ -72,7 +60,7 @@
 #
 # Usage: ci/check.sh
 #   [--tier1-only|--asan-only|--tsan-only|--bench-smoke|--metrics-smoke|
-#    --coldstart|--walkbuild|--service-smoke|--verify-smoke|
+#    --coldstart|--walkbuild|--verify-smoke|
 #    --verify-extended|--stress-smoke|--reload-smoke|--servebench-smoke]
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -150,7 +138,7 @@ metrics_smoke() {
 }
 
 coldstart() {
-  echo "=== coldstart: save/map/query under ASan + open-latency gate ==="
+  echo "=== coldstart: save/map/query under ASan + zero-copy gate ==="
   # The mmap lifetime and corruption surfaces run instrumented: every
   # section-checksum rejection, truncated-file path, buffered fallback,
   # and map-borrowing query sweep under AddressSanitizer.
@@ -161,8 +149,8 @@ coldstart() {
     dynamic_walk_index_test single_source_test
   ctest --test-dir build-asan --output-on-failure \
     -R 'walk_index_test|walk_index_corruption_test|mapped_file_test|dynamic_walk_index_test|single_source_test'
-  # The perf gate runs uninstrumented (RelWithDebInfo): Load-vs-Map open
-  # latency, bit-identity flags, memory split, parallel-build sweep.
+  # The bench runs uninstrumented (RelWithDebInfo): bit-identity flags,
+  # memory split, parallel-build sweep; open latencies are reported only.
   cmake -B build -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo
   cmake --build build -j "${JOBS}" --target bench_preprocessing
   (cd build && ./bench/bench_preprocessing --coldstart-only)
@@ -175,15 +163,6 @@ walkbuild() {
   cmake --build build -j "${JOBS}" --target bench_preprocessing
   (cd build && ./bench/bench_preprocessing --build-only)
   python3 ci/compare_bench.py --walkbuild build/BENCH_walkbuild.json
-}
-
-service_smoke() {
-  echo "=== service smoke: QueryService tests + overload bench gate ==="
-  cmake -B build -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo
-  cmake --build build -j "${JOBS}" --target query_service_test bench_service
-  ctest --test-dir build --output-on-failure -R 'query_service_test'
-  (cd build && ./bench/bench_service --dataset=small)
-  python3 ci/compare_bench.py --service build/BENCH_service.json
 }
 
 verify_smoke() {
@@ -227,7 +206,7 @@ stress_smoke() {
 }
 
 reload_smoke() {
-  echo "=== reload smoke: snapshot hot-swap under ASan/TSan + bench gate ==="
+  echo "=== reload smoke: snapshot hot-swap under ASan/TSan ==="
   # ASan half: snapshot lifetime, destruction ordering, and the
   # mapped->owned promotion seam. A displaced snapshot freed while a
   # reader still serves from it is a use-after-free here, not a flake.
@@ -251,14 +230,6 @@ reload_smoke() {
     ./build-tsan/src/testing/semsim_stress --seed="${s}" \
       --dump-dir=build-tsan/stress-artifacts
   done
-  # The perf gate runs uninstrumented: bench_service's reload phase
-  # publishes snapshots behind live traffic; compare_bench.py requires
-  # zero failed queries, only published versions served, and a bounded
-  # reload p99.
-  cmake -B build -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo
-  cmake --build build -j "${JOBS}" --target bench_service
-  (cd build && ./bench/bench_service --dataset=small)
-  python3 ci/compare_bench.py --service build/BENCH_service.json
 }
 
 servebench_smoke() {
@@ -276,13 +247,12 @@ case "${MODE}" in
   --metrics-smoke|metrics) metrics_smoke ;;
   --coldstart) coldstart ;;
   --walkbuild) walkbuild ;;
-  --service-smoke) service_smoke ;;
   --verify-smoke) verify_smoke ;;
   --verify-extended) verify_extended ;;
   --stress-smoke) stress_smoke ;;
   --reload-smoke) reload_smoke ;;
   --servebench-smoke) servebench_smoke ;;
-  all|*) tier1; asan; tsan; bench_smoke; metrics_smoke; coldstart; walkbuild; service_smoke; verify_smoke; stress_smoke; reload_smoke; servebench_smoke ;;
+  all|*) tier1; asan; tsan; bench_smoke; metrics_smoke; coldstart; walkbuild; verify_smoke; stress_smoke; reload_smoke; servebench_smoke ;;
 esac
 
 echo "=== all checks passed ==="

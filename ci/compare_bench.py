@@ -15,9 +15,10 @@ the Prometheus sibling (.prom) agrees with the JSON on every value.
 With --coldstart BENCH_coldstart.json it instead validates the
 cold-start document written by bench_preprocessing (DESIGN.md §10):
 the mapped and heap-loaded replicas must be bit-identical, every
-parallel-build fingerprint must match the serial build, the mapped
-open path must hold zero heap bytes, and opening via Map must be at
-least --min-map-speedup times faster than Load (default 5.0).
+parallel-build fingerprint must match the serial build, and the mapped
+open path must hold zero heap bytes over a mapping that covers the
+whole artifact. The Load and Map open latencies are printed, not gated:
+their ratio measures the host's page cache as much as the code.
 --coldstart runs standalone: the query-bench files are not required.
 
 With --walkbuild BENCH_walkbuild.json it instead validates the
@@ -26,23 +27,10 @@ weighted walk-build document written by bench_preprocessing
 bit-identical across thread counts and the sampler must materialize
 tables on the dense weighted graph. --walkbuild also runs standalone.
 
-With --service BENCH_service.json it instead validates the serving
-document written by bench_service (DESIGN.md §12): undegraded service
-responses must be bit-identical to direct engine calls, the nominal
-closed-loop phase must admit everything, the overload burst must keep
-admitted-request p99 within --max-service-p99-ratio of nominal (or
-within the per-request deadline — a successful response always
-finishes inside its deadline), and the overload must be visibly shed
-through rejections, degradations, or deadline failures rather than
-silently queued. --service also runs standalone.
-
 Usage: ci/compare_bench.py [--dir DIR]
                            [--metrics SNAPSHOT.json]
                            [--coldstart BENCH_coldstart.json]
-                           [--min-map-speedup X]
                            [--walkbuild BENCH_walkbuild.json]
-                           [--service BENCH_service.json]
-                           [--max-service-p99-ratio X]
 """
 
 import argparse
@@ -181,13 +169,13 @@ def check_metrics(json_path):
     return failures
 
 
-def check_coldstart(json_path, min_map_speedup):
+def check_coldstart(json_path):
     """Validates a BENCH_coldstart.json; returns a list of failures."""
     failures = []
     doc = load_json(json_path)
-    for key in ("map_speedup", "bit_identical",
-                "single_source_fingerprints_match", "mapped_owned_bytes",
-                "mapped_mapped_bytes", "load_ms", "map_ms", "records"):
+    for key in ("bit_identical", "single_source_fingerprints_match",
+                "mapped_owned_bytes", "mapped_mapped_bytes", "artifact_bytes",
+                "records"):
         if key not in doc:
             failures.append(f"coldstart JSON lacks {key!r}")
     if failures:
@@ -205,9 +193,6 @@ def check_coldstart(json_path, min_map_speedup):
                         "(expected 0 for the zero-copy path)")
     if doc["mapped_mapped_bytes"] < doc["artifact_bytes"]:
         failures.append("mapping smaller than the artifact")
-    if doc["map_speedup"] < min_map_speedup:
-        failures.append(f"map open speedup {doc['map_speedup']:.1f}x is "
-                        f"below the required {min_map_speedup:.1f}x")
     for record in doc["records"]:
         if not record.get("fingerprint_matches", 0):
             failures.append(f"parallel build with {record.get('threads')} "
@@ -235,71 +220,6 @@ def check_walkbuild(json_path):
     return failures, doc
 
 
-def check_service(json_path, max_p99_ratio):
-    """Validates a BENCH_service.json; returns a list of failures."""
-    failures = []
-    doc = load_json(json_path)
-    for key in ("determinism_ok", "nominal_rejected", "nominal_p99_ms",
-                "burst_p99_ms", "p99_ratio", "deadline_ms", "burst_ok",
-                "burst_rejected", "burst_degraded",
-                "burst_deadline_exceeded", "reload_requests",
-                "reload_failed", "reload_swaps", "reload_swap_failed",
-                "reload_versions_ok", "reload_p99_ms"):
-        if key not in doc:
-            failures.append(f"service JSON lacks {key!r}")
-    if failures:
-        return failures, doc
-
-    if not doc["determinism_ok"]:
-        failures.append("undegraded service responses are not bit-identical "
-                        "to direct engine calls")
-    if doc["nominal_rejected"] != 0:
-        failures.append(f"{doc['nominal_rejected']} rejection(s) at nominal "
-                        "closed-loop load (expected 0)")
-    if doc["burst_ok"] <= 0:
-        failures.append("no request succeeded during the overload burst")
-    # Admitted-request latency must stay bounded under 2x-capacity
-    # overload: within the ratio bar, or within the per-request deadline
-    # (a successful response always completes inside its deadline, so
-    # the deadline is the honest bound when nominal p99 is tiny).
-    bound = max(max_p99_ratio * doc["nominal_p99_ms"], doc["deadline_ms"])
-    if doc["burst_p99_ms"] > bound:
-        failures.append(f"burst admitted p99 {doc['burst_p99_ms']:.3f} ms "
-                        f"exceeds the bound {bound:.3f} ms "
-                        f"(ratio {doc['p99_ratio']:.2f}x, limit "
-                        f"{max_p99_ratio:.2f}x)")
-    shed = (doc["burst_rejected"] + doc["burst_degraded"] +
-            doc["burst_deadline_exceeded"])
-    if shed == 0:
-        failures.append("overload burst shed no load (no rejections, "
-                        "degradations, or deadline failures) — the queue "
-                        "must have absorbed 2x capacity silently")
-    # Hot reload under load: at least one background swap must have
-    # published during closed-loop traffic, with zero failed queries or
-    # publishes, and every response tagged with a published snapshot
-    # version. The latency bound is deliberately lenient — snapshot
-    # builds run concurrently with traffic on a shared small machine —
-    # but a reload must never stall the serving path outright.
-    if doc["reload_swaps"] < 1:
-        failures.append("no snapshot swap published during the reload phase")
-    if doc["reload_swap_failed"] != 0:
-        failures.append(f"{doc['reload_swap_failed']} snapshot build/publish "
-                        "failure(s) during the reload phase")
-    if doc["reload_failed"] != 0:
-        failures.append(f"{doc['reload_failed']} failed query(ies) during "
-                        "the reload phase (expected 0: a hot swap must not "
-                        "drop or fail traffic)")
-    if not doc["reload_versions_ok"]:
-        failures.append("a response reported a snapshot version that was "
-                        "never published (torn or mixed-version read)")
-    reload_bound = max(4.0 * max_p99_ratio * doc["nominal_p99_ms"], 10.0)
-    if doc["reload_p99_ms"] > reload_bound:
-        failures.append(f"reload p99 {doc['reload_p99_ms']:.3f} ms exceeds "
-                        f"the lenient bound {reload_bound:.3f} ms — the "
-                        "swap stalled the serving path")
-    return failures, doc
-
-
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--dir", default=".",
@@ -310,48 +230,10 @@ def main():
     ap.add_argument("--coldstart", default=None,
                     help="validate this BENCH_coldstart.json instead of "
                          "the query-bench files")
-    ap.add_argument("--min-map-speedup", type=float, default=5.0,
-                    help="required Load-vs-Map open-latency ratio for "
-                         "--coldstart")
     ap.add_argument("--walkbuild", default=None,
                     help="validate this BENCH_walkbuild.json instead of "
                          "the query-bench files")
-    ap.add_argument("--service", default=None,
-                    help="validate this BENCH_service.json instead of "
-                         "the query-bench files")
-    ap.add_argument("--max-service-p99-ratio", type=float, default=1.5,
-                    help="allowed burst/nominal admitted-request p99 ratio "
-                         "for --service")
     args = ap.parse_args()
-
-    if args.service is not None:
-        failures, doc = check_service(args.service,
-                                      args.max_service_p99_ratio)
-        print(f"service ({args.service})")
-        if "nominal_p99_ms" in doc and "burst_p99_ms" in doc:
-            print(f"  admitted-request p99: nominal "
-                  f"{doc['nominal_p99_ms']:.3f} ms, burst "
-                  f"{doc['burst_p99_ms']:.3f} ms  ->  "
-                  f"{doc.get('p99_ratio', 0):.2f}x "
-                  f"(deadline {doc.get('deadline_ms', 0):.2f} ms)")
-            print(f"  burst outcome: ok {doc.get('burst_ok', 0)} "
-                  f"(degraded {doc.get('burst_degraded', 0)}), rejected "
-                  f"{doc.get('burst_rejected', 0)}, deadline-exceeded "
-                  f"{doc.get('burst_deadline_exceeded', 0)}")
-            print(f"  reload: {doc.get('reload_swaps', 0)} swap(s) over "
-                  f"{doc.get('reload_requests', 0)} request(s), "
-                  f"{doc.get('reload_versions_served', 0)} version(s) "
-                  f"served, failed {doc.get('reload_failed', 0)}, "
-                  f"p99 {doc.get('reload_p99_ms', 0):.3f} ms, publish "
-                  f"mean {doc.get('swap_publish_mean_ms', 0):.3f} ms")
-        for failure in failures:
-            print(f"FAIL: service: {failure}", file=sys.stderr)
-        if failures:
-            return 1
-        print("OK: service is deterministic when undegraded, admits all "
-              "nominal traffic, bounds p99 under overload by shedding "
-              "load, and hot-swaps snapshots without failing a query")
-        return 0
 
     if args.walkbuild is not None:
         failures, doc = check_walkbuild(args.walkbuild)
@@ -371,7 +253,7 @@ def main():
         return 0
 
     if args.coldstart is not None:
-        failures, doc = check_coldstart(args.coldstart, args.min_map_speedup)
+        failures, doc = check_coldstart(args.coldstart)
         print(f"coldstart ({args.coldstart})")
         if "load_ms" in doc and "map_ms" in doc:
             print(f"  open latency: Load {doc['load_ms']:.3f} ms, "
@@ -383,8 +265,7 @@ def main():
             print(f"FAIL: coldstart: {failure}", file=sys.stderr)
         if failures:
             return 1
-        print("OK: mapped serving is bit-identical and meets the open-"
-              "latency bar")
+        print("OK: mapped serving is bit-identical and zero-copy")
         return 0
 
     path = os.path.join(args.dir, "BENCH_queries.json")

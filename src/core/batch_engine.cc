@@ -8,6 +8,42 @@
 
 namespace semsim {
 
+namespace {
+
+// Shared shape of the single-source and top-k batches: each source is
+// one work item, chunks are claimed dynamically (source cost is skewed
+// by degree and semantic pruning), per-thread stats partials merge
+// commutatively. One scratch arena is leased per chunk (not per source)
+// so its buffers amortize across the chunk's sweeps.
+template <typename Result, typename PerSource>
+std::vector<Result> PerSourceParallel(std::span<const NodeId> sources,
+                                      const ThreadPool& pool,
+                                      ScratchPool& scratch_pool,
+                                      McQueryStats& stats,
+                                      const CancelToken* cancel,
+                                      const PerSource& per_source) {
+  std::vector<Result> results(sources.size());
+  std::mutex stats_mu;
+  pool.ParallelFor(
+      0, sources.size(),
+      [&](size_t begin, size_t end) {
+        McQueryStats local;
+        ScratchPool::Lease lease = scratch_pool.Acquire();
+        for (size_t i = begin; i < end; ++i) {
+          // Between-sources poll; each sweep also polls internally
+          // through the options' own token.
+          if (cancel != nullptr && cancel->ShouldStop()) break;
+          results[i] = per_source(sources[i], &local, *lease);
+        }
+        std::lock_guard<std::mutex> lock(stats_mu);
+        stats.Merge(local);
+      },
+      cancel);
+  return results;
+}
+
+}  // namespace
+
 Result<BatchQueryEngine> BatchQueryEngine::CreateFromSnapshot(
     EngineSnapshotPtr snapshot, int num_threads) {
   if (snapshot == nullptr) {
@@ -63,10 +99,16 @@ BatchResult<std::vector<double>> BatchQueryEngine::SingleSourceBatch(
   static Counter* items = MetricsRegistry::Global().GetCounter(
       "semsim_batch_single_source_items_total");
   items->Add(sources.size());
+  const SingleSourceIndex& inverted = snap.InvertedIndex(pool_.get());
+  const SemSimMcEstimator& estimator = snap.estimator();
   BatchResult<std::vector<double>> result;
-  result.values = ParallelSemSimFrom(snap.InvertedIndex(pool_.get()), sources,
-                                     snap.estimator(), mc, *pool_,
-                                     *scratch_pool_, &result.stats);
+  result.values = PerSourceParallel<std::vector<double>>(
+      sources, *pool_, *scratch_pool_, result.stats, mc.cancel,
+      [&](NodeId u, McQueryStats* local, QueryScratch& scratch) {
+        std::vector<double> out;
+        inverted.SemSimFromInto(u, estimator, mc, scratch, out, local);
+        return out;
+      });
   return result;
 }
 
@@ -89,10 +131,14 @@ BatchResult<std::vector<Scored>> BatchQueryEngine::TopKBatch(
   static Counter* items = MetricsRegistry::Global().GetCounter(
       "semsim_batch_topk_items_total");
   items->Add(sources.size());
+  const SingleSourceIndex& inverted = snap.InvertedIndex(pool_.get());
+  const SemSimMcEstimator& estimator = snap.estimator();
   BatchResult<std::vector<Scored>> result;
-  result.values = ParallelTopKFrom(snap.InvertedIndex(pool_.get()), sources, k,
-                                   snap.estimator(), mc, *pool_, *scratch_pool_,
-                                   &result.stats);
+  result.values = PerSourceParallel<std::vector<Scored>>(
+      sources, *pool_, *scratch_pool_, result.stats, mc.cancel,
+      [&](NodeId u, McQueryStats* local, QueryScratch& scratch) {
+        return inverted.TopKFrom(u, k, estimator, mc, scratch, local);
+      });
   return result;
 }
 
@@ -102,70 +148,6 @@ size_t BatchQueryEngine::MemoryBytes() const {
   // artifacts and its own arenas only.
   return snapshot_->MemoryBytes() - snapshot_->walk_index().MemoryBytes() +
          scratch_pool_->MemoryBytes();
-}
-
-namespace {
-
-// Shared shape of the two drivers: each source is one work item, chunks
-// are claimed dynamically (source cost is skewed by degree and semantic
-// pruning), per-thread stats partials merge commutatively. One scratch
-// arena is leased per chunk (not per source) so its buffers amortize
-// across the chunk's sweeps.
-template <typename Result, typename PerSource>
-std::vector<Result> PerSourceParallel(std::span<const NodeId> sources,
-                                      const ThreadPool& pool,
-                                      ScratchPool& scratch_pool,
-                                      McQueryStats* stats,
-                                      const CancelToken* cancel,
-                                      const PerSource& per_source) {
-  std::vector<Result> results(sources.size());
-  std::mutex stats_mu;
-  pool.ParallelFor(
-      0, sources.size(),
-      [&](size_t begin, size_t end) {
-        McQueryStats local;
-        ScratchPool::Lease lease = scratch_pool.Acquire();
-        for (size_t i = begin; i < end; ++i) {
-          // Between-sources poll; each sweep also polls internally
-          // through the options' own token.
-          if (cancel != nullptr && cancel->ShouldStop()) break;
-          results[i] = per_source(sources[i], stats ? &local : nullptr,
-                                  *lease);
-        }
-        if (stats) {
-          std::lock_guard<std::mutex> lock(stats_mu);
-          stats->Merge(local);
-        }
-      },
-      cancel);
-  return results;
-}
-
-}  // namespace
-
-std::vector<std::vector<double>> ParallelSemSimFrom(
-    const SingleSourceIndex& inverted, std::span<const NodeId> sources,
-    const SemSimMcEstimator& estimator, const SemSimMcOptions& options,
-    const ThreadPool& pool, ScratchPool& scratch_pool, McQueryStats* stats) {
-  return PerSourceParallel<std::vector<double>>(
-      sources, pool, scratch_pool, stats, options.cancel,
-      [&](NodeId u, McQueryStats* local, QueryScratch& scratch) {
-        std::vector<double> out;
-        inverted.SemSimFromInto(u, estimator, options, scratch, out, local);
-        return out;
-      });
-}
-
-std::vector<std::vector<Scored>> ParallelTopKFrom(
-    const SingleSourceIndex& inverted, std::span<const NodeId> sources,
-    size_t k, const SemSimMcEstimator& estimator,
-    const SemSimMcOptions& options, const ThreadPool& pool,
-    ScratchPool& scratch_pool, McQueryStats* stats) {
-  return PerSourceParallel<std::vector<Scored>>(
-      sources, pool, scratch_pool, stats, options.cancel,
-      [&](NodeId u, McQueryStats* local, QueryScratch& scratch) {
-        return inverted.TopKFrom(u, k, estimator, options, scratch, local);
-      });
 }
 
 }  // namespace semsim

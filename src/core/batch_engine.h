@@ -124,24 +124,6 @@ class BatchQueryEngine {
   std::unique_ptr<ScratchPool> scratch_pool_;
 };
 
-/// Free-standing parallel single-source entry point: one SemSimFromInto
-/// sweep per source, partitioned across `pool`. Usable without a
-/// BatchQueryEngine when the caller already owns an inverted index and
-/// estimator. Each worker leases one arena from `scratch_pool` per chunk
-/// and runs its sweeps allocation-free through it.
-std::vector<std::vector<double>> ParallelSemSimFrom(
-    const SingleSourceIndex& inverted, std::span<const NodeId> sources,
-    const SemSimMcEstimator& estimator, const SemSimMcOptions& options,
-    const ThreadPool& pool, ScratchPool& scratch_pool,
-    McQueryStats* stats = nullptr);
-
-/// Free-standing parallel top-k driver over the inverted index.
-std::vector<std::vector<Scored>> ParallelTopKFrom(
-    const SingleSourceIndex& inverted, std::span<const NodeId> sources,
-    size_t k, const SemSimMcEstimator& estimator,
-    const SemSimMcOptions& options, const ThreadPool& pool,
-    ScratchPool& scratch_pool, McQueryStats* stats = nullptr);
-
 }  // namespace semsim
 
 #endif  // SEMSIM_CORE_BATCH_ENGINE_H_

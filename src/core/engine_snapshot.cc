@@ -89,6 +89,7 @@ Result<EngineSnapshotPtr> EngineSnapshot::Build(
     const WalkIndexOptions& walks, const EngineSnapshotOptions& options,
     uint64_t version, const ThreadPool* build_pool) {
   if (graph == nullptr) return Status::InvalidArgument("null graph");
+  SEMSIM_RETURN_NOT_OK(ValidateWalkIndexOptions(walks));
   auto index =
       std::make_shared<const WalkIndex>(WalkIndex::Build(*graph, walks));
   return Create(std::move(graph), std::move(semantic), std::move(index),

@@ -95,7 +95,9 @@ class EngineSnapshot {
       const EngineSnapshotOptions& options, uint64_t version,
       const ThreadPool* build_pool = nullptr);
 
-  /// Samples a fresh walk index with `walks`, then Create().
+  /// Samples a fresh walk index with `walks`, then Create(). Walk
+  /// options failing ValidateWalkIndexOptions are rejected with
+  /// InvalidArgument before any sampling.
   static Result<EngineSnapshotPtr> Build(
       std::shared_ptr<const Hin> graph,
       std::shared_ptr<const SemanticMeasure> semantic,

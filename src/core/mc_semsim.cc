@@ -222,10 +222,7 @@ double SemSimMcEstimator::QueryT(const Sem& sem, NodeId u, NodeId v,
   // Lines 2-3 of Algorithm 1: sem(u,v) is an upper bound on sim(u,v)
   // (Prop. 2.5), so low-semantics pairs are answered 0 immediately.
   if (options.theta > 0 && sem_uv <= options.theta) {
-    if (stats) {
-      stats->sem_pruned = true;
-      ++stats->sem_pruned_queries;
-    }
+    if (stats) ++stats->sem_pruned_queries;
     return 0.0;
   }
 

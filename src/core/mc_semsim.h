@@ -83,10 +83,8 @@ struct McQueryStats {
   int met_walks = 0;
   /// Walks cut short by the θ partial-product bound (Def. 4.5).
   int pruned_walks = 0;
-  /// Query answered 0 because sem(u,v) <= θ (lines 2-3 of Algorithm 1).
-  bool sem_pruned = false;
-  /// Number of queries answered 0 by the sem(u,v) <= θ test — the
-  /// summable form of `sem_pruned` (which saturates under Merge).
+  /// Number of queries answered 0 by the sem(u,v) <= θ test (lines 2-3
+  /// of Algorithm 1).
   int64_t sem_pruned_queries = 0;
   /// Number of SO normalizer computations performed (cache misses).
   int64_t normalizers_computed = 0;
@@ -103,13 +101,11 @@ struct McQueryStats {
   /// path.
   int64_t normalizer_work = 0;
 
-  /// Accumulates `other` into this record (counter sums; sem_pruned
-  /// becomes a count-like OR). Sums commute, so merging per-thread
-  /// partials yields the same totals for every thread count.
+  /// Accumulates `other` into this record. Sums commute, so merging
+  /// per-thread partials yields the same totals for every thread count.
   void Merge(const McQueryStats& other) {
     met_walks += other.met_walks;
     pruned_walks += other.pruned_walks;
-    sem_pruned = sem_pruned || other.sem_pruned;
     sem_pruned_queries += other.sem_pruned_queries;
     normalizers_computed += other.normalizers_computed;
     shared_cache_hits += other.shared_cache_hits;

@@ -13,10 +13,20 @@
 
 namespace semsim {
 
+Status ValidateWalkIndexOptions(const WalkIndexOptions& options) {
+  if (options.num_walks <= 0) {
+    return Status::InvalidArgument("num_walks must be > 0");
+  }
+  if (options.walk_length <= 0 || options.walk_length > 65535) {
+    // Live lengths are stored as uint16_t.
+    return Status::InvalidArgument("walk_length must lie in [1, 65535]");
+  }
+  return Status::OK();
+}
+
 WalkIndex WalkIndex::Build(const Hin& graph, const WalkIndexOptions& options) {
-  SEMSIM_CHECK(options.num_walks > 0);
-  SEMSIM_CHECK(options.walk_length > 0);
-  SEMSIM_CHECK(options.walk_length <= 65535);  // live lengths are uint16_t
+  const Status valid = ValidateWalkIndexOptions(options);
+  SEMSIM_CHECK(valid.ok()) << valid.ToString();
   SEMSIM_TRACE_SPAN("semsim_walk_index_build");
   static Counter* walks_sampled = MetricsRegistry::Global().GetCounter(
       "semsim_walk_index_walks_sampled_total");

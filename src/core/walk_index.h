@@ -33,6 +33,11 @@ struct WalkIndexOptions {
   int num_threads = 1;
 };
 
+/// Domain check of WalkIndex::Build, shared with EngineSnapshot::Build:
+/// num_walks > 0 and walk_length in [1, 65535]. Returns InvalidArgument
+/// naming the violated constraint.
+Status ValidateWalkIndexOptions(const WalkIndexOptions& options);
+
 /// Options of WalkIndex::Map (DESIGN.md §10).
 struct WalkIndexMapOptions {
   /// Verify the per-section checksums at map time. Off by default: the
@@ -84,7 +89,8 @@ class WalkIndex {
   WalkIndex& operator=(WalkIndex&&) noexcept = default;
 
   /// Samples all walks. `graph` must outlive the index (the estimators
-  /// need it anyway for degrees and weights).
+  /// need it anyway for degrees and weights). `options` must pass
+  /// ValidateWalkIndexOptions.
   static WalkIndex Build(const Hin& graph, const WalkIndexOptions& options);
 
   int num_walks() const { return options_.num_walks; }

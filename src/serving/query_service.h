@@ -113,8 +113,8 @@ struct QueryServiceOptions {
 ///
 /// Determinism contract: a request that runs to completion at full
 /// budget returns values bit-identical to the equivalent direct
-/// BatchQueryEngine call (enforced by a differential check in
-/// bench_service and the service tests); a degraded request is
+/// BatchQueryEngine call (enforced by the service tests and by the
+/// semsim_stress replay of every OK response); a degraded request is
 /// bit-identical to the direct call with the same walk_budget override.
 class QueryService {
  public:

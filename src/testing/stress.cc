@@ -783,8 +783,9 @@ class StressRunner {
   // Invariant 4: every OK response replays bit-identically through a
   // direct engine call at its reported effective budget (the service
   // determinism contract), and degraded pair scores stay within the
-  // summed Hoeffding bands of a full-budget replay. Runs after Shutdown
-  // and DisarmAll, so the replay is undisturbed.
+  // summed Hoeffding bands of a full-budget replay. Invariant 7 rides
+  // the same per-response loop. Runs after Shutdown and DisarmAll, so
+  // the replay is undisturbed.
   void CheckReplay(const RunOutcome& run) {
     // Swap-storm responses replay through an engine bound to the exact
     // snapshot version each response reported; other scenarios serve a
@@ -813,6 +814,23 @@ class StressRunner {
       const QueryRequest& req = requests_[i];
       std::string tag = "op " + std::to_string(i) + " (" +
                         KindName(req.kind) + ")";
+
+      // Invariant 7: an OK response finished inside its deadline. Exact,
+      // not a latency bound: Submit arms the token at enqueue + timeout,
+      // both spans are read off that steady clock, and Execute reports
+      // OK only after its post-run deadline check has passed.
+      if (req.timeout > std::chrono::nanoseconds::zero()) {
+        ++report_.checks;
+        const double timeout_s =
+            std::chrono::duration<double>(req.timeout).count();
+        if (resp.queue_seconds + resp.run_seconds > timeout_s) {
+          char buf[160];
+          std::snprintf(buf, sizeof(buf),
+                        ": queue %.9f s + run %.9f s > timeout %.9f s",
+                        resp.queue_seconds, resp.run_seconds, timeout_s);
+          AddViolation("deadline-honoured", tag + buf);
+        }
+      }
 
       ++report_.checks;
       const BatchQueryEngine* eng = engine_for(resp.snapshot_version);

@@ -165,7 +165,9 @@ std::string StressReproCommand(uint64_t seed);
 ///      WalkBudgetErrorBand of a full-budget replay;
 ///   5. the service's metrics deltas match the observed outcomes;
 ///   6. (kDeterministicReplay) a second run of the same schedule
-///      reproduces the outcome counts and the value fingerprint.
+///      reproduces the outcome counts and the value fingerprint;
+///   7. deadline-honoured: every OK response to a request with a
+///      timeout has queue_seconds + run_seconds <= timeout.
 /// Failpoints are disarmed on entry and exit, so instances compose.
 StressReport RunStressInstance(const StressConfig& config,
                                const StressOptions& options);

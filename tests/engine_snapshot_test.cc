@@ -56,20 +56,25 @@ TEST(EngineSnapshot, BuildDerivesArtifactsAndFingerprint) {
   EXPECT_NE(snap->fingerprint(), other->fingerprint());
 }
 
-// Asserts that Create fails with InvalidArgument and that the message
+// Asserts that `r` failed with InvalidArgument and that the message
 // contains `needle`, so callers get an actionable diagnostic rather
 // than a bare error code.
+void ExpectRejected(const Result<EngineSnapshotPtr>& r,
+                    const std::string& needle) {
+  ASSERT_FALSE(r.ok()) << "expected rejection mentioning '" << needle << "'";
+  EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(r.status().ToString().find(needle), std::string::npos)
+      << "status was: " << r.status().ToString();
+}
+
 void ExpectCreateRejects(std::shared_ptr<const Hin> graph,
                          std::shared_ptr<const SemanticMeasure> semantic,
                          std::shared_ptr<const WalkIndex> walks,
                          const EngineSnapshotOptions& opt,
                          const std::string& needle) {
-  auto r = EngineSnapshot::Create(std::move(graph), std::move(semantic),
-                                  std::move(walks), opt, 0);
-  ASSERT_FALSE(r.ok()) << "expected rejection mentioning '" << needle << "'";
-  EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(r.status().ToString().find(needle), std::string::npos)
-      << "status was: " << r.status().ToString();
+  ExpectRejected(EngineSnapshot::Create(std::move(graph), std::move(semantic),
+                                        std::move(walks), opt, 0),
+                 needle);
 }
 
 TEST(EngineSnapshot, RejectsNullArtifactsAndBadCapacities) {
@@ -105,8 +110,21 @@ TEST(EngineSnapshot, RejectsNullArtifactsAndBadCapacities) {
   bad.query.mc.walk_budget = -1;
   ExpectCreateRejects(graph, measure, walks, bad, "walk_budget must be >= 0");
 
+  // Build validates its walk options instead of aborting in the sampler.
+  WalkIndexOptions wopt = SmallWalks();
+  wopt.num_walks = 0;
+  ExpectRejected(EngineSnapshot::Build(graph, measure, wopt, opt, 0),
+                 "num_walks must be > 0");
+  for (int length : {0, 65536}) {
+    wopt = SmallWalks();
+    wopt.walk_length = length;
+    ExpectRejected(EngineSnapshot::Build(graph, measure, wopt, opt, 0),
+                   "walk_length must lie in [1, 65535]");
+  }
+
   // Valid options still succeed after every rejection.
   EXPECT_TRUE(EngineSnapshot::Create(graph, measure, walks, opt, 0).ok());
+  EXPECT_TRUE(EngineSnapshot::Build(graph, measure, SmallWalks(), opt, 0).ok());
 }
 
 TEST(EngineSnapshot, RejectsWalkIndexBuiltOnAnotherGraph) {

@@ -140,7 +140,7 @@ TEST(SemSimMcIs, SemanticPruningShortCircuits) {
   opt.theta = sem + 0.01;  // force the sem-prune branch
   McQueryStats stats;
   EXPECT_DOUBLE_EQ(estimator.Query(w.a0, w.b0, opt, &stats), 0.0);
-  EXPECT_TRUE(stats.sem_pruned);
+  EXPECT_EQ(stats.sem_pruned_queries, 1);
   EXPECT_EQ(stats.normalizers_computed, 0);
 }
 
