@@ -148,7 +148,8 @@ void RunBatch(const Dataset& dataset, const LinMeasure& lin,
                                              opt, 0)),
         threads));
     if (threads == counts.front()) {
-      doc.Add("engine_kernel_name", engine.snapshot()->kernel_name())
+      doc.Add("engine_kernel_name",
+              std::string(engine.snapshot()->estimator().sem_kernel_name()))
           .Add("engine_memory_bytes", engine.MemoryBytes());
     }
     for (const char* pass : {"cold", "warm"}) {

@@ -5,7 +5,8 @@
 #           table, taxonomy groups and their group-pair table, the
 #           estimator's inner loops under both semantic policies,
 #           walk-index compact layout, the single-source sweep's
-#           concept-indexed correction row).
+#           concept-indexed correction row) and the byte-mutation tests
+#           of the binary and text loaders.
 #   tsan  — ThreadSanitizer over the concurrency surface (pool,
 #           concurrent pair cache, batch query engine, metrics registry,
 #           query service, snapshot swaps) plus the grouped-vs-virtual
@@ -83,11 +84,14 @@ asan() {
     --target flat_kernel_test normalizer_groups_test transition_table_test \
     walk_index_test dynamic_walk_index_test batch_query_test \
     walk_index_corruption_test mapped_file_test differential_test \
-    rng_test node_sampler_test mc_test single_source_test
+    rng_test node_sampler_test mc_test single_source_test \
+    text_io_corruption_test
   # single_source_test drives the sweep's correction row (indexed by
-  # concept_id) and its live-walk list.
+  # concept_id) and its live-walk list. text_io_corruption_test feeds
+  # byte-mutated text files to the graph, taxonomy, concept-map and
+  # dataset loaders.
   ctest --test-dir build-asan --output-on-failure \
-    -R 'flat_kernel_test|normalizer_groups_test|transition_table_test|walk_index_test|batch_query_test|walk_index_corruption_test|mapped_file_test|differential_test|rng_test|node_sampler_test|mc_test|single_source_test'
+    -R 'flat_kernel_test|normalizer_groups_test|transition_table_test|walk_index_test|batch_query_test|walk_index_corruption_test|mapped_file_test|differential_test|rng_test|node_sampler_test|mc_test|single_source_test|text_io_corruption_test'
 }
 
 tsan() {

@@ -2,7 +2,8 @@
 // be driven without writing C++:
 //
 //   semsim_cli generate <aminer|amazon|wikipedia|wordnet|figure1> <dir> [seed]
-//       Generate a dataset bundle (graph.hin / semantics.txt / tasks.txt).
+//       Generate a dataset bundle (graph.hin / semantics.txt / tasks.txt),
+//       creating <dir> and any missing parents.
 //
 //   semsim_cli query <dir> <node-a> <node-b> [--exact]
 //       Single-pair SemSim (and SimRank for contrast). MC engine with the

@@ -60,7 +60,9 @@ class DynamicWalkIndex {
   /// previously exported snapshot, a private copy is cloned first
   /// (copy-on-write) so the snapshot's readers are unaffected. Fails if
   /// the node count changed or a dirty id is out of range. (A mapped
-  /// index was already promoted to owned storage by Adopt.)
+  /// index was already promoted to owned storage by Adopt.) Weighted
+  /// suffixes draw through an alias sampler over `new_graph` that this
+  /// call builds on the first weighted draw; no snapshot holds one.
   Result<size_t> Update(const Hin* new_graph,
                         std::span<const NodeId> dirty_nodes);
 

@@ -2,9 +2,7 @@
 
 #include <string>
 #include <utility>
-#include <vector>
 
-#include "common/fnv.h"
 #include "common/logging.h"
 #include "common/metrics.h"
 
@@ -16,15 +14,6 @@ Gauge* InflightGauge() {
   static Gauge* gauge =
       MetricsRegistry::Global().GetGauge("semsim_snapshot_inflight");
   return gauge;
-}
-
-uint64_t Chain(uint64_t seed, const void* data, size_t size) {
-  return Fnv1a64(data, size, seed);
-}
-
-template <typename T>
-uint64_t ChainValue(uint64_t seed, const T& value) {
-  return Fnv1a64(&value, sizeof(value), seed);
 }
 
 }  // namespace
@@ -74,11 +63,6 @@ Result<EngineSnapshotPtr> EngineSnapshot::Create(
     snap->normalizer_cache_->BindMetrics("normalizer");
     snap->estimator_->set_shared_cache(snap->normalizer_cache_.get());
   }
-  if (snap->walk_index_->options().weighted) {
-    snap->sampler_ = std::make_unique<NodeSamplerIndex>(NodeSamplerIndex::Build(
-        *snap->graph_, SampleDirection::kIn, build_pool));
-  }
-  ComputeFingerprint(*snap);
   if (options.eager_single_source) snap->InvertedIndex(build_pool);
   return EngineSnapshotPtr(std::move(snap));
 }
@@ -94,64 +78,6 @@ Result<EngineSnapshotPtr> EngineSnapshot::Build(
       std::make_shared<const WalkIndex>(WalkIndex::Build(*graph, walks));
   return Create(std::move(graph), std::move(semantic), std::move(index),
                 options, version, build_pool);
-}
-
-Result<EngineSnapshotPtr> EngineSnapshot::MapArtifact(
-    std::shared_ptr<const Hin> graph,
-    std::shared_ptr<const SemanticMeasure> semantic, const std::string& path,
-    const EngineSnapshotOptions& options, uint64_t version,
-    const WalkIndexMapOptions& map_options, const ThreadPool* build_pool) {
-  if (graph == nullptr) return Status::InvalidArgument("null graph");
-  SEMSIM_ASSIGN_OR_RETURN(
-      WalkIndex mapped,
-      WalkIndex::Map(path, graph->num_nodes(), map_options));
-  auto index = std::make_shared<const WalkIndex>(std::move(mapped));
-  return Create(std::move(graph), std::move(semantic), std::move(index),
-                options, version, build_pool);
-}
-
-void EngineSnapshot::ComputeFingerprint(EngineSnapshot& snap) {
-  uint64_t fp = kFnv1a64Offset;
-  // Options that change results: the estimator parameters (walk_budget
-  // defaults resolve at query time; decay/theta pin the estimate itself).
-  fp = ChainValue(fp, snap.options_.query.mc.decay);
-  fp = ChainValue(fp, snap.options_.query.mc.theta);
-  const uint64_t nodes = snap.graph_->num_nodes();
-  const uint64_t edges = snap.graph_->num_edges();
-  fp = ChainValue(fp, nodes);
-  fp = ChainValue(fp, edges);
-  const WalkIndex& index = *snap.walk_index_;
-  const WalkIndexOptions& walks = index.options();
-  fp = ChainValue(fp, walks.num_walks);
-  fp = ChainValue(fp, walks.walk_length);
-  fp = ChainValue(fp, walks.seed);
-  const uint8_t weighted = walks.weighted ? 1 : 0;
-  fp = ChainValue(fp, weighted);
-  // Walk content: the flat step array is contiguous, so one chained
-  // pass covers every walk. A mapped artifact faults all pages in here
-  // — the documented one-time publish cost.
-  if (nodes > 0 && index.num_walks() > 0 && index.walk_length() > 0) {
-    const size_t steps = static_cast<size_t>(nodes) *
-                         static_cast<size_t>(index.num_walks()) *
-                         static_cast<size_t>(index.walk_length());
-    fp = Chain(fp, index.Walk(0, 0).data(), steps * sizeof(NodeId));
-    std::vector<uint16_t> live;
-    live.reserve(static_cast<size_t>(nodes) * index.num_walks());
-    for (NodeId v = 0; v < static_cast<NodeId>(nodes); ++v) {
-      for (int w = 0; w < index.num_walks(); ++w) {
-        live.push_back(index.WalkLiveLength(v, w));
-      }
-    }
-    fp = Chain(fp, live.data(), live.size() * sizeof(uint16_t));
-  }
-  if (snap.sampler_ != nullptr) {
-    fp = ChainValue(fp, snap.sampler_->Fingerprint());
-  }
-  snap.fingerprint_ = fp;
-}
-
-std::string EngineSnapshot::kernel_name() const {
-  return "flat+" + std::string(estimator_->sem_kernel_name());
 }
 
 const SingleSourceIndex& EngineSnapshot::InvertedIndex(
@@ -173,7 +99,6 @@ size_t EngineSnapshot::MemoryBytes() const {
   size_t total = walk_index_->MemoryBytes();
   total += estimator_->transition_table().MemoryBytes();
   total += estimator_->normalizer_groups().MemoryBytes();
-  if (sampler_) total += sampler_->TableBytes();
   if (normalizer_cache_) total += normalizer_cache_->MemoryBytes();
   const SingleSourceIndex* inverted =
       inverted_published_.load(std::memory_order_acquire);

@@ -5,7 +5,6 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
-#include <string>
 
 #include "common/result.h"
 #include "common/thread_pool.h"
@@ -14,7 +13,6 @@
 #include "core/single_source.h"
 #include "core/walk_index.h"
 #include "graph/hin.h"
-#include "graph/node_sampler.h"
 #include "taxonomy/semantic_measure.h"
 
 namespace semsim {
@@ -51,9 +49,9 @@ struct EngineSnapshotOptions {
 };
 
 /// One immutable, versioned bundle of every artifact a query needs: the
-/// HIN, the semantic measure, the walk index (owned or mapped), the alias
-/// sampler, the normalizer cache, and the estimator bound over them with
-/// its transition table and taxonomy groups (DESIGN.md §14). It is the only
+/// HIN, the semantic measure, the walk index (owned or mapped), the
+/// normalizer cache, and the estimator bound over them with its
+/// transition table and taxonomy groups (DESIGN.md §14). It is the only
 /// way to build that bundle; BatchQueryEngine::CreateFromSnapshot binds
 /// an executor over it.
 ///
@@ -72,13 +70,11 @@ struct EngineSnapshotOptions {
 /// query against a given snapshot is bit-identical regardless of thread
 /// count, cache history, or concurrent swaps.
 ///
-/// `version()` is the monotone publication id assigned by the producer
-/// (SnapshotManager enforces monotonicity at the publish seam);
-/// `fingerprint()` is a chained FNV-1a hash over the options, the graph
-/// shape, and the full walk-index content — two snapshots with equal
-/// fingerprints serve bit-identical results. Fingerprinting a mapped
-/// index faults its pages in once at creation; that is a deliberate
-/// publish-time cost, not a query-time one.
+/// `version()` is the snapshot's one identity: the monotone publication
+/// id assigned by the producer (SnapshotManager enforces monotonicity at
+/// the publish seam). Creating a snapshot reads no walk steps unless
+/// eager_single_source builds the inverted index, so a mapped index
+/// pages in lazily as queries touch it.
 class EngineSnapshot {
  public:
   /// Derives a snapshot from existing artifacts. All three shared
@@ -87,7 +83,7 @@ class EngineSnapshot {
   /// invalid MC options (ValidateMcOptions: decay in (0,1), θ ≤ 1 - decay
   /// per Lemma 4.7, walk_budget ≥ 0) are rejected with InvalidArgument.
   /// `build_pool` (optional, borrowed only during the call) parallelizes
-  /// the alias sampler and eager single-source builds.
+  /// the eager single-source build.
   static Result<EngineSnapshotPtr> Create(
       std::shared_ptr<const Hin> graph,
       std::shared_ptr<const SemanticMeasure> semantic,
@@ -103,16 +99,6 @@ class EngineSnapshot {
       std::shared_ptr<const SemanticMeasure> semantic,
       const WalkIndexOptions& walks, const EngineSnapshotOptions& options,
       uint64_t version, const ThreadPool* build_pool = nullptr);
-
-  /// Zero-copy path: WalkIndex::Map()s the v2 artifact at `path`, then
-  /// Create(). The cold-start story of DESIGN.md §10, now ending in a
-  /// publishable snapshot.
-  static Result<EngineSnapshotPtr> MapArtifact(
-      std::shared_ptr<const Hin> graph,
-      std::shared_ptr<const SemanticMeasure> semantic,
-      const std::string& path, const EngineSnapshotOptions& options,
-      uint64_t version, const WalkIndexMapOptions& map_options = {},
-      const ThreadPool* build_pool = nullptr);
 
   EngineSnapshot(const EngineSnapshot&) = delete;
   EngineSnapshot& operator=(const EngineSnapshot&) = delete;
@@ -135,21 +121,6 @@ class EngineSnapshot {
 
   /// Monotone publication id (0 = never published through a manager).
   uint64_t version() const { return version_; }
-  /// Chained FNV-1a over options, graph shape, and walk-index content.
-  uint64_t fingerprint() const { return fingerprint_; }
-
-  /// The estimator's transition table.
-  const TransitionTable* transition_table() const {
-    return &estimator_->transition_table();
-  }
-  /// "flat+" followed by SemSimMcEstimator::sem_kernel_name():
-  /// "flat+group-table", "flat+virtual-grouped" or "flat+virtual".
-  std::string kernel_name() const;
-
-  /// The alias sampler over the graph's in-neighborhoods; built only
-  /// when the walk index was sampled weighted (dynamic updates against
-  /// this snapshot reuse it instead of rebuilding).
-  const NodeSamplerIndex* sampler() const { return sampler_.get(); }
 
   /// Cross-query concurrent normalizer cache; nullptr when disabled.
   const ConcurrentPairCache* normalizer_cache() const {
@@ -172,16 +143,12 @@ class EngineSnapshot {
  private:
   EngineSnapshot();
 
-  static void ComputeFingerprint(EngineSnapshot& snap);
-
   std::shared_ptr<const Hin> graph_;
   std::shared_ptr<const SemanticMeasure> semantic_;
   std::shared_ptr<const WalkIndex> walk_index_;
   EngineSnapshotOptions options_;
   uint64_t version_ = 0;
-  uint64_t fingerprint_ = 0;
 
-  std::unique_ptr<NodeSamplerIndex> sampler_;
   std::unique_ptr<ConcurrentPairCache> normalizer_cache_;
   std::unique_ptr<SemSimMcEstimator> estimator_;
 

@@ -1,8 +1,12 @@
 #include "datasets/dataset_io.h"
 
+#include <filesystem>
 #include <fstream>
 #include <iomanip>
 #include <sstream>
+#include <string_view>
+#include <system_error>
+#include <unordered_set>
 
 #include "graph/graph_io.h"
 
@@ -19,6 +23,12 @@ std::string TasksPath(const std::string& dir) { return dir + "/tasks.txt"; }
 }  // namespace
 
 Status SaveDataset(const Dataset& dataset, const std::string& directory) {
+  std::error_code ec;
+  std::filesystem::create_directories(directory, ec);
+  if (ec) {
+    return Status::IOError("cannot create directory " + directory + ": " +
+                           ec.message());
+  }
   SEMSIM_RETURN_NOT_OK(SaveHin(dataset.graph, GraphPath(directory)));
 
   {
@@ -119,7 +129,14 @@ Result<Dataset> LoadDataset(const std::string& directory) {
       }
     }
     TaxonomyBuilder builder;
-    for (const std::string& name : names) builder.AddConcept(name);
+    std::unordered_set<std::string_view> seen;
+    for (const std::string& name : names) {
+      // Checked here: AddConcept check-fails on a repeated name.
+      if (!seen.insert(name).second) {
+        return Status::IOError("duplicate concept '" + name + "'");
+      }
+      builder.AddConcept(name);
+    }
     for (ConceptId c = 0; c < parents.size(); ++c) {
       if (parents[c] >= 0) {
         SEMSIM_RETURN_NOT_OK(

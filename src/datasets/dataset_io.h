@@ -9,8 +9,8 @@
 
 namespace semsim {
 
-/// Persists a full Dataset bundle into `directory` (created by the
-/// caller) as three text files:
+/// Persists a full Dataset bundle into `directory` (created with any
+/// missing parents; IOError when that fails) as three text files:
 ///   graph.hin      — the HIN (see graph/graph_io.h)
 ///   semantics.txt  — taxonomy (concept name, parent, IC) and the
 ///                    node→concept mapping

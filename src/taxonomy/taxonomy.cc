@@ -49,6 +49,11 @@ Result<Taxonomy> TaxonomyBuilder::Build() && {
   if (roots.size() == 1) {
     root = roots[0];
   } else {
+    if (name_to_id_.contains("<ROOT>")) {
+      return Status::InvalidArgument(
+          "taxonomy has several roots and already names a concept "
+          "'<ROOT>', the name of the synthetic root above them");
+    }
     root = AddConcept("<ROOT>");
     for (ConceptId r : roots) parents_[r] = root;
     n = names_.size();

@@ -76,10 +76,12 @@ Result<Taxonomy> LoadTaxonomy(const std::string& path) {
       return Status::IOError("malformed concept at line " +
                              std::to_string(lineno));
     }
-    if (!ids.emplace(name, b.AddConcept(name)).second) {
+    // Checked before AddConcept, which check-fails on a repeated name.
+    if (ids.contains(name)) {
       return Status::IOError("duplicate concept '" + name + "' at line " +
                              std::to_string(lineno));
     }
+    ids.emplace(name, b.AddConcept(name));
     entries.push_back(Entry{std::move(parent), lineno});
   }
   for (size_t c = 0; c < entries.size(); ++c) {
@@ -116,8 +118,15 @@ Result<std::vector<ConceptId>> LoadConceptMap(const Taxonomy& t,
                                               const std::string& path) {
   std::ifstream in(path);
   if (!in) return Status::IOError("cannot open for reading: " + path);
-  std::vector<ConceptId> map;
-  std::vector<char> seen;
+  // Ids are checked once every line is read: k lines with no gaps and
+  // no duplicates name exactly the nodes 0..k-1, so an id >= k is a gap
+  // and is rejected before anything is sized by it.
+  struct Entry {
+    unsigned long node;
+    ConceptId concept_id;
+    size_t lineno;
+  };
+  std::vector<Entry> entries;
   std::string line;
   size_t lineno = 0;
   while (std::getline(in, line)) {
@@ -139,22 +148,22 @@ Result<std::vector<ConceptId>> LoadConceptMap(const Taxonomy& t,
       return Status::IOError("unknown concept '" + concept_name + "' at line " +
                              std::to_string(lineno));
     }
-    if (node >= map.size()) {
-      map.resize(node + 1, kInvalidConcept);
-      seen.resize(node + 1, 0);
-    }
-    if (seen[node]) {
-      return Status::IOError("duplicate node " + std::to_string(node) +
-                             " at line " + std::to_string(lineno));
-    }
-    seen[node] = 1;
-    map[node] = c.value();
+    entries.push_back(Entry{node, c.value(), lineno});
   }
-  for (size_t v = 0; v < map.size(); ++v) {
-    if (!seen[v]) {
-      return Status::IOError("concept map has no entry for node " +
-                             std::to_string(v));
+  std::vector<ConceptId> map(entries.size(), kInvalidConcept);
+  for (const Entry& e : entries) {
+    if (e.node >= map.size()) {
+      return Status::IOError("concept map has " +
+                             std::to_string(entries.size()) +
+                             " entries but names node " +
+                             std::to_string(e.node) + " at line " +
+                             std::to_string(e.lineno));
     }
+    if (map[e.node] != kInvalidConcept) {
+      return Status::IOError("duplicate node " + std::to_string(e.node) +
+                             " at line " + std::to_string(e.lineno));
+    }
+    map[e.node] = e.concept_id;
   }
   return map;
 }

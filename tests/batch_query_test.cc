@@ -284,10 +284,9 @@ TEST(BatchQuery, EngineFromSharedSnapshotIsBitIdentical) {
 
   EngineSnapshotPtr snapshot = engine.snapshot();
   ASSERT_NE(snapshot, nullptr);
-  EXPECT_NE(snapshot->fingerprint(), 0u);
   BatchQueryEngine replica =
       Unwrap(BatchQueryEngine::CreateFromSnapshot(snapshot, /*num_threads=*/1));
-  EXPECT_EQ(replica.snapshot()->fingerprint(), snapshot->fingerprint());
+  EXPECT_EQ(replica.snapshot(), snapshot);
 
   BatchResult<double> q2 = replica.QueryBatch(pairs);
   BatchResult<std::vector<double>> ss2 = replica.SingleSourceBatch(sources);

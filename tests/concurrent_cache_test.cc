@@ -214,6 +214,9 @@ TEST(ConcurrentPairCache, TornReadsNeverReturnAWrongValue) {
   std::vector<std::thread> readers;
   for (int r = 0; r < kReaders; ++r) {
     readers.emplace_back([&, r] {
+      // Probe only once the writers have filled the window; on a loaded
+      // host the readers could otherwise finish before the first insert.
+      while (cache.size() < kOneWindow) std::this_thread::yield();
       for (int n = 0; n < kLookupsPerReader; ++n) {
         const NodeId u = static_cast<NodeId>((n * 7 + r) % kPairs);
         double value = 0;

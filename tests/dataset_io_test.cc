@@ -74,6 +74,26 @@ TEST_F(DatasetIoTest, Figure1RoundTripKeepsTheExampleWorking) {
   EXPECT_NEAR(lin.Sim(bo, aditi), 0.01, 1e-9);  // Table 1 IC survived
 }
 
+TEST_F(DatasetIoTest, SaveCreatesMissingNestedDirectories) {
+  Dataset original = Unwrap(MakeFigure1Dataset());
+  const std::string nested = dir_ + "/fresh/bundle";
+  ASSERT_FALSE(std::filesystem::exists(dir_ + "/fresh"));
+  ASSERT_TRUE(SaveDataset(original, nested).ok());
+  Dataset loaded = Unwrap(LoadDataset(nested));
+  EXPECT_EQ(loaded.graph.num_nodes(), original.graph.num_nodes());
+  EXPECT_EQ(loaded.graph.num_edges(), original.graph.num_edges());
+}
+
+TEST_F(DatasetIoTest, SaveReportsUncreatableDirectory) {
+  Dataset original = Unwrap(MakeFigure1Dataset());
+  const std::string file = dir_ + "/plain_file";
+  std::ofstream(file) << "x";
+  Status st = SaveDataset(original, file + "/bundle");
+  EXPECT_EQ(st.code(), StatusCode::kIOError);
+  EXPECT_NE(st.ToString().find("cannot create directory"), std::string::npos)
+      << st.ToString();
+}
+
 TEST_F(DatasetIoTest, LoadRejectsMissingDirectory) {
   EXPECT_FALSE(LoadDataset("/nonexistent/bundle").ok());
 }

@@ -18,17 +18,18 @@ namespace semsim {
 namespace {
 
 using testutil::MakeSmallWorld;
+using testutil::SameWalks;
 using testutil::Unwrap;
 
-WalkIndexOptions SmallWalks(uint64_t seed = 11) {
+WalkIndexOptions SmallWalks() {
   WalkIndexOptions opt;
   opt.num_walks = 40;
   opt.walk_length = 8;
-  opt.seed = seed;
+  opt.seed = 11;
   return opt;
 }
 
-TEST(EngineSnapshot, BuildDerivesArtifactsAndFingerprint) {
+TEST(EngineSnapshot, BuildDerivesArtifacts) {
   auto w = MakeSmallWorld();
   LinMeasure lin(&w.context);
   EngineSnapshotOptions opt;
@@ -37,23 +38,18 @@ TEST(EngineSnapshot, BuildDerivesArtifactsAndFingerprint) {
       /*version=*/7));
 
   EXPECT_EQ(snap->version(), 7u);
-  EXPECT_NE(snap->fingerprint(), 0u);
   EXPECT_EQ(&snap->graph(), &w.graph);
   EXPECT_EQ(snap->walk_index().num_walks(), SmallWalks().num_walks);
   EXPECT_GT(snap->MemoryBytes(), 0u);
   // Every snapshot's estimator steps through its transition table.
-  EXPECT_NE(snap->transition_table(), nullptr);
+  EXPECT_EQ(snap->estimator().transition_table().num_nodes(),
+            w.graph.num_nodes());
 
-  // Same inputs, same fingerprint; a different sampling seed changes the
-  // walk content and therefore the fingerprint.
+  // Same inputs, same walks, whatever the version.
   EngineSnapshotPtr same = Unwrap(EngineSnapshot::Build(
       Unowned(&w.graph), Unowned<SemanticMeasure>(&lin), SmallWalks(), opt,
       /*version=*/8));
-  EXPECT_EQ(snap->fingerprint(), same->fingerprint());
-  EngineSnapshotPtr other = Unwrap(EngineSnapshot::Build(
-      Unowned(&w.graph), Unowned<SemanticMeasure>(&lin), SmallWalks(99), opt,
-      /*version=*/9));
-  EXPECT_NE(snap->fingerprint(), other->fingerprint());
+  EXPECT_TRUE(SameWalks(snap->walk_index(), same->walk_index()));
 }
 
 // Asserts that `r` failed with InvalidArgument and that the message
@@ -174,13 +170,15 @@ TEST(EngineSnapshot, MappedArtifactServesBitIdenticallyToOwned) {
   EngineSnapshotPtr owned = Unwrap(EngineSnapshot::Build(
       Unowned(&w.graph), Unowned<SemanticMeasure>(&lin), SmallWalks(), opt,
       1));
-  EngineSnapshotPtr mapped = Unwrap(EngineSnapshot::MapArtifact(
-      Unowned(&w.graph), Unowned<SemanticMeasure>(&lin), path, opt, 2));
+  auto map = std::make_shared<const WalkIndex>(
+      Unwrap(WalkIndex::Map(path, w.graph.num_nodes())));
+  EngineSnapshotPtr mapped = Unwrap(EngineSnapshot::Create(
+      Unowned(&w.graph), Unowned<SemanticMeasure>(&lin), map, opt, 2));
   ASSERT_TRUE(mapped->walk_index().mapped());
 
-  // Identical walk content + options => identical fingerprint, and the
-  // engines bound to the two snapshots agree bit for bit.
-  EXPECT_EQ(owned->fingerprint(), mapped->fingerprint());
+  // Identical walk content, and the engines bound to the two snapshots
+  // agree bit for bit.
+  EXPECT_TRUE(SameWalks(owned->walk_index(), mapped->walk_index()));
   BatchQueryEngine a = Unwrap(BatchQueryEngine::CreateFromSnapshot(owned, 1));
   BatchQueryEngine b = Unwrap(BatchQueryEngine::CreateFromSnapshot(mapped, 1));
   std::vector<NodePair> pairs = {{w.a0, w.a1}, {w.a2, w.b0}, {w.b0, w.b1}};
@@ -235,7 +233,7 @@ TEST(EngineSnapshot, PublishedSnapshotSurvivesFurtherUpdatesUnchanged) {
   BatchQueryEngine e1 = Unwrap(BatchQueryEngine::CreateFromSnapshot(v1, 1));
   std::vector<NodePair> pairs = {{w.a0, w.a1}, {w.a2, w.b0}, {w.b0, w.b1}};
   std::vector<double> before = e1.QueryBatch(pairs).values;
-  uint64_t fp_before = v1->fingerprint();
+  const WalkIndex walks_before = v1->walk_index();  // an owned copy
 
   // Mutate the graph; the maintainer resamples onto a private copy.
   HinBuilder builder = w.graph.ToBuilder();
@@ -246,10 +244,10 @@ TEST(EngineSnapshot, PublishedSnapshotSurvivesFurtherUpdatesUnchanged) {
       updated, std::vector<NodeId>{w.b1, w.a0}, measure, opt, /*version=*/2,
       &resampled));
   EXPECT_GT(resampled, 0u);
-  EXPECT_NE(v2->fingerprint(), fp_before);
+  EXPECT_FALSE(SameWalks(v2->walk_index(), walks_before));
 
   // v1 readers still see exactly the pre-update world.
-  EXPECT_EQ(v1->fingerprint(), fp_before);
+  EXPECT_TRUE(SameWalks(v1->walk_index(), walks_before));
   std::vector<double> after = e1.QueryBatch(pairs).values;
   ASSERT_EQ(before.size(), after.size());
   for (size_t i = 0; i < before.size(); ++i) EXPECT_EQ(before[i], after[i]);

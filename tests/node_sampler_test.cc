@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -188,18 +187,6 @@ TEST(NodeSamplerIndex, BuildRecordsMetrics) {
 // invariant and follow the exact edge weights.
 // ---------------------------------------------------------------------------
 
-void ExpectSameWalks(const WalkIndex& a, const WalkIndex& b, size_t n) {
-  size_t step_bytes = static_cast<size_t>(a.walk_length()) * sizeof(NodeId);
-  for (NodeId v = 0; v < n; ++v) {
-    for (int w = 0; w < a.num_walks(); ++w) {
-      ASSERT_EQ(a.WalkLiveLength(v, w), b.WalkLiveLength(v, w))
-          << "node " << v << " walk " << w;
-      ASSERT_EQ(std::memcmp(a.WalkData(v, w), b.WalkData(v, w), step_bytes), 0)
-          << "node " << v << " walk " << w;
-    }
-  }
-}
-
 TEST(NodeSamplerIndex, AliasWalkBuildBitIdenticalAcrossThreadCounts) {
   Hin graph = Unwrap(testing::GenerateRandomHin(HeavyTailOptions(53)));
   WalkIndexOptions opt;
@@ -212,7 +199,7 @@ TEST(NodeSamplerIndex, AliasWalkBuildBitIdenticalAcrossThreadCounts) {
   for (int threads : {2, 8}) {
     opt.num_threads = threads;
     WalkIndex many = WalkIndex::Build(graph, opt);
-    ExpectSameWalks(one, many, graph.num_nodes());
+    EXPECT_TRUE(testutil::SameWalks(one, many));
   }
 }
 

@@ -1,12 +1,16 @@
 #ifndef SEMSIM_TESTS_TEST_UTIL_H_
 #define SEMSIM_TESTS_TEST_UTIL_H_
 
+#include <gtest/gtest.h>
+
+#include <cstring>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "common/logging.h"
 #include "common/rng.h"
+#include "core/walk_index.h"
 #include "datasets/dataset.h"
 #include "graph/hin.h"
 #include "taxonomy/semantic_context.h"
@@ -19,6 +23,29 @@ template <typename T>
 T Unwrap(Result<T> result) {
   SEMSIM_CHECK(result.ok()) << result.status().ToString();
   return std::move(result).value();
+}
+
+/// Succeeds iff `a` and `b` have the same shape and every walk agrees in
+/// its live length and all `walk_length` step slots; otherwise names the
+/// first walk that differs.
+inline ::testing::AssertionResult SameWalks(const WalkIndex& a,
+                                            const WalkIndex& b) {
+  if (a.num_nodes() != b.num_nodes() || a.num_walks() != b.num_walks() ||
+      a.walk_length() != b.walk_length()) {
+    return ::testing::AssertionFailure() << "walk index shapes differ";
+  }
+  const size_t step_bytes =
+      static_cast<size_t>(a.walk_length()) * sizeof(NodeId);
+  for (NodeId v = 0; v < a.num_nodes(); ++v) {
+    for (int w = 0; w < a.num_walks(); ++w) {
+      if (a.WalkLiveLength(v, w) != b.WalkLiveLength(v, w) ||
+          std::memcmp(a.WalkData(v, w), b.WalkData(v, w), step_bytes) != 0) {
+        return ::testing::AssertionFailure()
+               << "node " << v << " walk " << w << " differs";
+      }
+    }
+  }
+  return ::testing::AssertionSuccess();
 }
 
 /// A small weighted HIN with an embedded 2-level taxonomy, handy for
